@@ -20,16 +20,17 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, build_instance, build_kernel, config_echo
-from .entire_diagnostics import growth_profile, zero_density
-from .errors import AcceptanceGateError, ConfigError
-from .fileio import atomic_write_text, format_float
+from .entire_diagnostics import (growth_profile, supported_in_unit_interval,
+                                 zero_density)
+from .errors import (AcceptanceGateError, ComputationError, ConfigError,
+                     ValidationError)
+from .fileio import atomic_write_text, write_csv
 from .grid_signal import fourier_at, write_signal_csv
 from .kernels import default_profile_grid
 from .regularization import (ErrorDecomposition, RegularizationPlan,
-                             run_single, run_sweep, solve_frequency_radius)
+                             plan_radius, run_single, run_sweep)
 from .small_sets import cartan_bound, measure_small_set
-from .tail_profile import (detect_superlinear, tail_cutoff, tail_mass_profile,
-                           write_dual_csv, write_profile_csv, young_dual)
+from .tail_profile import detect_superlinear, tail_mass_profile, young_dual
 
 DUAL_GRID_STEP = 0.01
 DUAL_GRID_MAX = 64.0
@@ -55,12 +56,6 @@ def _clean(obj):
 def _write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(_clean(obj), indent=2, sort_keys=True)
                       + "\n")
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(format_float(x) for x in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 class _Manifest:
@@ -116,24 +111,16 @@ def _decomposition_dict(d: ErrorDecomposition) -> dict:
             "coverage_flag": d.coverage_flag}
 
 
-def _support_in_unit_interval(kernel) -> bool:
-    if kernel.truncation_tail != 0.0:
-        return False
-    t = kernel.grid()
-    support = t[np.abs(kernel.values) > 0.0]
-    return (support.size > 0 and support[0] >= -1e-9
-            and support[-1] <= 1.0 + 1e-9)
-
-
 def _emit_zero_reports(kernel, manifest: _Manifest) -> None:
     report = zero_density(kernel, np.array(ZERO_RADII))
-    _write_csv(manifest.path("zeros_csv", "zeros.csv"), "R,n,density",
-               zip(report.radii, report.counts, report.densities))
+    write_csv(manifest.path("zeros_csv", "zeros.csv"), "R,n,density",
+              zip(report.radii.tolist(), report.counts.tolist(),
+                  report.densities.tolist()))
     try:
         growth = growth_profile(
             kernel, np.linspace(10.0, GROWTH_RADII_MAX, GROWTH_RADII_COUNT))
         sigma_hat, mu_hat = growth.sigma_hat, growth.mu_hat
-    except Exception:
+    except (ValidationError, ComputationError):
         sigma_hat = mu_hat = math.nan
     _write_json(manifest.path("zeros_json", "zeros.json"),
                 {"sigma_hat": sigma_hat, "mu_hat": mu_hat,
@@ -152,13 +139,15 @@ def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
     detector = detect_superlinear(profile)
     manifest.stage("compute")
 
-    write_profile_csv(manifest.path("profile_csv", "profile.csv"), profile)
-    write_dual_csv(manifest.path("dual_csv", "dual.csv"), dual)
+    write_csv(manifest.path("profile_csv", "profile.csv"), "s,p",
+              zip(profile.s_grid.tolist(), profile.p_values.tolist()))
+    write_csv(manifest.path("dual_csv", "dual.csv"), "s,pstar",
+              zip(dual.s_grid.tolist(), dual.dual_values.tolist()))
     _write_json(manifest.path("detector_json", "detector.json"),
                 {"superlinear": detector.verdict,
                  "decade_ratio": detector.decade_ratio,
                  "strictly_increasing": detector.strictly_increasing})
-    if _support_in_unit_interval(kernel):
+    if supported_in_unit_interval(kernel):
         _emit_zero_reports(kernel, manifest)
     else:
         manifest.notes.append("growth/zero reports skipped: kernel support "
@@ -207,9 +196,9 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str) -> dict:
     sweep = run_sweep(instance, config.eps_list)
     manifest.stage("compute")
 
-    _write_csv(manifest.path("sweep_csv", "sweep.csv"), SWEEP_HEADER,
-               ((r.eps, r.s_eps, r.delta, r.r_eps, r.achieved_error, r.bound,
-                 r.rate_ref, r.c3_row) for r in sweep.records))
+    write_csv(manifest.path("sweep_csv", "sweep.csv"), SWEEP_HEADER,
+              ((r.eps, r.s_eps, r.delta, r.r_eps, r.achieved_error, r.bound,
+                r.rate_ref, r.c3_row) for r in sweep.records))
     gates = {
         "stability_ok": sweep.c3_stability <= 10.0,
         "inversions_ok": sweep.inversions <= 1,
@@ -246,12 +235,7 @@ def cmd_smallset(config: ExperimentConfig, out_dir: str,
     if eps is None:
         eps = config.eps_list[0]
     eps = float(eps)
-    s_eps, saturated = tail_cutoff(profile, eps)
-    if saturated:
-        raise ConfigError("eps is below the kernel's measurable tail floor",
-                          module="commands", operation="cmd_smallset")
-    r_eps = solve_frequency_radius(eps, config.beta, config.q, s_eps,
-                                   profile.l1_total)
+    _, r_eps = plan_radius(eps, config.beta, config.q, profile)
     report = measure_small_set(lambda lam: fourier_at(kernel, lam),
                                eps ** config.beta, r_eps, r_eps / 2e4)
     report = replace(report, eps=eps, bound=cartan_bound(config.q, r_eps))

@@ -33,6 +33,16 @@ def _require_compact(kernel: SampledSignal, operation: str) -> None:
                               module="entire_diagnostics", operation=operation)
 
 
+def supported_in_unit_interval(kernel: SampledSignal) -> bool:
+    """Nonzero, no off-grid mass, and every nonzero sample inside [0, 1]."""
+    if kernel.truncation_tail != 0.0:
+        return False
+    t = kernel.grid()
+    support = t[np.abs(kernel.values) > 0.0]
+    return bool(support.size > 0 and support[0] >= -1e-9
+                and support[-1] <= 1.0 + 1e-9)
+
+
 def _log_abs_transform(kernel: SampledSignal, zs: np.ndarray) -> np.ndarray:
     """log |Phi(z)| per sample, with -inf where the reduced sum underflows."""
     log_scale, reduced = laplace_parts(kernel, zs)
@@ -82,14 +92,9 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
     0 <= mu <= sigma <= 1 and makes the two tail maxima direct estimates of
     the support edges.
     """
-    _require_compact(kernel, "growth_profile")
-    t = kernel.grid()
-    support = t[np.abs(kernel.values) > 0.0]
-    if support.size == 0:
-        raise ValidationError("kernel is identically zero",
-                              module="entire_diagnostics", operation="growth_profile")
-    if support[0] < -1e-9 or support[-1] > 1.0 + 1e-9:
-        raise ValidationError("kernel support must lie within [0, 1]",
+    if not supported_in_unit_interval(kernel):
+        raise ValidationError("kernel must be nonzero with no off-grid mass "
+                              "and support inside [0, 1]",
                               module="entire_diagnostics", operation="growth_profile")
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.size < 3 or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:

@@ -1,14 +1,9 @@
-"""Small file helpers: atomic text writes and float formatting for CSV."""
+"""Small file helpers: atomic text writes and the one CSV writer."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-
-
-def format_float(x: float) -> str:
-    # 17 significant digits round-trips a double exactly
-    return "%.17g" % x
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -25,3 +20,15 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """Header line, then one line per row of numbers, one per header column.
+
+    Every field is written with 17 significant digits, which round-trips a
+    double exactly; pass Python floats (ndarray.tolist()) for speed.
+    """
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
+    lines = [header]
+    lines.extend(fmt % tuple(row) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write_text, format_float
+from .fileio import write_csv
 
 _BLOCK = 64
 
@@ -246,52 +246,22 @@ def laplace_parts(signal: SampledSignal, zs) -> tuple[np.ndarray, np.ndarray]:
     return log_scale.reshape(shape), reduced.reshape(shape)
 
 
-def laplace_at(signal: SampledSignal, zs) -> np.ndarray:
-    """Plain values of the two-sided transform; overflows to inf honestly."""
-    log_scale, reduced = laplace_parts(signal, zs)
-    with np.errstate(over="ignore"):
-        return reduced * np.exp(log_scale)
-
-
 def write_signal_csv(path: str, signal: SampledSignal) -> None:
-    lines = ["t,re,im"]
-    t = signal.grid()
     v = signal.values
-    for j in range(signal.size):
-        lines.append("%s,%s,%s" % (format_float(t[j]), format_float(v[j].real),
-                                   format_float(v[j].imag)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_transform_csv(path: str, transform: TransformSamples) -> None:
-    lines = ["lambda,re,im"]
-    f = transform.frequencies
-    v = transform.values
-    for j in range(transform.size):
-        lines.append("%s,%s,%s" % (format_float(f[j]), format_float(v[j].real),
-                                   format_float(v[j].imag)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _read_three_columns(path: str, header: str, operation: str):
-    with open(path, "r") as handle:
-        first = handle.readline().strip()
-        if first != header:
-            raise ValidationError("expected header %r in %s" % (header, path),
-                                  module="grid_signal", operation=operation)
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if data.shape[1] != 3:
-        raise ValidationError("expected three columns in %s" % path,
-                              module="grid_signal", operation=operation)
-    return data[:, 0], data[:, 1] + 1j * data[:, 2]
+    write_csv(path, "t,re,im",
+              zip(signal.grid().tolist(), v.real.tolist(), v.imag.tolist()))
 
 
 def read_signal_csv(path: str, truncation_tail: float = 0.0) -> SampledSignal:
-    t, vals = _read_three_columns(path, "t,re,im", "read_signal_csv")
+    with open(path, "r") as handle:
+        if handle.readline().strip() != "t,re,im":
+            raise ValidationError("expected header 't,re,im' in %s" % path,
+                                  module="grid_signal", operation="read_signal_csv")
+        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+    if data.shape[1] != 3:
+        raise ValidationError("expected three columns in %s" % path,
+                              module="grid_signal", operation="read_signal_csv")
+    t = data[:, 0]
     h = _uniform_spacing(t, "read_signal_csv")
-    return SampledSignal(float(t[0]), h, vals, truncation_tail)
-
-
-def read_transform_csv(path: str) -> TransformSamples:
-    lam, vals = _read_three_columns(path, "lambda,re,im", "read_transform_csv")
-    return TransformSamples(lam, vals)
+    return SampledSignal(float(t[0]), h, data[:, 1] + 1j * data[:, 2],
+                         truncation_tail)

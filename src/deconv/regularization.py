@@ -27,7 +27,7 @@ from .grid_signal import (SampledSignal, TransformSamples, fourier_at,
                           fourier_grid, inverse_fourier, l2_norm,
                           trapezoid_weights)
 from .noise import inject_noise
-from .tail_profile import TailProfile, tail_cutoff
+from .tail_profile import TailProfile, bisect, tail_cutoff
 
 LOG_15E3 = math.log(15.0) + 3.0
 TWO_E = 2.0 * math.e
@@ -95,13 +95,18 @@ def solve_frequency_radius(eps: float, beta: float, q: float, s_eps: float,
         if hi > 1e300:
             raise NoRootError("radius equation has no finite root",
                               module="regularization", operation="solve_frequency_radius")
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect(lambda r: f(r) > 0.0, lo, hi, rtol=1e-12)
     return 0.5 * (lo + hi)
+
+
+def plan_radius(eps: float, beta: float, q: float,
+                profile: TailProfile) -> tuple[float, float]:
+    """(s_eps, R_eps) at one noise level: the tail cutoff, then the radius."""
+    s_eps, saturated = tail_cutoff(profile, eps)
+    if saturated:
+        raise SaturationError("eps is below the kernel's measurable tail floor",
+                              module="regularization", operation="plan_radius")
+    return s_eps, solve_frequency_radius(eps, beta, q, s_eps, profile.l1_total)
 
 
 @dataclass(frozen=True)
@@ -152,16 +157,12 @@ class RegularizationPlan:
 
 
 def make_plan(eps: float, beta: float, q: float, g0_l2: float, phi0_l1: float,
-              profile: TailProfile) -> RegularizationPlan:
+              s_eps: float, r_eps: float) -> RegularizationPlan:
+    """Complete (s_eps, R_eps) from plan_radius with C1, C2 and delta."""
     _check_hypotheses(eps, beta, q, "make_plan")
     if not (g0_l2 > 0.0 and phi0_l1 > 0.0):
         raise ValidationError("norms must be positive",
                               module="regularization", operation="make_plan")
-    s_eps, saturated = tail_cutoff(profile, eps)
-    if saturated:
-        raise SaturationError("eps is below the kernel's measurable tail floor",
-                              module="regularization", operation="make_plan")
-    r_eps = solve_frequency_radius(eps, beta, q, s_eps, phi0_l1)
     c1 = 4.0 * (1.0 + g0_l2 ** 2 + phi0_l1 ** 2)
     c2 = 1.0 + g0_l2 ** 2
     delta = (c1 / c2) ** 0.25 * eps ** ((1.0 + 3.0 * beta) / 2.0)
@@ -349,17 +350,12 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
                noise_free: bool = False) -> RunResult:
     """One pipeline pass at a single noise level.
 
-    The radius is solved before anything else because the frequency grid
-    extent is a multiple of r_eps; the plan is then rebuilt through
-    make_plan once |g0|_2 exists (same inputs, same radius).
+    (s_eps, R_eps) come first because the frequency grid extent is a
+    multiple of r_eps; make_plan completes the plan once |g0|_2 exists.
     """
     phi0 = instance.kernel
     phi0_l1 = instance.profile.l1_total
-    s_eps, saturated = tail_cutoff(instance.profile, eps)
-    if saturated:
-        raise SaturationError("eps is below the kernel's measurable tail floor",
-                              module="regularization", operation="run_single")
-    r_eps = solve_frequency_radius(eps, instance.beta, instance.q, s_eps, phi0_l1)
+    s_eps, r_eps = plan_radius(eps, instance.beta, instance.q, instance.profile)
     half = int(math.ceil(instance.freq_extent_factor * r_eps / instance.freq_step))
     grid = FrequencyGridSpec(instance.freq_step, half)
     lam = grid.array()
@@ -377,7 +373,7 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
                          t_min, t_step, t_count)
 
     plan = make_plan(eps, instance.beta, instance.q, l2_norm(g0), phi0_l1,
-                     instance.profile)
+                     s_eps, r_eps)
     if seed is None:
         seed = instance.base_seed
     phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps, seed)

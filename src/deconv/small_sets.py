@@ -1,4 +1,4 @@
-"""Sub-threshold frequency sets, kernel truncation, and the dual radius.
+"""Sub-threshold frequency sets and the dual radius.
 
 The unrecoverable part of the reconstruction error lives on the set where
 the kernel transform is small:
@@ -7,7 +7,8 @@ the kernel transform is small:
 
 measure_small_set estimates the Lebesgue measure of B on the real axis (the
 quantity the error budget consumes) by dense scanning plus endpoint
-bisection.  cartan_bound supplies the theoretical ceiling r^{-q+1/2}.
+bisection.  cartan_bound supplies the theoretical ceiling r^{-q+1/2}, and
+solve_dual_radius the radius of the estimate written with the Young dual p*.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, NoRootError, ValidationError
-from .grid_signal import SampledSignal
-from .tail_profile import DualProfile
-
-LOG_15E3 = math.log(15.0) + 3.0
+from .regularization import LOG_15E3
+from .tail_profile import DualProfile, bisect
 
 
 @dataclass(frozen=True)
@@ -89,19 +88,6 @@ def _eval_abs(phi_hat_fn, lam) -> np.ndarray:
     return np.abs(vals)
 
 
-def _bisect_crossing(phi_hat_fn, threshold: float, below_pt: float,
-                     above_pt: float, tol: float) -> float:
-    """Point where |phi_hat| crosses the threshold between the two samples."""
-    lo, hi = below_pt, above_pt
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if _eval_abs(phi_hat_fn, mid)[0] < threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def measure_small_set(phi_hat_fn, threshold: float, r: float,
                       resolution: float) -> SmallSetReport:
     """Scan |lambda| <= r for maximal intervals with |phi_hat| < threshold.
@@ -124,8 +110,13 @@ def measure_small_set(phi_hat_fn, threshold: float, r: float,
     lam = np.linspace(-r, r, count + 1)
     below = _eval_abs(phi_hat_fn, lam) < threshold
 
+    def crossing(above_pt: float, below_pt: float) -> float:
+        """Midpoint of the bisected bracket where |phi_hat| meets threshold."""
+        a, b = bisect(lambda x: _eval_abs(phi_hat_fn, x)[0] < threshold,
+                      above_pt, below_pt, atol=1e-3 * resolution)
+        return 0.5 * (a + b)
+
     intervals = []
-    tol = 1e-3 * resolution
     i = 0
     n = below.size
     while i < n:
@@ -138,13 +129,11 @@ def measure_small_set(phi_hat_fn, threshold: float, r: float,
         if i == 0:
             lo = float(lam[0])
         else:
-            lo = _bisect_crossing(phi_hat_fn, threshold,
-                                  float(lam[i]), float(lam[i - 1]), tol)
+            lo = crossing(float(lam[i - 1]), float(lam[i]))
         if j == n - 1:
             hi = float(lam[-1])
         else:
-            hi = _bisect_crossing(phi_hat_fn, threshold,
-                                  float(lam[j]), float(lam[j + 1]), tol)
+            hi = crossing(float(lam[j + 1]), float(lam[j]))
         if hi > lo:
             intervals.append((lo, hi))
         i = j + 1
@@ -157,31 +146,6 @@ def measure_small_set(phi_hat_fn, threshold: float, r: float,
     measure = float(sum(hi - lo for lo, hi in intervals))
     return SmallSetReport(threshold, r, measure, len(intervals),
                           tuple(intervals))
-
-
-def truncated_kernel(kernel: SampledSignal, s_eps: float) -> SampledSignal:
-    """Restrict the kernel to [-s_eps, s_eps], zero elsewhere.
-
-    The cut snaps outward to the first grid sample at or beyond s_eps on
-    each side: an inward snap would remove more mass than the tail at
-    s_eps and break the transform-deviation bound.  The removed quadrature
-    mass stays below the tail at s_eps, so the transform deviates from the
-    original by at most eps when s_eps came from tail_cutoff.
-    """
-    if s_eps < 0.0:
-        raise ValidationError("s_eps must be nonnegative",
-                              module="small_sets", operation="truncated_kernel")
-    t = kernel.grid()
-    right = t[t >= s_eps]
-    left = t[t <= -s_eps]
-    snap_hi = float(right[0]) if right.size else math.inf
-    snap_lo = float(left[-1]) if left.size else -math.inf
-    slack = 0.25 * kernel.spacing
-    keep = (t >= snap_lo - slack) & (t <= snap_hi + slack)
-    vals = np.where(keep, kernel.values, 0.0 + 0.0j)
-    # once the support is strictly inside the grid nothing lives off-grid
-    tail = kernel.truncation_tail if bool(np.all(keep)) else 0.0
-    return SampledSignal(kernel.t_min, kernel.spacing, vals, tail)
 
 
 def solve_dual_radius(eps: float, q: float,
@@ -230,12 +194,7 @@ def solve_dual_radius(eps: float, q: float,
                                    module="small_sets",
                                    operation="solve_dual_radius")
         hi = min(2.0 * hi, r_max)
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect(lambda rr: f(rr) > 0.0, lo, hi, rtol=1e-12)
     radius = 0.5 * (lo + hi)
     pval = pstar.value_at(2.0 * radius + 1.0)
     ratio = math.log(pval) / math.log(rhs) if pval > 0.0 else math.nan

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write_text, format_float
 from .grid_signal import SampledSignal, l1_norm
 
 # Grid tails at or below this (or below the kernel's recorded truncation
@@ -104,7 +103,7 @@ class TailProfile:
 
 @dataclass(frozen=True)
 class DualProfile:
-    """Convex conjugate values on a grid (p* or p**)."""
+    """Convex conjugate p* sampled on a grid."""
 
     s_grid: np.ndarray
     dual_values: np.ndarray
@@ -191,6 +190,23 @@ def tail_mass_profile(kernel: SampledSignal, s_grid) -> TailProfile:
     return TailProfile(s, p, float(total), kernel.truncation_tail)
 
 
+def bisect(inside, a: float, b: float, atol: float = 0.0,
+           rtol: float = 0.0) -> tuple[float, float]:
+    """Halve the bracket [a, b] (either order) around the edge of a predicate.
+
+    inside(x) is true at b and false at a; each midpoint replaces the end
+    it agrees with, until |b - a| <= atol + rtol*|b|.  Returns the final
+    (a, b), so callers choose between an end and the midpoint.
+    """
+    while abs(b - a) > atol + rtol * abs(b):
+        mid = 0.5 * (a + b)
+        if inside(mid):
+            b = mid
+        else:
+            a = mid
+    return a, b
+
+
 def tail_cutoff(profile: TailProfile, eps: float) -> tuple[float, bool]:
     """Smallest s with tail mass <= eps, i.e. inf{s > 0 : e^{-p(s)} <= eps}.
 
@@ -218,45 +234,29 @@ def tail_cutoff(profile: TailProfile, eps: float) -> tuple[float, bool]:
         if k == 0:
             return float(sf[0]), False
         lo, hi = float(sf[k - 1]), float(sf[k])
-    tol = 1e-3 * (hi - lo)
     # bisection on the interpolated tail mass between the bracketing nodes;
-    # returning hi (not the midpoint) keeps tail_at(result) <= eps, which
-    # downstream truncation relies on
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if profile.tail_at(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
+    # returning hi (not the midpoint) keeps tail_at(result) <= eps, as the
+    # infimum in the definition requires
+    _, hi = bisect(lambda s: profile.tail_at(s) <= eps, lo, hi,
+                   atol=1e-3 * (hi - lo))
     return hi, False
-
-
-def _conjugate(x: np.ndarray, f: np.ndarray, out_grid: np.ndarray,
-               chunk: int = 512) -> np.ndarray:
-    out = np.empty(out_grid.size, dtype=np.float64)
-    for start in range(0, out_grid.size, chunk):
-        stop = min(start + chunk, out_grid.size)
-        block = out_grid[start:stop, None] * x[None, :] - f[None, :]
-        out[start:stop] = block.max(axis=1)
-    return out
 
 
 def young_dual(profile: TailProfile, dual_grid) -> DualProfile:
     """Conjugate p*(sigma) = sup over the tabulated s of [sigma*s - p(s)].
 
     Saturated entries cannot contribute to the sup (they sit at -inf) and
-    are excluded.
+    are excluded.  Blocks of 512 sigma values cap the temporary at
+    512 x len(s) doubles.
     """
     sigma = np.asarray(dual_grid, dtype=np.float64)
     _check_increasing(sigma, "dual_grid", "young_dual")
     sf, pf = profile.finite_part()
-    return DualProfile(sigma, _conjugate(sf, pf, sigma))
-
-
-def young_double_dual(pstar: DualProfile, grid) -> DualProfile:
-    s = np.asarray(grid, dtype=np.float64)
-    _check_increasing(s, "grid", "young_double_dual")
-    return DualProfile(s, _conjugate(pstar.s_grid, pstar.dual_values, s))
+    out = np.empty(sigma.size, dtype=np.float64)
+    for start in range(0, sigma.size, 512):
+        block = sigma[start:start + 512, None] * sf[None, :] - pf[None, :]
+        out[start:start + 512] = block.max(axis=1)
+    return DualProfile(sigma, out)
 
 
 @dataclass(frozen=True)
@@ -382,33 +382,6 @@ def dual_growth_check(profile: TailProfile, pstar: DualProfile, s_list,
 
 
 @dataclass(frozen=True)
-class ScalingResult:
-    """Quadrature of exp{-p(t) + p(gamma t)/gamma}, a scaling integrability proxy."""
-
-    value: float
-    divergent: bool
-
-
-def scaling_integrability(profile: TailProfile, gamma: float) -> ScalingResult:
-    if not (0.0 < gamma < 1.0):
-        raise ValidationError("gamma must lie in (0, 1)",
-                              module="tail_profile", operation="scaling_integrability")
-    sf, pf = profile.finite_part()
-    inner = np.interp(gamma * sf, sf, pf)
-    expo = -pf + inner / gamma
-    y = np.exp(expo)
-    value = _trapz(y, sf)
-    # Verdict from the exponent trend over the last clean half-decade: a
-    # two-sample diff at the grid edge cannot separate a constant exponent
-    # from truncation-induced drift.
-    k = _clean_count(profile)
-    j = int(np.searchsorted(sf, 0.5 * sf[k - 1]))
-    j = min(j, k - 2)
-    divergent = bool(expo[k - 1] >= expo[j] - 1e-6 * max(1.0, abs(expo[j])))
-    return ScalingResult(value, divergent)
-
-
-@dataclass(frozen=True)
 class SuperlinearReport:
     verdict: bool
     decade_ratio: float
@@ -427,31 +400,3 @@ def detect_superlinear(profile: TailProfile) -> SuperlinearReport:
     ratio, r = _superlinear_ratio(profile)
     return SuperlinearReport(bool(ratio >= 2.0), ratio, r,
                              bool(r[0] < r[1] < r[2]))
-
-
-def write_profile_csv(path: str, profile: TailProfile) -> None:
-    lines = ["s,p"]
-    for s, p in zip(profile.s_grid, profile.p_values):
-        lines.append("%s,%s" % (format_float(s), format_float(p)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_profile_csv(path: str) -> TailProfile:
-    """Rebuild a profile from CSV. Truncation bookkeeping does not survive
-    the round trip; the file stores only the tabulated (s, p) pairs."""
-    with open(path, "r") as handle:
-        if handle.readline().strip() != "s,p":
-            raise ValidationError("expected header 's,p' in %s" % path,
-                                  module="tail_profile", operation="read_profile_csv")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise ValidationError("expected two columns in %s" % path,
-                              module="tail_profile", operation="read_profile_csv")
-    return TailProfile(data[:, 0], data[:, 1])
-
-
-def write_dual_csv(path: str, dual: DualProfile) -> None:
-    lines = ["s,pstar"]
-    for s, v in zip(dual.s_grid, dual.dual_values):
-        lines.append("%s,%s" % (format_float(s), format_float(v)))
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import deconv.commands as commands
 from deconv.cli import main
 from deconv.commands import (cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
                              cmd_sweep, cmd_zeros)
@@ -47,6 +48,10 @@ def test_analyze_kernel_outputs(tmp_path):
                  "zeros.json", "manifest.json"):
         assert (out / name).is_file()
     assert manifest["outputs"]["profile_csv"] == "profile.csv"
+    # past the unit support the tail is unmeasurable: a saturated suffix
+    rows = (out / "profile.csv").read_text().strip().split("\n")
+    assert rows[0] == "s,p"
+    assert rows[-1].endswith(",inf")
     detector = read_json(out, "detector.json")
     assert detector["superlinear"] is True  # compact support blows p up
     zeros = read_json(out, "zeros.json")
@@ -127,6 +132,18 @@ def test_zeros_outputs_and_compactness_guard(tmp_path):
         cmd_zeros(gauss, str(tmp_path / "out2"))
 
 
+def test_zeros_propagates_unexpected_errors(tmp_path, monkeypatch):
+    # only the documented refusals of growth_profile degrade to null
+    # exponents; anything else is a bug and must surface
+    def broken(kernel, radii):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(commands, "growth_profile", broken)
+    cfg = parse_config(small_config())
+    with pytest.raises(RuntimeError, match="boom"):
+        cmd_zeros(cfg, str(tmp_path / "out"))
+
+
 def test_cli_success_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, small_config())
     out = tmp_path / "out"
@@ -147,6 +164,17 @@ def test_cli_config_error_writes_error_json(tmp_path):
     err = read_json(out, "error.json")
     assert err["error"] == "ConfigError"
     assert "beta" in err["message"]
+
+
+def test_cli_smallset_saturation_exit_code(tmp_path):
+    cfg_path = write_config(tmp_path, small_config())
+    out = tmp_path / "out"
+    code = main(["smallset", "--config", cfg_path, "--out", str(out),
+                 "--eps", "1e-305"])
+    assert code == 3
+    err = read_json(out, "error.json")
+    assert err["error"] == "SaturationError"
+    assert err["operation"] == "plan_radius"
 
 
 def test_cli_gate_failure_exit_code(tmp_path):

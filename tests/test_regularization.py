@@ -8,11 +8,13 @@ import pytest
 
 from deconv.errors import (NoRootError, SaturationError, ValidationError)
 from deconv.grid_signal import SampledSignal, TransformSamples
+import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
                                    FrequencyGridSpec, SweepInstance,
                                    deconvolve, error_decomposition, make_plan,
-                                   run_single, run_sweep, smooth_spectrum,
-                                   solve_frequency_radius, tikhonov_filter)
+                                   plan_radius, run_single, run_sweep,
+                                   smooth_spectrum, solve_frequency_radius,
+                                   tikhonov_filter)
 
 from _oracles import log_radius_root
 
@@ -91,7 +93,8 @@ def test_radius_rejects_bad_hypotheses():
 
 @pytest.fixture(scope="module")
 def indicator_plan(indicator_profile):
-    return make_plan(1e-6, 0.2, 1.0, 1.0, 1.0, indicator_profile)
+    return make_plan(1e-6, 0.2, 1.0, 1.0, 1.0,
+                     *plan_radius(1e-6, 0.2, 1.0, indicator_profile))
 
 
 def test_plan_rejects_tampered_fields(indicator_plan):
@@ -115,8 +118,13 @@ def test_plan_recovers_its_norms(indicator_plan):
 
 
 def test_make_plan_saturates_below_the_tail_floor(indicator_profile):
+    # the plan's (s_eps, R_eps) come from plan_radius, which refuses an eps
+    # under the kernel's measurable tail
     with pytest.raises(SaturationError):
-        make_plan(1e-305, 0.2, 1.0, 1.0, 1.0, indicator_profile)
+        plan_radius(1e-305, 0.2, 1.0, indicator_profile)
+    s_eps, r_eps = plan_radius(1e-6, 0.2, 1.0, indicator_profile)
+    assert r_eps == solve_frequency_radius(1e-6, 0.2, 1.0, s_eps,
+                                           indicator_profile.l1_total)
 
 
 def test_tikhonov_filter_am_gm_bound():
@@ -187,6 +195,20 @@ def test_run_single_with_noise_stays_certified(small_instance):
     res = run_single(small_instance, 1e-6, seed=123)
     assert not np.array_equal(res.g_eps.values, res.g0.values)
     assert res.achieved_error ** 2 <= res.decomposition.total_bound + 1e-6
+
+
+def test_run_single_solves_the_radius_once(small_instance, monkeypatch):
+    calls = []
+    original = regularization.solve_frequency_radius
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(regularization, "solve_frequency_radius", counting)
+    res = run_single(small_instance, 1e-6, noise_free=True)
+    assert len(calls) == 1
+    assert res.plan.r_eps == original(*calls[0])
 
 
 def test_run_sweep_on_two_levels(small_instance):

@@ -1,4 +1,4 @@
-"""Sub-threshold set measurement, kernel truncation, dual radius."""
+"""Sub-threshold set measurement and the dual radius."""
 
 import math
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from deconv.errors import ComputationError, NoRootError, ValidationError
-from deconv.grid_signal import fourier_at
-from deconv.small_sets import (LOG_15E3, SmallSetReport, cartan_bound,
-                               measure_small_set, solve_dual_radius,
-                               truncated_kernel)
-from deconv.tail_profile import DualProfile, tail_cutoff
+from deconv.regularization import LOG_15E3
+from deconv.small_sets import (SmallSetReport, cartan_bound, measure_small_set,
+                               solve_dual_radius)
+from deconv.tail_profile import DualProfile
 
 from _oracles import gauss_hat, indicator_hat
 
@@ -100,43 +99,6 @@ def test_cartan_bound_values():
         cartan_bound(0.5, 4.0)
     with pytest.raises(ValidationError):
         cartan_bound(1.0, 0.0)
-
-
-def test_truncation_is_identity_past_the_reach(gaussian_kernel):
-    t = truncated_kernel(gaussian_kernel, 30.0)
-    assert np.array_equal(t.values, gaussian_kernel.values)
-    assert t.truncation_tail == gaussian_kernel.truncation_tail
-
-
-def test_truncation_cuts_on_grid_points(indicator_kernel):
-    t = truncated_kernel(indicator_kernel, 0.75)
-    grid = t.grid()
-    assert np.all(t.values[grid <= 0.75] == 1.0)
-    assert np.all(t.values[grid > 0.755] == 0.0)
-    assert t.truncation_tail == 0.0
-
-
-def test_truncation_zeroes_recorded_tail_once_cut(gaussian_kernel):
-    t = truncated_kernel(gaussian_kernel, 5.0)
-    assert t.truncation_tail == 0.0
-    assert t.values[0] == 0.0 and t.values[-1] == 0.0
-    with pytest.raises(ValidationError):
-        truncated_kernel(gaussian_kernel, -1.0)
-
-
-@pytest.mark.parametrize("eps", [1e-4, 1e-6])
-def test_truncation_transform_deviation_within_eps(gaussian_kernel,
-                                                   gaussian_profile,
-                                                   exp_kernel, exp_profile,
-                                                   eps):
-    lam = np.linspace(-20.0, 20.0, 801)
-    for kernel, profile in ((gaussian_kernel, gaussian_profile),
-                            (exp_kernel, exp_profile)):
-        s_eps, saturated = tail_cutoff(profile, eps)
-        assert not saturated
-        trunc = truncated_kernel(kernel, s_eps)
-        dev = np.max(np.abs(fourier_at(trunc, lam) - fourier_at(kernel, lam)))
-        assert dev <= eps
 
 
 def quarter_square_dual():

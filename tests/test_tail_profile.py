@@ -5,12 +5,10 @@ import pytest
 
 from _oracles import gauss_tail
 from deconv.errors import ValidationError
-from deconv.tail_profile import (DualProfile, TailProfile, detect_superlinear,
-                                 dual_growth_check, exponential_moment,
-                                 growth_integral, read_profile_csv,
-                                 scaling_integrability, tail_cutoff,
-                                 tail_mass_profile, write_profile_csv,
-                                 young_double_dual, young_dual)
+from deconv.tail_profile import (DualProfile, TailProfile, bisect,
+                                 detect_superlinear, dual_growth_check,
+                                 exponential_moment, growth_integral,
+                                 tail_cutoff, tail_mass_profile, young_dual)
 
 
 def quadratic_profile(s_max=64.0, step=0.01):
@@ -73,14 +71,6 @@ def test_young_dual_of_quadratic():
     assert np.allclose(got, np.array([1.0, 6.25, 64.0]), atol=1e-9)
 
 
-def test_double_dual_recovers_convex_profile():
-    prof = quadratic_profile()
-    dual = young_dual(prof, np.arange(0.0, 128.001, 0.02))
-    back = young_double_dual(dual, prof.s_grid[prof.s_grid <= 32.0])
-    want = back.s_grid ** 2
-    assert np.max(np.abs(back.dual_values - want)) <= 1e-8
-
-
 def test_fenchel_young_inequality_on_gaussian(gaussian_profile):
     dual = young_dual(gaussian_profile, np.arange(0.0, 64.001, 0.01))
     rng = np.random.default_rng(7)
@@ -134,32 +124,6 @@ def test_dual_growth_ratios_near_one(gaussian_profile):
     assert not report.any_divergent
 
 
-def test_scaling_integrability_of_quadratic():
-    prof = quadratic_profile()
-    res = scaling_integrability(prof, 0.9)
-    # exponent collapses to -(1 - gamma) t^2; interpolating p at gamma*t
-    # costs an extra h^2/8 * p'' on the exponent
-    want = 0.5 * math.sqrt(math.pi / 0.1)
-    assert math.isclose(res.value, want, rel_tol=1e-4)
-    assert not res.divergent
-
-
-def test_scaling_integrability_flags_linear_tail(exp_profile):
-    # true linear tail: the exponent is constant, so no gamma < 1 rescales
-    # it into an integrable one
-    res = scaling_integrability(exp_profile, 0.9)
-    assert res.divergent
-    s = 0.01 * np.arange(3201)
-    exact_linear = TailProfile(s, s - math.log(2.0))
-    assert scaling_integrability(exact_linear, 0.9).divergent
-
-
-def test_scaling_integrability_rejects_bad_gamma(exp_profile):
-    for gamma in (0.0, 1.0, 1.5, -0.2):
-        with pytest.raises(ValidationError):
-            scaling_integrability(exp_profile, gamma)
-
-
 def test_detector_verdicts(gaussian_profile, exp_profile, indicator_profile):
     assert detect_superlinear(gaussian_profile).verdict
     assert detect_superlinear(gaussian_profile).strictly_increasing
@@ -197,10 +161,32 @@ def test_profile_validation():
         DualProfile(s, np.array([0.0, 1.0, 2.0])).value_at(2.5)
 
 
-def test_profile_csv_roundtrips_saturated_suffix(tmp_path, indicator_profile):
-    path = str(tmp_path / "profile.csv")
-    write_profile_csv(path, indicator_profile)
-    back = read_profile_csv(path)
-    assert np.array_equal(back.s_grid, indicator_profile.s_grid)
-    assert np.array_equal(back.p_values, indicator_profile.p_values)
-    assert np.isinf(back.p_values[-1])
+def test_bisect_halves_either_bracket_order():
+    # edge of x >= 0.3; the true end may be given first or second
+    a, b = bisect(lambda x: x >= 0.3, 0.0, 1.0, atol=1e-6)
+    assert a < 0.3 <= b and b - a <= 1e-6
+    a, b = bisect(lambda x: x < 0.3, 1.0, 0.0, atol=1e-6)
+    assert b < 0.3 <= a and a - b <= 1e-6
+
+
+def test_bisect_stops_on_atol_and_on_rtol():
+    calls = []
+
+    def inside(x):
+        calls.append(x)
+        return x > 1000.5
+
+    # width 1024 halves to 1 in exactly 10 steps, first to <= 1
+    a, b = bisect(inside, 0.0, 1024.0, atol=1.0)
+    assert len(calls) == 10 and b - a == 1.0
+    # rtol scales with |b|: 1e-3 of ~1000.5 stops at width 1 as well
+    calls.clear()
+    a, b = bisect(inside, 0.0, 1024.0, rtol=1e-3)
+    assert len(calls) == 10 and b - a == 1.0
+    calls.clear()
+    a, b = bisect(inside, 0.0, 1024.0, atol=2.0, rtol=1e-3)
+    assert len(calls) == 9 and b - a == 2.0
+    # a bracket already inside the tolerance is returned untouched
+    calls.clear()
+    assert bisect(inside, 3.0, 3.5, atol=0.5) == (3.0, 3.5)
+    assert calls == []
