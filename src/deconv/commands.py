@@ -19,7 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_instance, build_kernel, config_echo
+from .config import (ExperimentConfig, build_instance, build_kernel,
+                     check_eps, config_echo)
 from .entire_diagnostics import (growth_profile, supported_in_unit_interval,
                                  zero_density)
 from .errors import (AcceptanceGateError, ComputationError, ConfigError,
@@ -161,9 +162,9 @@ def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
     """One reconstruction at a single eps (default: first of eps_list)."""
     manifest = _Manifest("deconvolve", config, out_dir)
     instance = build_instance(config)
-    if eps is None:
-        eps = config.eps_list[0]
-    result = run_single(instance, float(eps), seed=config.seed,
+    eps = check_eps(config.eps_list[0] if eps is None else eps,
+                    instance.profile.l1_total)
+    result = run_single(instance, eps, seed=config.seed,
                         noise_free=noise_free)
     manifest.stage("compute")
 
@@ -232,9 +233,8 @@ def cmd_smallset(config: ExperimentConfig, out_dir: str,
     manifest = _Manifest("smallset", config, out_dir)
     kernel = build_kernel(config)
     profile = tail_mass_profile(kernel, default_profile_grid(kernel))
-    if eps is None:
-        eps = config.eps_list[0]
-    eps = float(eps)
+    eps = check_eps(config.eps_list[0] if eps is None else eps,
+                    profile.l1_total)
     _, r_eps = plan_radius(eps, config.beta, config.q, profile)
     report = measure_small_set(lambda lam: fourier_at(kernel, lam),
                                eps ** config.beta, r_eps, r_eps / 2e4)

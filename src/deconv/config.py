@@ -11,9 +11,7 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .grid_signal import SampledSignal, read_signal_csv
 from .kernels import (default_profile_grid, make_gaussian, make_indicator,
                       make_two_sided_exp)
@@ -169,25 +167,40 @@ def config_echo(config: ExperimentConfig) -> dict:
     }
 
 
+def check_eps(eps, l1_total: float) -> float:
+    """eps as a float; ConfigError unless 0 < eps < |phi0|_1 (a cutoff exists)."""
+    eps = float(eps)
+    if not 0.0 < eps < l1_total:
+        raise ConfigError(f"eps {eps!r} must lie in (0, |phi0|_1 = {l1_total!r})",
+                          module="config", operation="check_eps")
+    return eps
+
+
 def build_kernel(config: ExperimentConfig) -> SampledSignal:
+    """The sampled kernel; a spec the time step cannot sample is a ConfigError."""
     spec = config.kernel
     step = config.grids.t_step
-    if spec["type"] == "indicator":
-        return make_indicator(float(spec["a"]), float(spec["b"]), step)
-    if spec["type"] == "gaussian":
-        return make_gaussian(float(spec["scale"]), step)
-    if spec["type"] == "two_sided_exp":
-        return make_two_sided_exp(float(spec["rate"]), step)
-    path = os.path.join(config.base_dir, spec["path"])
-    if not os.path.isfile(path):
-        raise ConfigError(f"kernel file {path} does not exist",
-                          module="config", operation="build_kernel")
-    return read_signal_csv(path)
+    try:
+        if spec["type"] == "indicator":
+            return make_indicator(float(spec["a"]), float(spec["b"]), step)
+        if spec["type"] == "gaussian":
+            return make_gaussian(float(spec["scale"]), step)
+        if spec["type"] == "two_sided_exp":
+            return make_two_sided_exp(float(spec["rate"]), step)
+        path = os.path.join(config.base_dir, spec["path"])
+        if not os.path.isfile(path):
+            raise ConfigError(f"kernel file {path} does not exist",
+                              module="config", operation="build_kernel")
+        return read_signal_csv(path)
+    except ValidationError as exc:
+        raise ConfigError(f"kernel cannot be sampled: {exc}",
+                          module="config", operation="build_kernel") from exc
 
 
 def build_instance(config: ExperimentConfig, name: str = "") -> SweepInstance:
     kernel = build_kernel(config)
     profile = tail_mass_profile(kernel, default_profile_grid(kernel))
+    check_eps(config.eps_list[0], profile.l1_total)  # the largest level
     f0_signal = None
     if config.f0["type"] == "file":
         path = os.path.join(config.base_dir, config.f0["path"])

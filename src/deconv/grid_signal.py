@@ -5,13 +5,12 @@ integrals (norms, Fourier and two-sided Laplace transforms) are composite
 trapezoid sums over that grid, so every quantity in the package is an honest
 function of the samples and nothing else.
 
-Transforms are evaluated by direct summation, not an FFT, because the
-frequency grids we need are not tied to the time grid (different spacing,
-different extent).  The oscillatory kernel exp(i*x*t_j) is generated by a
-phase recurrence in blocks: one exp() per point per block, then a running
-cumulative product inside the block.  Cost is about two complex multiplies
-per (point, sample) pair and the phase drift stays near machine epsilon
-because every block restarts from an exactly computed phase.
+The frequency grids are not tied to the time grid (different spacing,
+different extent), so a plain FFT does not apply.  When the evaluation
+points are uniform too, the sum over the samples is a chirp-z transform
+(Rabiner, Schafer & Rader 1969; Bluestein 1970): one FFT convolution,
+O((N+M) log(N+M)) for N samples and M points.  Any other set of points,
+such as single bisection probes, is summed directly.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .fileio import write_csv
-
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -111,38 +108,68 @@ def trapezoid_weights(count: int, spacing: float) -> np.ndarray:
 
 def l1_norm(signal: SampledSignal) -> float:
     w = trapezoid_weights(signal.size, signal.spacing)
-    return float(w @ np.abs(signal.values))
+    return float(np.sum(w * np.abs(signal.values)))
 
 
 def l2_norm(signal: SampledSignal) -> float:
     w = trapezoid_weights(signal.size, signal.spacing)
     mag2 = signal.values.real ** 2 + signal.values.imag ** 2
-    return float(np.sqrt(w @ mag2))
+    return float(np.sqrt(np.sum(w * mag2)))
+
+
+def _progression(points: np.ndarray):
+    """(x0, dx > 0) if every point is within 4 ulp of max|points| of x0 + k*dx."""
+    if points.size > 1:
+        x0 = float(points[0])
+        dx = (float(points[-1]) - x0) / (points.size - 1)
+        miss = np.max(np.abs(points - (x0 + dx * np.arange(points.size))))
+        if dx > 0.0 and miss <= 4.0 * np.spacing(np.max(np.abs(points))):
+            return x0, dx
+    return None
+
+
+def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
+                spacing: float, weighted: np.ndarray) -> np.ndarray:
+    """Bluestein chirp-z sums at x0 + dx*(0 .. m-1).  With the point index a
+    and the sample index b centred, a*b = (a^2 + b^2 - (a-b)^2)/2 makes the
+    sum one FFT convolution with exp(-i*c*d^2), c = sign*dx*spacing/2; d^2
+    is an exact float64 integer while n + m < 2^26."""
+    n = weighted.size
+    if n + m >= 1 << 26:
+        raise ValidationError("chirp-z transform needs n + m < 2^26",
+                              module="grid_signal", operation="_chirp_sums")
+    a = np.arange(m) - (m - 1) // 2
+    b = np.arange(n) - (n - 1) // 2
+    p0 = x0 + dx * ((m - 1) // 2)
+    t0 = t_min + spacing * ((n - 1) // 2)
+    c = 0.5 * sign * dx * spacing
+    d = np.arange(a[0] - b[-1], a[-1] - b[0] + 1)
+    size = 1 << int(n + m - 2).bit_length()
+    u = weighted * np.exp(1j * (sign * p0 * spacing * b + c * (b * b)))
+    chirp = np.exp(-1j * c * (d * d))
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp, size))
+    pre = np.exp(1j * (sign * t0 * (x0 + dx * np.arange(m)) + c * (a * a)))
+    return pre * conv[n - 1:n - 1 + m]
 
 
 def _oscillatory_sums(points: np.ndarray, sign: float, t_min: float,
                       spacing: float, weighted: np.ndarray) -> np.ndarray:
     """sum_j weighted[j] * exp(sign*1j*points*t_j) for t_j on the grid.
 
-    Phase is restarted exactly at every block boundary, so rounding inside
-    the cumulative product never accumulates past _BLOCK steps.
+    Uniform points take the chirp-z transform, any others a direct sum in
+    chunks of about 2^20 phases; neither reaches BLAS, whose reductions
+    round differently with the thread count.
     """
     pts = np.asarray(points, dtype=np.float64).ravel()
-    n = weighted.size
-    out = np.zeros(pts.size, dtype=np.complex128)
-    if pts.size == 0:
-        return out
-    step = np.exp(1j * sign * spacing * pts)
-    block = np.empty((pts.size, _BLOCK), dtype=np.complex128)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        width = stop - start
-        buf = block[:, :width]
-        buf[:, 0] = np.exp(1j * sign * (t_min + spacing * start) * pts)
-        if width > 1:
-            buf[:, 1:] = step[:, None]
-            np.cumprod(buf, axis=1, out=buf)
-        out += buf @ weighted[start:stop]
+    grid = _progression(pts)
+    if grid is not None:
+        return _chirp_sums(*grid, pts.size, sign, t_min, spacing, weighted)
+    t = t_min + spacing * np.arange(weighted.size)
+    out = np.empty(pts.size, dtype=np.complex128)
+    rows = max(1, (1 << 20) // t.size)
+    for start in range(0, pts.size, rows):
+        phase = np.outer(pts[start:start + rows], sign * t)
+        out[start:start + rows] = np.sum(np.exp(1j * phase) * weighted, axis=1)
     return out
 
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ComputationError, NoRootError, SaturationError, ValidationError
 from .grid_signal import (SampledSignal, TransformSamples, fourier_at,
-                          fourier_grid, inverse_fourier, l2_norm,
-                          trapezoid_weights)
+                          fourier_grid, inverse_fourier, l2_norm)
 from .noise import inject_noise
 from .tail_profile import TailProfile, bisect, tail_cutoff
 

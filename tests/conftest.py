@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from deconv.kernels import (default_profile_grid, make_gaussian,

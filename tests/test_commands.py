@@ -1,11 +1,15 @@
 """Command bodies and the CLI wrapper: files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import deconv.commands as commands
-from deconv.cli import main
+from deconv.cli import _THREAD_VARS, main
 from deconv.commands import (cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
                              cmd_sweep, cmd_zeros)
 from deconv.config import parse_config
@@ -177,6 +181,36 @@ def test_cli_smallset_saturation_exit_code(tmp_path):
     assert err["operation"] == "plan_radius"
 
 
+def _off_lattice(data):
+    # 0.0033 is no multiple of the step: the indicator cannot be sampled
+    data["kernel"] = {"type": "indicator", "a": 0.0, "b": 0.0033}
+    data["grids"]["t_step"] = 0.005
+
+
+def _eps_above_mass(data):
+    # the indicator of [0, 1] has l1 mass 1: no tail cutoff exists at eps 2
+    data["eps_list"] = [2.0, 1e-5, 1e-6, 1e-7]
+
+
+@pytest.mark.parametrize("edit,argv,operation", [
+    (_off_lattice, ["deconvolve"], "build_kernel"),
+    (_eps_above_mass, ["sweep"], "check_eps"),
+    (None, ["deconvolve", "--eps", "1.5"], "check_eps"),
+    (None, ["smallset", "--eps", "1.5"], "check_eps"),
+])
+def test_cli_user_input_errors_exit_2(tmp_path, edit, argv, operation):
+    data = small_config()
+    if edit is not None:
+        edit(data)
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    code = main([argv[0], "--config", cfg_path, "--out", str(out)] + argv[1:])
+    assert code == 2
+    err = read_json(out, "error.json")
+    assert err["error"] == "ConfigError"
+    assert err["operation"] == operation
+
+
 def test_cli_gate_failure_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, small_config())
     out = tmp_path / "out"
@@ -212,3 +246,31 @@ def test_reruns_are_byte_identical(tmp_path):
     man_c.pop("wall_clock_seconds")
     man_d.pop("wall_clock_seconds")
     assert man_c == man_d
+
+
+def test_deconvolve_bytes_do_not_depend_on_thread_count(tmp_path):
+    # BLAS reductions round differently with the thread count, so every
+    # output byte must come from code that does not reach them
+    root = Path(__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+        env["DECONV_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "deconv.cli", "deconvolve",
+                        "--config", str(root / "configs" / "gaussian.json"),
+                        "--out", str(out), "--eps", "1e-6"],
+                       env=env, check=True, timeout=300)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name == "manifest.json":
+            a, b = (read_json(out, name) for out in outs)
+            a.pop("wall_clock_seconds")
+            b.pop("wall_clock_seconds")
+            assert a == b
+        else:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

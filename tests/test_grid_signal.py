@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import gauss_hat, indicator_hat, two_sided_exp_hat
 from deconv.errors import ValidationError
-from deconv.grid_signal import (SampledSignal, TransformSamples, fourier_at,
+from deconv.grid_signal import (SampledSignal, TransformSamples, _chirp_sums,
+                                _oscillatory_sums, _progression, fourier_at,
                                 fourier_grid, inverse_fourier, l1_norm,
                                 l2_norm, laplace_parts, read_signal_csv,
                                 trapezoid_weights, write_signal_csv)
@@ -80,6 +82,71 @@ def test_inverse_hermitian_fast_path_is_real(gaussian_kernel):
     skew = TransformSamples(tf.frequencies + 1e-300, tf.values)
     slow = inverse_fourier(skew, -5.0, 0.01, 1001)
     assert np.max(np.abs(back.values - slow.values)) <= 1e-11
+
+
+def test_progression_accepts_program_grids_only():
+    # the grids the pipeline builds all fit a progression to a few ulp
+    for grid in (0.004 * np.arange(-12540, 12541),
+                 -30.0 + 0.005 * np.arange(12001),
+                 np.linspace(-20.0, 20.0, 40001)):
+        x0, dx = _progression(grid)
+        assert x0 == grid[0] and math.isclose(dx, grid[1] - grid[0],
+                                              rel_tol=1e-9)
+    grid = np.linspace(-1.0, 1.0, 101)
+    assert _progression(grid[:1]) is None
+    assert _progression(grid[::-1]) is None
+    bumped = grid.copy()
+    bumped[50] += 8.0 * np.spacing(1.0)
+    assert _progression(bumped) is None
+    assert _progression(np.array([0.0, 1.0, 3.0])) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 64), m=st.integers(2, 64),
+       x0=st.floats(-20.0, 20.0), dx=st.floats(1e-3, 0.5),
+       t_min=st.floats(-20.0, 20.0), h=st.floats(1e-3, 0.1),
+       sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_chirp_matches_direct_sums(n, m, x0, dx, t_min, h, sign, seed):
+    rng = np.random.default_rng(seed)
+    w = h * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    pts = x0 + dx * np.arange(m)
+    assert _progression(pts) is not None
+    # reversed, the same points are no progression and are summed directly
+    assert _progression(pts[::-1]) is None
+    fast = _oscillatory_sums(pts, sign, t_min, h, w)
+    slow = _oscillatory_sums(pts[::-1], sign, t_min, h, w)[::-1]
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.sum(np.abs(w))
+
+
+def test_chirp_matches_direct_sums_at_pipeline_sizes(gaussian_kernel):
+    rng = np.random.default_rng(11)
+    # forward half grid of a gaussian run at eps = 1e-6: 12001 samples on
+    # the time grid, 12541 nonnegative frequencies
+    t_min, h, n = -30.0, 0.005, 12001
+    w = h * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    lam = 0.004 * np.arange(12541)
+    # the 4x-finer frequency grid of criterion 1, on the kernel itself
+    wk = (trapezoid_weights(gaussian_kernel.size, gaussian_kernel.spacing)
+          * gaussian_kernel.values)
+    lam4 = 0.001 * np.arange(-50160, 50161)
+    for pts, t0, step, weights, picks in (
+            (lam, t_min, h, w, 512),
+            (lam4, gaussian_kernel.t_min, gaussian_kernel.spacing, wk, 64)):
+        fast = _oscillatory_sums(pts, -1.0, t0, step, weights)
+        # a sorted random subset is no progression: the direct sums
+        idx = np.sort(rng.choice(pts.size, picks, replace=False))
+        assert _progression(pts[idx]) is None
+        slow = _oscillatory_sums(pts[idx], -1.0, t0, step, weights)
+        assert (np.max(np.abs(fast[idx] - slow))
+                <= 1e-12 * np.sum(np.abs(weights)))
+
+
+def test_chirp_rejects_sizes_past_exact_squares():
+    # d^2 stays an exact float64 integer only while n + m < 2^26; the
+    # check fires before anything of that size is allocated
+    with pytest.raises(ValidationError):
+        _chirp_sums(0.0, 1.0, (1 << 26) - 1, -1.0, 0.0, 1.0,
+                    np.ones(1, dtype=np.complex128))
 
 
 def test_laplace_matches_windowed_closed_form():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deconv.errors import (NoRootError, SaturationError, ValidationError)
-from deconv.grid_signal import SampledSignal, TransformSamples
+from deconv.grid_signal import TransformSamples
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
                                    FrequencyGridSpec, SweepInstance,
