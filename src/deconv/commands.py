@@ -163,7 +163,7 @@ def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
     manifest = _Manifest("deconvolve", config, out_dir)
     instance = build_instance(config)
     eps = check_eps(config.eps_list[0] if eps is None else eps,
-                    instance.profile.l1_total)
+                    instance.profile.l1_total, config.beta)
     result = run_single(instance, eps, seed=config.seed,
                         noise_free=noise_free)
     manifest.stage("compute")
@@ -234,7 +234,7 @@ def cmd_smallset(config: ExperimentConfig, out_dir: str,
     kernel = build_kernel(config)
     profile = tail_mass_profile(kernel, default_profile_grid(kernel))
     eps = check_eps(config.eps_list[0] if eps is None else eps,
-                    profile.l1_total)
+                    profile.l1_total, config.beta)
     _, r_eps = plan_radius(eps, config.beta, config.q, profile)
     report = measure_small_set(lambda lam: fourier_at(kernel, lam),
                                eps ** config.beta, r_eps, r_eps / 2e4)

@@ -167,11 +167,16 @@ def config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def check_eps(eps, l1_total: float) -> float:
-    """eps as a float; ConfigError unless 0 < eps < |phi0|_1 (a cutoff exists)."""
+def check_eps(eps, l1_total: float, beta: float) -> float:
+    """eps as a float; ConfigError unless 0 < eps < |phi0|_1 (a cutoff exists)
+    and eps^beta + eps < 1 (the radius equation has a positive right side)."""
     eps = float(eps)
     if not 0.0 < eps < l1_total:
         raise ConfigError(f"eps {eps!r} must lie in (0, |phi0|_1 = {l1_total!r})",
+                          module="config", operation="check_eps")
+    if eps ** beta + eps >= 1.0:
+        raise ConfigError(f"eps {eps!r} gives eps^beta + eps >= 1 at beta "
+                          f"{beta!r}: no frequency radius exists",
                           module="config", operation="check_eps")
     return eps
 
@@ -200,7 +205,7 @@ def build_kernel(config: ExperimentConfig) -> SampledSignal:
 def build_instance(config: ExperimentConfig, name: str = "") -> SweepInstance:
     kernel = build_kernel(config)
     profile = tail_mass_profile(kernel, default_profile_grid(kernel))
-    check_eps(config.eps_list[0], profile.l1_total)  # the largest level
+    check_eps(config.eps_list[0], profile.l1_total, config.beta)  # the largest
     f0_signal = None
     if config.f0["type"] == "file":
         path = os.path.join(config.base_dir, config.f0["path"])

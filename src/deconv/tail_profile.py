@@ -246,17 +246,27 @@ def young_dual(profile: TailProfile, dual_grid) -> DualProfile:
     """Conjugate p*(sigma) = sup over the tabulated s of [sigma*s - p(s)].
 
     Saturated entries cannot contribute to the sup (they sit at -inf) and
-    are excluded.  Blocks of 512 sigma values cap the temporary at
-    512 x len(s) doubles.
+    are excluded.  The sup is reached on the lower convex hull of the
+    finite nodes (a monotone chain); each sigma's vertex comes from a binary
+    search on the hull's edge slopes (the linear-time Legendre transform,
+    Lucet 1997), and the max over it and its two neighbours rounds a slope
+    tie as a full scan would.
     """
     sigma = np.asarray(dual_grid, dtype=np.float64)
     _check_increasing(sigma, "dual_grid", "young_dual")
     sf, pf = profile.finite_part()
-    out = np.empty(sigma.size, dtype=np.float64)
-    for start in range(0, sigma.size, 512):
-        block = sigma[start:start + 512, None] * sf[None, :] - pf[None, :]
-        out[start:start + 512] = block.max(axis=1)
-    return DualProfile(sigma, out)
+    s, p = sf.tolist(), pf.tolist()
+    hull = []
+    for j in range(len(s)):
+        # drop the last vertex while it does not turn left (collinear too)
+        while len(hull) >= 2 and ((s[hull[-1]] - s[hull[-2]]) * (p[j] - p[hull[-2]])
+                                  <= (p[hull[-1]] - p[hull[-2]]) * (s[j] - s[hull[-2]])):
+            hull.pop()
+        hull.append(j)
+    hs, hp = sf[hull], pf[hull]
+    vertex = np.searchsorted(np.diff(hp) / np.diff(hs), sigma)
+    near = np.clip(vertex[:, None] + np.arange(-1, 2), 0, hs.size - 1)
+    return DualProfile(sigma, np.max(sigma[:, None] * hs[near] - hp[near], axis=1))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Closed-form reference values used across the test modules.
 
 Everything here is computed independently of the library code: transforms
-from textbook formulas, tails from erfc, and the random stream from a
-from-scratch reimplementation of the documented recurrence.
+from textbook formulas, tails from erfc, transform zeros from polynomial
+roots, and the random stream from a from-scratch reimplementation of the
+documented recurrence.
 """
 
 import math
@@ -75,6 +76,33 @@ def log_radius_root(log_inv_eps, beta, q, s_eps, phi0_l1):
             hi = mid
         else:
             lo = mid
+
+
+def trapezoid_laplace_zeros(step, values, radius):
+    """Zeros z with |z| <= radius of the trapezoid sum of f(t) e^{zt} over
+    samples on t_min + step*j.
+
+    Up to the nonvanishing factor e^{z t_min} that sum is the polynomial
+    sum_j c_j w^j in w = e^{z step}, c_j the trapezoid-weighted samples, so
+    each root w of it gives the zeros (log w + 2 pi i k) / step for every
+    integer k.  The roots come from np.roots (companion-matrix eigenvalues).
+    """
+    c = np.asarray(values, dtype=np.complex128) * step
+    c[0] *= 0.5
+    c[-1] *= 0.5
+    period = 2.0 * math.pi / step
+    zeros = []
+    for w in np.roots(c[::-1]):
+        if w == 0.0:
+            continue  # a power of w, never zero in z
+        z0 = np.log(w) / step
+        k_lo = math.floor((-radius - z0.imag) / period)
+        k_hi = math.ceil((radius - z0.imag) / period)
+        for k in range(k_lo, k_hi + 1):
+            z = z0 + 1j * period * k
+            if abs(z) <= radius:
+                zeros.append(z)
+    return np.array(zeros, dtype=np.complex128)
 
 
 def splitmix64_reference(seed, count):

@@ -29,7 +29,8 @@ from deconv.tail_profile import (TailProfile, detect_superlinear,
                                  growth_integral, tail_cutoff,
                                  tail_mass_profile, young_dual)
 
-from _oracles import gauss_hat, indicator_hat, log_radius_root
+from _oracles import (gauss_hat, indicator_hat, log_radius_root,
+                      trapezoid_laplace_zeros)
 
 GAUSS_EPS = (1e-4, 1e-6, 1e-8, 1e-10)
 SWEEP_EPS = (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
@@ -202,6 +203,24 @@ def test_criterion_08_zero_density(indicator_kernel):
         winding, _ = attempt
         assert abs(winding - round(winding)) <= 0.02
         assert round(winding) == 2 * math.floor(r / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("a,b,want", [
+    (0.0, 1.0, [6, 12, 18, 24, 30]),
+    (0.3, 0.8, [2, 6, 8, 12, 14]),
+])
+def test_criterion_08_counts_match_polynomial_roots(a, b, want):
+    """Contour counts equal the root count of the transform's polynomial
+    in e^{zh}, with every root well clear of the counting circles."""
+    kernel = make_indicator(a, b, 0.005)
+    radii = (20.0, 40.0, 60.0, 80.0, 100.0)
+    zeros = trapezoid_laplace_zeros(kernel.spacing, kernel.values, 101.0)
+    roots = [int(np.sum(np.abs(zeros) <= r)) for r in radii]
+    assert roots == want
+    assert [ed.count_zeros(kernel, r, int(math.ceil(64.0 * r)))
+            for r in radii] == roots
+    for r in radii:
+        assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
 
 
 def test_criterion_09_condition_detector():

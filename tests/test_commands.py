@@ -211,6 +211,30 @@ def test_cli_user_input_errors_exit_2(tmp_path, edit, argv, operation):
     assert err["operation"] == operation
 
 
+def _eps_without_radius(data):
+    # 0.5 < |phi0|_1 = 1, but 0.5^0.2 + 0.5 >= 1: the radius equation's
+    # right side -log(eps^beta + eps) is not positive
+    data["eps_list"] = [0.5, 1e-5, 1e-6, 1e-7]
+
+
+@pytest.mark.parametrize("edit,argv", [
+    (None, ["deconvolve", "--eps", "0.5"]),
+    (None, ["smallset", "--eps", "0.5"]),
+    (_eps_without_radius, ["sweep"]),
+])
+def test_cli_eps_without_radius_root_exits_2(tmp_path, edit, argv):
+    data = small_config()
+    if edit is not None:
+        edit(data)
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    code = main([argv[0], "--config", cfg_path, "--out", str(out)] + argv[1:])
+    assert code == 2
+    err = read_json(out, "error.json")
+    assert err["error"] == "ConfigError"
+    assert err["operation"] == "check_eps"
+
+
 def test_cli_gate_failure_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, small_config())
     out = tmp_path / "out"
@@ -274,3 +298,50 @@ def test_deconvolve_bytes_do_not_depend_on_thread_count(tmp_path):
             assert a == b
         else:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def _src_env(threads=None):
+    """The environment for a subprocess importing deconv from this checkout."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    if threads is not None:
+        env["DECONV_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("command", ["analyze-kernel", "zeros"])
+def test_diagnostics_bytes_do_not_depend_on_thread_count(tmp_path, command):
+    # the Young dual and the contour sums are elementwise: no BLAS reduction
+    config = Path(__file__).resolve().parents[1] / "configs" / "indicator.json"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "deconv.cli", command,
+                        "--config", str(config), "--out", str(out)],
+                       env=_src_env(threads), check=True, timeout=300)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "zeros.json" in names
+    for name in names:
+        if name == "manifest.json":
+            a, b = (read_json(out, name) for out in outs)
+            a.pop("wall_clock_seconds")
+            b.pop("wall_clock_seconds")
+            assert a == b
+        else:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_import_stays_light():
+    # start-up cost: the CLI and the command bodies it loads must not pull
+    # in scipy or numpy's FFT, which the chirp-z path reaches at call time
+    code = ("import sys, deconv.cli, deconv.commands; "
+            "print(sorted(m for m in ('scipy', 'numpy.fft') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          check=True, capture_output=True, text=True,
+                          timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,48 @@ def test_laplace_matches_windowed_closed_form():
         * (math.erf(10.0 - z.real / 2.0) + math.erf(10.0 + z.real / 2.0))
         for z in zs])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
+
+
+def _direct_laplace(signal, zs):
+    """(log_scale, reduced) with one exp per contour point and sample."""
+    t = signal.t_min + signal.spacing * np.arange(signal.size)
+    wf = trapezoid_weights(signal.size, signal.spacing) * signal.values
+    log_scale = np.maximum(zs.real * t[0], zs.real * t[-1])
+    reduced = np.array([np.sum(wf * np.exp(z * t - ls))
+                        for z, ls in zip(zs, log_scale)])
+    return log_scale, reduced, float(np.sum(np.abs(wf)))
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 201])
+@pytest.mark.parametrize("radius", [0.5, 5.0, 50.0, 300.0])
+def test_laplace_matches_direct_sums(n, radius):
+    # block lengths of 16 around the block edges, on circles and on both
+    # real half-axes
+    rng = np.random.default_rng(n * 1000 + int(radius))
+    zs = np.concatenate([
+        radius * np.exp(2j * math.pi * np.arange(64) / 64),
+        np.linspace(-radius, radius, 33).astype(np.complex128)])
+    for _ in range(5):
+        sig = SampledSignal(rng.uniform(-1.0, 1.0), rng.uniform(1e-3, 1e-2),
+                            rng.standard_normal(n)
+                            + 1j * rng.standard_normal(n))
+        log_scale, reduced = laplace_parts(sig, zs)
+        want_scale, want, total = _direct_laplace(sig, zs)
+        assert np.array_equal(log_scale, want_scale)
+        assert np.max(np.abs(reduced - want)) <= 1e-13 * total
+
+
+@pytest.mark.parametrize("step", [0.005, 0.05])
+def test_laplace_stays_finite_at_large_radius(step):
+    # at step 0.05 one block spans Re(z)*t = 3750 here, so a recurrence
+    # walking toward larger Re(z)*t would overflow
+    kernel = SampledSignal(0.0, step, np.ones(int(round(1.0 / step)) + 1))
+    zs = 5000.0 * np.exp(2j * math.pi * np.arange(256) / 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_scale, reduced = laplace_parts(kernel, zs)
+        log_abs = log_scale + np.log(np.abs(reduced))
+    assert np.all(np.isfinite(log_abs))
 
 
 def test_signal_csv_roundtrips_exactly(tmp_path, indicator_kernel):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import gauss_tail
 from deconv.errors import ValidationError
@@ -69,6 +70,39 @@ def test_young_dual_of_quadratic():
     assert float(dual.value_at(10.0)) == 25.0
     got = dual.value_at(np.array([2.0, 5.0, 16.0]))
     assert np.allclose(got, np.array([1.0, 6.25, 64.0]), atol=1e-9)
+
+
+def _increments(kind, count, step, rng):
+    """p(s_{j+1}) - p(s_j) for one family of test profiles."""
+    if kind == "nonconvex":
+        return rng.exponential(1.0, count) * (rng.random(count) < 0.7)
+    if kind == "collinear":
+        return np.full(count, step * rng.integers(0, 13) / 4.0)
+    if kind == "kinks":  # runs of equal slope, in any order
+        slopes = rng.integers(0, 13, count // 4 + 1) / 4.0
+        return step * np.repeat(slopes, 4)[:count]
+    return np.zeros(count)  # "single": every node past the first saturates
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["nonconvex", "collinear", "kinks", "single"]),
+       n=st.integers(2, 80), step=st.sampled_from([0.01, 0.1, 0.25, 1.0]),
+       s0=st.sampled_from([0.0, 0.37]), seed=st.integers(0, 2 ** 32 - 1))
+def test_young_dual_matches_brute_force(kind, n, step, s0, seed):
+    rng = np.random.default_rng(seed)
+    s = s0 + step * np.arange(n)
+    p = rng.uniform(-3.0, 3.0) + np.concatenate(
+        [[0.0], np.cumsum(_increments(kind, n - 1, step, rng))])
+    p[1 if kind == "single" else int(rng.integers(1, n + 1)):] = np.inf
+    profile = TailProfile(s, p)
+    sigma = np.unique(rng.uniform(0.0, 10.0, int(rng.integers(2, 60))))
+    assume(sigma.size >= 2)
+    got = young_dual(profile, sigma).dual_values
+    sf, pf = profile.finite_part()
+    want = np.max(sigma[:, None] * sf[None, :] - pf[None, :], axis=1)
+    # the hull drops collinear nodes, whose rounding may differ by an ulp
+    assert np.all(np.abs(got - want)
+                  <= 4.0 * np.spacing(np.maximum(1.0, np.abs(want))))
 
 
 def test_fenchel_young_inequality_on_gaussian(gaussian_profile):
