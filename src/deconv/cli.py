@@ -4,8 +4,11 @@ Thread caps must land in the environment before numpy first loads, so this
 module imports nothing numerical at top level; everything heavy is pulled
 in inside main() after the caps are set.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 computation
-failure, 4 sweep acceptance-gate failure.
+Exit codes: 0 success, 2 configuration/validation error or OSError (such
+as an --out path that is a file), 3 computation failure, 4 sweep
+acceptance-gate failure, 5 any other unexpected exception (a bug or an
+exhausted resource).  Every nonzero exit prints one line to stderr and
+writes error.json when the output directory is writable.
 """
 
 from __future__ import annotations
@@ -84,15 +87,20 @@ def main(argv=None) -> int:
 
     try:
         return run()
-    except DeconvError as exc:
-        if isinstance(exc, ConfigError):
+    except Exception as exc:
+        if isinstance(exc, (ConfigError, OSError)):
             code = 2
         elif isinstance(exc, AcceptanceGateError):
             code = 4
-        else:
+        elif isinstance(exc, DeconvError):
             code = 3
-        payload = {"error": type(exc).__name__, "module": exc.module,
-                   "operation": exc.operation, "message": str(exc)}
+        else:
+            code = 5
+        module, operation = ((exc.module, exc.operation)
+                             if isinstance(exc, DeconvError)
+                             else ("cli", args.command))
+        payload = {"error": type(exc).__name__, "module": module,
+                   "operation": operation, "message": str(exc)}
         try:
             os.makedirs(args.out, exist_ok=True)
             atomic_write_text(os.path.join(args.out, "error.json"),

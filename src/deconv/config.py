@@ -9,13 +9,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError, ValidationError
 from .grid_signal import SampledSignal, read_signal_csv
 from .kernels import (default_profile_grid, make_gaussian, make_indicator,
                       make_two_sided_exp)
-from .regularization import SweepInstance
+from .regularization import GridSpec, SweepInstance
 from .tail_profile import tail_mass_profile
 
 _KERNEL_PARAMS = {
@@ -28,16 +28,8 @@ _F0_PARAMS = {
     "synth_smooth": set(),
     "file": {"path"},
 }
-_GRID_KEYS = {"t_extent", "t_step", "freq_extent_factor", "freq_step"}
+_GRID_KEYS = tuple(f.name for f in fields(GridSpec))
 _TOP_KEYS = {"kernel", "f0", "eps_list", "beta", "q", "seed", "grids"}
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    t_extent: float
-    t_step: float
-    freq_extent_factor: float
-    freq_step: float
 
 
 @dataclass(frozen=True)
@@ -126,11 +118,10 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
         raise _fail("seed must be a nonnegative integer")
 
     grids_raw = data["grids"]
-    if not isinstance(grids_raw, dict) or set(grids_raw) != _GRID_KEYS:
+    if not isinstance(grids_raw, dict) or set(grids_raw) != set(_GRID_KEYS):
         raise _fail(f"grids must contain exactly {sorted(_GRID_KEYS)}")
     grids = GridSpec(*(_positive(grids_raw[k], f"grids.{k}")
-                       for k in ("t_extent", "t_step",
-                                 "freq_extent_factor", "freq_step")))
+                       for k in _GRID_KEYS))
     if grids.t_step >= grids.t_extent:
         raise _fail("grids.t_step must be smaller than grids.t_extent")
 
@@ -158,12 +149,7 @@ def config_echo(config: ExperimentConfig) -> dict:
         "beta": config.beta,
         "q": config.q,
         "seed": config.seed,
-        "grids": {
-            "t_extent": config.grids.t_extent,
-            "t_step": config.grids.t_step,
-            "freq_extent_factor": config.grids.freq_extent_factor,
-            "freq_step": config.grids.freq_step,
-        },
+        "grids": asdict(config.grids),
     }
 
 
@@ -219,10 +205,7 @@ def build_instance(config: ExperimentConfig, name: str = "") -> SweepInstance:
         profile=profile,
         q=config.q,
         beta=config.beta,
-        t_extent=config.grids.t_extent,
-        t_step=config.grids.t_step,
-        freq_step=config.grids.freq_step,
-        freq_extent_factor=config.grids.freq_extent_factor,
+        grids=config.grids,
         base_seed=config.seed,
         f0_signal=f0_signal,
     )

@@ -182,6 +182,12 @@ def fourier_at(signal: SampledSignal, lambdas) -> np.ndarray:
     return res.reshape(lam.shape)
 
 
+def _symmetric_grid(spacing: float, half_count: int) -> np.ndarray:
+    """The frequencies spacing * (-half_count .. half_count), exactly
+    symmetric about 0."""
+    return spacing * np.arange(-half_count, half_count + 1, dtype=np.float64)
+
+
 def fourier_grid(signal: SampledSignal, freq_spacing: float,
                  half_count: int) -> TransformSamples:
     """Transform on the symmetric grid freq_spacing * (-half_count .. half_count).
@@ -192,7 +198,7 @@ def fourier_grid(signal: SampledSignal, freq_spacing: float,
     if not (freq_spacing > 0.0 and half_count >= 1):
         raise ValidationError("need freq_spacing > 0 and half_count >= 1",
                               module="grid_signal", operation="fourier_grid")
-    freqs = freq_spacing * np.arange(-half_count, half_count + 1, dtype=np.float64)
+    freqs = _symmetric_grid(freq_spacing, half_count)
     if signal.is_real():
         upper = fourier_at(signal, freqs[half_count:])
         vals = np.concatenate([np.conj(upper[:0:-1]), upper])
@@ -213,30 +219,24 @@ def _uniform_spacing(freqs: np.ndarray, operation: str) -> float:
     return h
 
 
-def _is_hermitian_grid(transform: TransformSamples) -> bool:
-    freqs, vals = transform.frequencies, transform.values
-    if freqs.size % 2 == 0:
-        return False
-    mid = freqs.size // 2
-    if freqs[mid] != 0.0 or not np.allclose(freqs, -freqs[::-1], rtol=0, atol=1e-12):
-        return False
-    scale = float(np.max(np.abs(vals))) or 1.0
-    return bool(np.allclose(vals, np.conj(vals[::-1]), rtol=0.0, atol=1e-9 * scale))
-
-
 def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
-                    count: int) -> SampledSignal:
+                    count: int, real: bool = False) -> SampledSignal:
     """Inverse transform (1/2pi) * integral F(lambda)*exp(i*lambda*t) d(lambda)
     onto a uniform time grid.
 
-    A transform that is conjugate-symmetric on a symmetric grid inverts to a
-    real signal; that case is detected and computed from one half of the grid.
+    real=True states that the transform is conjugate-symmetric, so the
+    result is real and is computed from the nonnegative half of the grid;
+    the grid must then have odd size and be exactly symmetric about 0.
     """
     freqs = transform.frequencies
     h = _uniform_spacing(freqs, "inverse_fourier")
     ts = t_min + spacing * np.arange(count, dtype=np.float64)
     w = trapezoid_weights(freqs.size, h)
-    if _is_hermitian_grid(transform):
+    if real:
+        if freqs.size % 2 == 0 or not np.array_equal(freqs, -freqs[::-1]):
+            raise ValidationError(
+                "a real inverse needs an odd grid exactly symmetric about 0",
+                module="grid_signal", operation="inverse_fourier")
         mid = freqs.size // 2
         weighted = (w * transform.values)[mid:]
         weighted[0] *= 0.5

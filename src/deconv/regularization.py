@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, NoRootError, SaturationError, ValidationError
-from .grid_signal import (SampledSignal, TransformSamples, fourier_at,
-                          fourier_grid, inverse_fourier, l2_norm)
+from .grid_signal import (SampledSignal, TransformSamples, _symmetric_grid,
+                          fourier_at, fourier_grid, inverse_fourier, l2_norm)
 from .noise import inject_noise
 from .tail_profile import TailProfile, bisect, tail_cutoff
 
@@ -44,15 +44,22 @@ def _check_hypotheses(eps: float, beta: float, q: float, operation: str) -> None
                               module="regularization", operation=operation)
 
 
+def _radius_residual(r: float, q: float, log_l1: float, s_eps: float,
+                     rhs: float) -> float:
+    """F(R) = [(q+1/2) log R + log(15e^3)] [log |phi0|_1 + 2e s_eps R] + rhs,
+    with rhs = log(eps^beta + eps); R_eps is its root."""
+    return (((q + 0.5) * math.log(r) + LOG_15E3)
+            * (log_l1 + TWO_E * s_eps * r) + rhs)
+
+
 def solve_frequency_radius(eps: float, beta: float, q: float, s_eps: float,
                            phi0_l1: float) -> float:
     """Unique root of the radius equation on the branch where both bracket
     factors are positive.
 
-    F(R) = [(q+1/2) log R + log(15e^3)] [log phi0_l1 + 2e s_eps R] + log(eps^beta + eps)
-    is a product of two positive increasing factors plus a negative constant
-    there, so the root is bracketed by doubling and pinned by bisection to
-    relative 1e-12.
+    F(R) (see _radius_residual) is a product of two positive increasing
+    factors plus a negative constant there, so the root is bracketed by
+    doubling and pinned by bisection to relative 1e-12.
     """
     _check_hypotheses(eps, beta, q, "solve_frequency_radius")
     if s_eps < 0.0:
@@ -72,8 +79,7 @@ def solve_frequency_radius(eps: float, beta: float, q: float, s_eps: float,
                           module="regularization", operation="solve_frequency_radius")
 
     def f(r: float) -> float:
-        return (((q + 0.5) * math.log(r) + LOG_15E3)
-                * (log_l1 + TWO_E * s_eps * r) + rhs)
+        return _radius_residual(r, q, log_l1, s_eps, rhs)
 
     lo = math.exp(-LOG_15E3 / (q + 0.5))  # first bracket vanishes here
     if s_eps > 0.0 and log_l1 < 0.0:
@@ -137,10 +143,9 @@ class RegularizationPlan:
         if self.s_eps < 0.0 or not self.r_eps > 0.0:
             raise ValidationError("s_eps must be >= 0 and r_eps > 0",
                                   module="regularization", operation="RegularizationPlan")
-        phi0_l1 = math.sqrt(self.c1 / 4.0 - self.c2)
         rhs = math.log(self.eps ** self.beta + self.eps)
-        residual = (((self.q + 0.5) * math.log(self.r_eps) + LOG_15E3)
-                    * (math.log(phi0_l1) + TWO_E * self.s_eps * self.r_eps) + rhs)
+        residual = _radius_residual(self.r_eps, self.q, math.log(self.phi0_l1),
+                                    self.s_eps, rhs)
         if abs(residual) > 1e-10 * abs(rhs):
             raise ValidationError("r_eps does not satisfy the radius equation",
                                   module="regularization", operation="RegularizationPlan")
@@ -187,37 +192,19 @@ def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,
                             g_hat.values * np.conj(p) / (delta + mag2))
 
 
-@dataclass(frozen=True)
-class FrequencyGridSpec:
-    """Symmetric uniform grid spacing * (-half_count .. half_count)."""
-
-    spacing: float
-    half_count: int
-
-    def __post_init__(self):
-        if not (self.spacing > 0.0 and self.half_count >= 1):
-            raise ValidationError("need spacing > 0 and half_count >= 1",
-                                  module="regularization", operation="FrequencyGridSpec")
-
-    @property
-    def extent(self) -> float:
-        return self.spacing * self.half_count
-
-    def array(self) -> np.ndarray:
-        return self.spacing * np.arange(-self.half_count, self.half_count + 1,
-                                        dtype=np.float64)
-
-
 def deconvolve(g_eps: SampledSignal, phi_eps: SampledSignal,
-               plan: RegularizationPlan, grid: FrequencyGridSpec) -> SampledSignal:
-    """Full reconstruction: transform, filter, invert onto the data grid."""
-    if grid.extent < plan.r_eps:
+               plan: RegularizationPlan, freq_spacing: float,
+               half_count: int) -> SampledSignal:
+    """Full reconstruction on freq_spacing * (-half_count .. half_count):
+    transform, filter, invert onto the data grid."""
+    if freq_spacing * half_count < plan.r_eps:
         raise ValidationError("frequency grid does not reach r_eps",
                               module="regularization", operation="deconvolve")
-    g_hat = fourier_grid(g_eps, grid.spacing, grid.half_count)
-    phi_hat = fourier_grid(phi_eps, grid.spacing, grid.half_count)
+    g_hat = fourier_grid(g_eps, freq_spacing, half_count)
+    phi_hat = fourier_grid(phi_eps, freq_spacing, half_count)
     f_hat = tikhonov_filter(g_hat, phi_hat, plan.delta)
-    return inverse_fourier(f_hat, g_eps.t_min, g_eps.spacing, g_eps.size)
+    return inverse_fourier(f_hat, g_eps.t_min, g_eps.spacing, g_eps.size,
+                           real=g_eps.is_real() and phi_eps.is_real())
 
 
 @dataclass(frozen=True)
@@ -279,7 +266,6 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
 
 def _coverage_flag(lam, f2, phi_mag, threshold, outer) -> bool:
     """Estimate the outer mass beyond the grid by a power-law tail fit."""
-    half = lam.size // 2
     top = slice(lam.size - max(8, lam.size // 10), lam.size)
     x = lam[top]
     y = f2[top]
@@ -310,6 +296,17 @@ def smooth_spectrum(lambdas, q: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class GridSpec:
+    """A run's grids: time [-t_extent, t_extent] at t_step; frequency
+    freq_step * (-h .. h), h = ceil(freq_extent_factor * R_eps / freq_step)."""
+
+    t_extent: float
+    t_step: float
+    freq_extent_factor: float
+    freq_step: float
+
+
+@dataclass(frozen=True)
 class SweepInstance:
     """A fully specified synthetic experiment, minus the noise level."""
 
@@ -318,22 +315,18 @@ class SweepInstance:
     profile: TailProfile
     q: float
     beta: float
-    t_extent: float
-    t_step: float
-    freq_step: float
-    freq_extent_factor: float
+    grids: GridSpec
     base_seed: int
     f0_signal: SampledSignal = None  # optional measured unknown; else synthetic
 
     def time_grid(self) -> tuple[float, float, int]:
-        count = 2 * int(round(self.t_extent / self.t_step)) + 1
-        return -self.t_extent, self.t_step, count
+        g = self.grids
+        return -g.t_extent, g.t_step, 2 * int(round(g.t_extent / g.t_step)) + 1
 
 
 @dataclass(frozen=True)
 class RunResult:
     plan: RegularizationPlan
-    grid: FrequencyGridSpec
     f0_hat: TransformSamples
     phi0_hat: TransformSamples
     f0: SampledSignal
@@ -355,10 +348,11 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
     phi0 = instance.kernel
     phi0_l1 = instance.profile.l1_total
     s_eps, r_eps = plan_radius(eps, instance.beta, instance.q, instance.profile)
-    half = int(math.ceil(instance.freq_extent_factor * r_eps / instance.freq_step))
-    grid = FrequencyGridSpec(instance.freq_step, half)
-    lam = grid.array()
+    step = instance.grids.freq_step
+    half = int(math.ceil(instance.grids.freq_extent_factor * r_eps / step))
+    lam = _symmetric_grid(step, half)
 
+    f0_real = instance.f0_signal is None or instance.f0_signal.is_real()
     if instance.f0_signal is not None:
         f0_hat_vals = fourier_at(instance.f0_signal, lam)
     else:
@@ -367,21 +361,22 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
     phi0_hat = TransformSamples(lam, fourier_at(phi0, lam))
 
     t_min, t_step, t_count = instance.time_grid()
-    f0 = inverse_fourier(f0_hat, t_min, t_step, t_count)
+    f0 = inverse_fourier(f0_hat, t_min, t_step, t_count, real=f0_real)
     g0 = inverse_fourier(TransformSamples(lam, f0_hat.values * phi0_hat.values),
-                         t_min, t_step, t_count)
+                         t_min, t_step, t_count,
+                         real=f0_real and phi0.is_real())
 
     plan = make_plan(eps, instance.beta, instance.q, l2_norm(g0), phi0_l1,
                      s_eps, r_eps)
     if seed is None:
         seed = instance.base_seed
     phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps, seed)
-    f_eps = deconvolve(g_eps, phi_eps, plan, grid)
+    f_eps = deconvolve(g_eps, phi_eps, plan, step, half)
 
     diff = SampledSignal(t_min, t_step, f0.values - f_eps.values)
     achieved = l2_norm(diff)
     decomposition = error_decomposition(f0_hat, phi0_hat, plan, achieved ** 2)
-    return RunResult(plan, grid, f0_hat, phi0_hat, f0, g0, phi_eps, g_eps,
+    return RunResult(plan, f0_hat, phi0_hat, f0, g0, phi_eps, g_eps,
                      f_eps, achieved, decomposition)
 
 

@@ -281,7 +281,7 @@ class GrowthResult:
 
 def _superlinear_ratio(profile: TailProfile) -> tuple[float, np.ndarray]:
     """Ratio of p(s)/s across the last decade, plus p/s at three decades."""
-    sf, pf = profile.finite_part()
+    sf = profile.finite_part()[0]
     mask = sf > 0.0
     if not np.any(mask):
         raise ValidationError("profile has no positive s nodes",

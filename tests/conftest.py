@@ -2,7 +2,7 @@ import pytest
 
 from deconv.kernels import (default_profile_grid, make_gaussian,
                             make_indicator, make_two_sided_exp)
-from deconv.regularization import SweepInstance
+from deconv.regularization import GridSpec, SweepInstance
 from deconv.tail_profile import tail_mass_profile
 
 GAUSSIAN_SEED = 20240817
@@ -44,13 +44,17 @@ def exp_profile(exp_kernel):
 def gaussian_instance(gaussian_kernel, gaussian_profile):
     return SweepInstance(name="gaussian", kernel=gaussian_kernel,
                          profile=gaussian_profile, q=1.0, beta=0.2,
-                         t_extent=30.0, t_step=0.005, freq_step=0.004,
-                         freq_extent_factor=800.0, base_seed=GAUSSIAN_SEED)
+                         grids=GridSpec(t_extent=30.0, t_step=0.005,
+                                        freq_extent_factor=800.0,
+                                        freq_step=0.004),
+                         base_seed=GAUSSIAN_SEED)
 
 
 @pytest.fixture(scope="session")
 def indicator_instance(indicator_kernel, indicator_profile):
     return SweepInstance(name="indicator", kernel=indicator_kernel,
                          profile=indicator_profile, q=1.0, beta=0.2,
-                         t_extent=20.0, t_step=0.005, freq_step=0.004,
-                         freq_extent_factor=400.0, base_seed=GAUSSIAN_SEED)
+                         grids=GridSpec(t_extent=20.0, t_step=0.005,
+                                        freq_extent_factor=400.0,
+                                        freq_step=0.004),
+                         base_seed=GAUSSIAN_SEED)

@@ -16,12 +16,13 @@ import pytest
 import deconv.entire_diagnostics as ed
 from deconv.commands import cmd_deconvolve, cmd_smallset
 from deconv.config import parse_config
-from deconv.grid_signal import (SampledSignal, TransformSamples, fourier_at,
-                                fourier_grid, inverse_fourier, l2_norm)
+from deconv.grid_signal import (SampledSignal, TransformSamples,
+                                _symmetric_grid, fourier_at, fourier_grid,
+                                inverse_fourier, l2_norm)
 from deconv.kernels import (default_profile_grid, make_gaussian,
                             make_indicator, make_two_sided_exp)
-from deconv.regularization import (FrequencyGridSpec, error_decomposition,
-                                   run_single, run_sweep, smooth_spectrum,
+from deconv.regularization import (error_decomposition, run_single,
+                                   run_sweep, smooth_spectrum,
                                    solve_frequency_radius, tikhonov_filter)
 from deconv.small_sets import cartan_bound, measure_small_set
 from deconv.tail_profile import (TailProfile, detect_superlinear,
@@ -55,8 +56,8 @@ def test_criterion_01_error_bound_with_finer_grid_oracle(gaussian_runs,
         assert d.achieved_sq_error <= d.total_bound + 1e-6
 
     res = gaussian_runs[1e-6]
-    fine = FrequencyGridSpec(res.grid.spacing / 4.0, 4 * res.grid.half_count)
-    lam4 = fine.array()
+    step, half = gaussian_instance.grids.freq_step, res.f0_hat.size // 2
+    lam4 = _symmetric_grid(step / 4.0, 4 * half)
     f0_hat_4 = TransformSamples(lam4,
                                 smooth_spectrum(lam4, gaussian_instance.q)
                                 .astype(np.complex128))
@@ -69,8 +70,8 @@ def test_criterion_01_error_bound_with_finer_grid_oracle(gaussian_runs,
     assert dec4.inner_term == base.inner_term == 0.0
 
     t_min, t_step, t_count = gaussian_instance.time_grid()
-    g_hat = fourier_grid(res.g_eps, res.grid.spacing, res.grid.half_count)
-    phi_hat = fourier_grid(res.phi_eps, res.grid.spacing, res.grid.half_count)
+    g_hat = fourier_grid(res.g_eps, step, half)
+    phi_hat = fourier_grid(res.phi_eps, step, half)
     f_hat = tikhonov_filter(g_hat, phi_hat, res.plan.delta)
     step4, count4 = t_step / 4.0, 4 * (t_count - 1) + 1
     f0_fine = inverse_fourier(res.f0_hat, t_min, step4, count4)

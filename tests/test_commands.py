@@ -245,6 +245,33 @@ def test_cli_gate_failure_exit_code(tmp_path):
     assert err["error"] == "AcceptanceGateError"
 
 
+def test_cli_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_config())
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = main(["analyze-kernel", "--config", cfg_path, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deconv: FileExistsError in cli.analyze-kernel: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_cli_unexpected_error_exits_5(tmp_path, monkeypatch, capsys):
+    def broken(profile):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(commands, "detect_superlinear", broken)
+    cfg_path = write_config(tmp_path, small_config())
+    out = tmp_path / "out"
+    code = main(["analyze-kernel", "--config", cfg_path, "--out", str(out)])
+    assert code == 5
+    err = read_json(out, "error.json")
+    assert err == {"error": "RuntimeError", "module": "cli",
+                   "operation": "analyze-kernel", "message": "boom"}
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = parse_config(small_config())
     out_a = tmp_path / "a"

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from _oracles import gauss_hat, indicator_hat, two_sided_exp_hat
 from deconv.errors import ValidationError
 from deconv.grid_signal import (SampledSignal, TransformSamples, _chirp_sums,
-                                _oscillatory_sums, _progression, fourier_at,
-                                fourier_grid, inverse_fourier, l1_norm,
-                                l2_norm, laplace_parts, read_signal_csv,
+                                _oscillatory_sums, _progression,
+                                _symmetric_grid, fourier_at, fourier_grid,
+                                inverse_fourier, l1_norm, l2_norm,
+                                laplace_parts, read_signal_csv,
                                 trapezoid_weights, write_signal_csv)
 
 
@@ -75,14 +76,48 @@ def test_roundtrip_through_transform(gaussian_kernel):
     assert np.max(np.abs(back.values - gaussian_kernel.values)) <= 1e-8
 
 
+def test_symmetric_grid_and_its_validation(gaussian_kernel):
+    grid = _symmetric_grid(0.5, 4)
+    assert grid.size == 9 and grid[-1] == 2.0
+    assert np.array_equal(grid, -grid[::-1])
+    with pytest.raises(ValidationError):
+        fourier_grid(gaussian_kernel, 0.0, 4)
+    with pytest.raises(ValidationError):
+        fourier_grid(gaussian_kernel, 0.5, 0)
+
+
 def test_inverse_hermitian_fast_path_is_real(gaussian_kernel):
     tf = fourier_grid(gaussian_kernel, 0.01, 2000)
-    back = inverse_fourier(tf, -5.0, 0.01, 1001)
+    back = inverse_fourier(tf, -5.0, 0.01, 1001, real=True)
     assert np.all(back.values.imag == 0.0)
     # compare against a deliberately non-hermitian evaluation of the same data
     skew = TransformSamples(tf.frequencies + 1e-300, tf.values)
     slow = inverse_fourier(skew, -5.0, 0.01, 1001)
     assert np.max(np.abs(back.values - slow.values)) <= 1e-11
+
+
+def test_inverse_keeps_a_small_imaginary_part(gaussian_kernel):
+    # a 1e-12 imaginary bump is far inside any tolerance a symmetry test
+    # on the transform values could use; only the caller knows it is there
+    t = gaussian_kernel.grid()
+    bump = np.exp(-4.0 * (t - 8.0) ** 2)
+    signal = SampledSignal(gaussian_kernel.t_min, gaussian_kernel.spacing,
+                           gaussian_kernel.values + 1e-12j * bump)
+    tf = fourier_grid(signal, 0.01, 3000)
+    back = inverse_fourier(tf, signal.t_min, signal.spacing, signal.size)
+    # away from the gaussian's own rounding (about 3e-12 near t = 0)
+    near = np.abs(t - 8.0) <= 2.0
+    assert np.max(np.abs(back.values.imag - 1e-12 * bump)[near]) <= 1e-14
+
+
+def test_real_inverse_needs_a_grid_symmetric_about_zero(gaussian_kernel):
+    tf = fourier_grid(gaussian_kernel, 0.01, 200)
+    shifted = TransformSamples(tf.frequencies + 0.01, tf.values)
+    with pytest.raises(ValidationError):
+        inverse_fourier(shifted, -5.0, 0.01, 101, real=True)
+    even = TransformSamples(tf.frequencies[1:], tf.values[1:])
+    with pytest.raises(ValidationError):
+        inverse_fourier(even, -5.0, 0.01, 101, real=True)
 
 
 def test_progression_accepts_program_grids_only():

@@ -10,7 +10,7 @@ from deconv.errors import (NoRootError, SaturationError, ValidationError)
 from deconv.grid_signal import TransformSamples
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
-                                   FrequencyGridSpec, SweepInstance,
+                                   GridSpec, SweepInstance,
                                    deconvolve, error_decomposition, make_plan,
                                    plan_radius, run_single, run_sweep,
                                    smooth_spectrum, solve_frequency_radius,
@@ -152,23 +152,10 @@ def test_tikhonov_filter_validation():
         tikhonov_filter(g, g, 0.0)
 
 
-def test_frequency_grid_spec():
-    spec = FrequencyGridSpec(0.5, 4)
-    assert spec.extent == 2.0
-    arr = spec.array()
-    assert arr.size == 9
-    assert np.array_equal(arr, -arr[::-1])
-    with pytest.raises(ValidationError):
-        FrequencyGridSpec(0.0, 4)
-    with pytest.raises(ValidationError):
-        FrequencyGridSpec(0.5, 0)
-
-
 def test_deconvolve_requires_grid_past_radius(indicator_kernel, indicator_plan):
-    small = FrequencyGridSpec(0.01, 5)
-    assert small.extent < indicator_plan.r_eps
+    assert 0.01 * 5 < indicator_plan.r_eps
     with pytest.raises(ValidationError):
-        deconvolve(indicator_kernel, indicator_kernel, indicator_plan, small)
+        deconvolve(indicator_kernel, indicator_kernel, indicator_plan, 0.01, 5)
 
 
 @pytest.fixture(scope="module")
@@ -176,8 +163,10 @@ def small_instance(indicator_kernel, indicator_profile):
     # deliberately coarse and narrow so a full pipeline pass stays cheap
     return SweepInstance(name="small", kernel=indicator_kernel,
                          profile=indicator_profile, q=1.0, beta=0.2,
-                         t_extent=10.0, t_step=0.01, freq_step=0.01,
-                         freq_extent_factor=60.0, base_seed=7)
+                         grids=GridSpec(t_extent=10.0, t_step=0.01,
+                                        freq_extent_factor=60.0,
+                                        freq_step=0.01),
+                         base_seed=7)
 
 
 def test_run_single_noise_free_reconstructs(small_instance):
@@ -188,7 +177,7 @@ def test_run_single_noise_free_reconstructs(small_instance):
     assert res.achieved_error ** 2 <= res.decomposition.total_bound + 1e-6
     assert res.decomposition.inner_term == 0.0
     assert res.f_eps.size == res.f0.size
-    assert res.grid.extent >= 60.0 * res.plan.r_eps
+    assert res.f0_hat.frequencies[-1] >= 60.0 * res.plan.r_eps
 
 
 def test_run_single_with_noise_stays_certified(small_instance):

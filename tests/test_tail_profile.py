@@ -63,6 +63,21 @@ def test_tail_cutoff_monotone_in_eps(gaussian_profile):
     assert all(b > a for a, b in zip(cuts, cuts[1:]))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.floats(-700.0, -1e-9), y=st.floats(-700.0, -1e-9))
+def test_tail_cutoff_nondecreasing_as_eps_falls(gaussian_profile,
+                                                indicator_profile,
+                                                exp_profile, x, y):
+    # eps = |phi0|_1 * e^x spans (about 1e-304, |phi0|_1), saturation included
+    for profile in (gaussian_profile, indicator_profile, exp_profile):
+        big = profile.l1_total * math.exp(max(x, y))
+        small = profile.l1_total * math.exp(min(x, y))
+        s_big, sat_big = tail_cutoff(profile, big)
+        s_small, sat_small = tail_cutoff(profile, small)
+        assert s_small >= s_big
+        assert sat_small or not sat_big
+
+
 def test_young_dual_of_quadratic():
     prof = quadratic_profile()
     dual = young_dual(prof, np.arange(0.0, 20.001, 0.5))
