@@ -125,7 +125,7 @@ def _emit_zero_reports(kernel, manifest: _Manifest) -> None:
         sigma_hat = mu_hat = math.nan
     _write_json(manifest.path("zeros_json", "zeros.json"),
                 {"sigma_hat": sigma_hat, "mu_hat": mu_hat,
-                 "d_hat": report.d_hat, "predicted_d": report.predicted_d})
+                 "d_hat": report.d_hat, "predicted_d": sigma_hat - mu_hat})
 
 
 def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:

@@ -188,7 +188,7 @@ def build_kernel(config: ExperimentConfig) -> SampledSignal:
                           module="config", operation="build_kernel") from exc
 
 
-def build_instance(config: ExperimentConfig, name: str = "") -> SweepInstance:
+def build_instance(config: ExperimentConfig) -> SweepInstance:
     kernel = build_kernel(config)
     profile = tail_mass_profile(kernel, default_profile_grid(kernel))
     check_eps(config.eps_list[0], profile.l1_total, config.beta)  # the largest
@@ -200,7 +200,6 @@ def build_instance(config: ExperimentConfig, name: str = "") -> SweepInstance:
                               module="config", operation="build_instance")
         f0_signal = read_signal_csv(path)
     return SweepInstance(
-        name=name or config.kernel["type"],
         kernel=kernel,
         profile=profile,
         q=config.q,

@@ -68,21 +68,20 @@ class GrowthEstimate:
     log_ratio_neg: np.ndarray
     sigma_hat: float
     mu_hat: float
-    excluded_pos: np.ndarray
-    excluded_neg: np.ndarray
 
     def __post_init__(self):
-        n = self.radii.size
-        for name in ("log_ratio_pos", "log_ratio_neg",
-                     "excluded_pos", "excluded_neg"):
-            if getattr(self, name).size != n:
-                raise ValidationError(f"{name} length disagrees with radii",
-                                      module="entire_diagnostics",
-                                      operation="GrowthEstimate")
         if not (math.isfinite(self.sigma_hat) and math.isfinite(self.mu_hat)):
             raise ValidationError("growth exponents must be finite",
                                   module="entire_diagnostics",
                                   operation="GrowthEstimate")
+
+    @property
+    def excluded_pos(self) -> np.ndarray:
+        return ~np.isfinite(self.log_ratio_pos)
+
+    @property
+    def excluded_neg(self) -> np.ndarray:
+        return ~np.isfinite(self.log_ratio_neg)
 
 
 def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
@@ -105,13 +104,10 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
     log_neg = _log_abs_transform(kernel, (-r).astype(np.complex128))
     ratio_pos = log_pos / r
     ratio_neg = log_neg / r
-    excluded_pos = ~np.isfinite(ratio_pos)
-    excluded_neg = ~np.isfinite(ratio_neg)
-
     tail = slice(2 * r.size // 3, r.size)
 
-    def tail_max(ratios, excluded, which):
-        vals = ratios[tail][~excluded[tail]]
+    def tail_max(ratios, which):
+        vals = ratios[tail][np.isfinite(ratios[tail])]
         if vals.size == 0:
             raise ComputationError(f"every {which}-axis radius in the tail "
                                    "window sits on a near-zero of the transform",
@@ -119,10 +115,9 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
                                    operation="growth_profile")
         return float(np.max(vals))
 
-    sigma_hat = tail_max(ratio_pos, excluded_pos, "positive")
-    mu_hat = -tail_max(ratio_neg, excluded_neg, "negative")
-    return GrowthEstimate(r, ratio_pos, ratio_neg, sigma_hat, mu_hat,
-                          excluded_pos, excluded_neg)
+    sigma_hat = tail_max(ratio_pos, "positive")
+    mu_hat = -tail_max(ratio_neg, "negative")
+    return GrowthEstimate(r, ratio_pos, ratio_neg, sigma_hat, mu_hat)
 
 
 def _winding_attempt(kernel: SampledSignal, r: float, n: int):
@@ -194,23 +189,25 @@ def count_zeros(kernel: SampledSignal, r: float, contour_points: int) -> int:
 
 @dataclass(frozen=True)
 class ZeroCountReport:
-    """Zero counts along radii, the fitted density, and the growth cross-check."""
+    """Zero counts along radii; the densities and d_hat derive from them."""
 
     radii: np.ndarray
     counts: np.ndarray
-    densities: np.ndarray
-    d_hat: float
-    predicted_d: float  # sigma_hat - mu_hat, nan when growth_profile refuses
 
     def __post_init__(self):
-        if not (self.radii.size == self.counts.size == self.densities.size):
-            raise ValidationError("report arrays must share one length",
-                                  module="entire_diagnostics",
-                                  operation="ZeroCountReport")
         if np.any(np.diff(self.counts) < 0):
             raise ValidationError("zero counts must be nondecreasing in r",
                                   module="entire_diagnostics",
                                   operation="ZeroCountReport")
+
+    @property
+    def densities(self) -> np.ndarray:
+        return self.counts / self.radii
+
+    @property
+    def d_hat(self) -> float:
+        """pi times the density at the last radius."""
+        return math.pi * float(self.densities[-1])
 
 
 def zero_density(kernel: SampledSignal, radii,
@@ -218,8 +215,7 @@ def zero_density(kernel: SampledSignal, radii,
     """n(R)/R table with d_hat = pi * final density.
 
     Each radius gets ceil(points_per_radius * R) contour samples (floor 64
-    per the phase-resolution requirement).  The growth-profile prediction
-    sigma_hat - mu_hat rides along when the kernel qualifies for it.
+    per the phase-resolution requirement).
     """
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:
@@ -231,11 +227,4 @@ def zero_density(kernel: SampledSignal, radii,
     counts = np.array([count_zeros(kernel, float(rr),
                                    int(math.ceil(points_per_radius * rr)))
                        for rr in r], dtype=np.int64)
-    densities = counts / r
-    d_hat = math.pi * float(densities[-1])
-    try:
-        growth = growth_profile(kernel, r)
-        predicted = growth.sigma_hat - growth.mu_hat
-    except (ValidationError, ComputationError):
-        predicted = math.nan
-    return ZeroCountReport(r, counts, densities, d_hat, predicted)
+    return ZeroCountReport(r, counts)

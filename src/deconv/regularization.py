@@ -10,6 +10,9 @@ Given a noise level eps the plan fixes every knob of the reconstruction:
               = -log(eps^beta + eps),
             the frequency radius that splits the error budget.
 
+The plan stores the measured norms |g0|_2, |phi0|_1 and the solved
+(s_eps, R_eps); C1, C2 and delta are properties derived from them.
+
 The squared reconstruction error is then certified against three terms: the
 spectral mass of the unknown where the kernel transform is small, split at
 |lambda| = R_eps, plus a data term 2 sqrt(C1 C2) eps^{1-3 beta}.
@@ -116,29 +119,21 @@ def plan_radius(eps: float, beta: float, q: float,
 
 @dataclass(frozen=True)
 class RegularizationPlan:
-    """All parameters of one reconstruction, self-checking on construction."""
+    """The measured norms and the solved (s_eps, R_eps) of one reconstruction;
+    C1, C2 and delta are derived from them."""
 
     eps: float
     beta: float
     q: float
-    c1: float
-    c2: float
-    delta: float
+    g0_l2: float
+    phi0_l1: float
     s_eps: float
     r_eps: float
 
     def __post_init__(self):
         _check_hypotheses(self.eps, self.beta, self.q, "RegularizationPlan")
-        if not (self.c1 > self.c2 > 1.0):
-            raise ValidationError("need c1 > c2 > 1 (positive norms)",
-                                  module="regularization", operation="RegularizationPlan")
-        if self.c1 / 4.0 - self.c2 <= 0.0:
-            raise ValidationError("c1 and c2 are inconsistent: no positive "
-                                  "kernel mass solves c1 = 4(1+g^2+phi^2)",
-                                  module="regularization", operation="RegularizationPlan")
-        want = (self.c1 / self.c2) ** 0.25 * self.eps ** ((1.0 + 3.0 * self.beta) / 2.0)
-        if not math.isclose(self.delta, want, rel_tol=1e-12, abs_tol=0.0):
-            raise ValidationError("delta does not match its defining formula",
+        if not (self.g0_l2 > 0.0 and self.phi0_l1 > 0.0):
+            raise ValidationError("norms must be positive",
                                   module="regularization", operation="RegularizationPlan")
         if self.s_eps < 0.0 or not self.r_eps > 0.0:
             raise ValidationError("s_eps must be >= 0 and r_eps > 0",
@@ -151,26 +146,22 @@ class RegularizationPlan:
                                   module="regularization", operation="RegularizationPlan")
 
     @property
-    def phi0_l1(self) -> float:
-        return math.sqrt(self.c1 / 4.0 - self.c2)
+    def c1(self) -> float:
+        return 4.0 * (1.0 + self.g0_l2 ** 2 + self.phi0_l1 ** 2)
+
+    @property
+    def c2(self) -> float:
+        return 1.0 + self.g0_l2 ** 2
+
+    @property
+    def delta(self) -> float:
+        return ((self.c1 / self.c2) ** 0.25
+                * self.eps ** ((1.0 + 3.0 * self.beta) / 2.0))
 
     @property
     def rate_ref(self) -> float:
         """Reference decay R_eps^{-q+1/2} for the convergence-rate fit."""
         return self.r_eps ** (-self.q + 0.5)
-
-
-def make_plan(eps: float, beta: float, q: float, g0_l2: float, phi0_l1: float,
-              s_eps: float, r_eps: float) -> RegularizationPlan:
-    """Complete (s_eps, R_eps) from plan_radius with C1, C2 and delta."""
-    _check_hypotheses(eps, beta, q, "make_plan")
-    if not (g0_l2 > 0.0 and phi0_l1 > 0.0):
-        raise ValidationError("norms must be positive",
-                              module="regularization", operation="make_plan")
-    c1 = 4.0 * (1.0 + g0_l2 ** 2 + phi0_l1 ** 2)
-    c2 = 1.0 + g0_l2 ** 2
-    delta = (c1 / c2) ** 0.25 * eps ** ((1.0 + 3.0 * beta) / 2.0)
-    return RegularizationPlan(eps, beta, q, c1, c2, delta, s_eps, r_eps)
 
 
 def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,
@@ -214,7 +205,6 @@ class ErrorDecomposition:
     outer_term: float
     inner_term: float
     data_term: float
-    total_bound: float
     achieved_sq_error: float
     coverage_flag: bool
 
@@ -222,13 +212,13 @@ class ErrorDecomposition:
         if min(self.outer_term, self.inner_term, self.data_term) < 0.0:
             raise ValidationError("decomposition terms must be nonnegative",
                                   module="regularization", operation="ErrorDecomposition")
-        want = 3.0 * (self.outer_term + self.inner_term + self.data_term)
-        if not math.isclose(self.total_bound, want, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValidationError("total_bound must be 3x the term sum",
-                                  module="regularization", operation="ErrorDecomposition")
         if self.achieved_sq_error > self.total_bound + 1e-6:
             raise ValidationError("achieved squared error exceeds its certificate",
                                   module="regularization", operation="ErrorDecomposition")
+
+    @property
+    def total_bound(self) -> float:
+        return 3.0 * (self.outer_term + self.inner_term + self.data_term)
 
 
 def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
@@ -258,10 +248,9 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
     outer = float(np.sum((w * f2)[below & (np.abs(lam) > plan.r_eps)]))
     inner = float(np.sum((w * f2)[below & (np.abs(lam) < plan.r_eps)]))
     data = 2.0 * math.sqrt(plan.c1 * plan.c2) * plan.eps ** (1.0 - 3.0 * plan.beta)
-    total = 3.0 * (outer + inner + data)
 
     coverage = _coverage_flag(lam, f2, np.abs(phi0_hat.values), threshold, outer)
-    return ErrorDecomposition(outer, inner, data, total, achieved_sq, coverage)
+    return ErrorDecomposition(outer, inner, data, achieved_sq, coverage)
 
 
 def _coverage_flag(lam, f2, phi_mag, threshold, outer) -> bool:
@@ -310,7 +299,6 @@ class GridSpec:
 class SweepInstance:
     """A fully specified synthetic experiment, minus the noise level."""
 
-    name: str
     kernel: SampledSignal
     profile: TailProfile
     q: float
@@ -328,7 +316,6 @@ class SweepInstance:
 class RunResult:
     plan: RegularizationPlan
     f0_hat: TransformSamples
-    phi0_hat: TransformSamples
     f0: SampledSignal
     g0: SampledSignal
     phi_eps: SampledSignal
@@ -343,10 +330,9 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
     """One pipeline pass at a single noise level.
 
     (s_eps, R_eps) come first because the frequency grid extent is a
-    multiple of r_eps; make_plan completes the plan once |g0|_2 exists.
+    multiple of r_eps; the plan is built once |g0|_2 exists.
     """
     phi0 = instance.kernel
-    phi0_l1 = instance.profile.l1_total
     s_eps, r_eps = plan_radius(eps, instance.beta, instance.q, instance.profile)
     step = instance.grids.freq_step
     half = int(math.ceil(instance.grids.freq_extent_factor * r_eps / step))
@@ -366,8 +352,8 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
                          t_min, t_step, t_count,
                          real=f0_real and phi0.is_real())
 
-    plan = make_plan(eps, instance.beta, instance.q, l2_norm(g0), phi0_l1,
-                     s_eps, r_eps)
+    plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
+                              instance.profile.l1_total, s_eps, r_eps)
     if seed is None:
         seed = instance.base_seed
     phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps, seed)
@@ -376,8 +362,8 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
     diff = SampledSignal(t_min, t_step, f0.values - f_eps.values)
     achieved = l2_norm(diff)
     decomposition = error_decomposition(f0_hat, phi0_hat, plan, achieved ** 2)
-    return RunResult(plan, f0_hat, phi0_hat, f0, g0, phi_eps, g_eps,
-                     f_eps, achieved, decomposition)
+    return RunResult(plan, f0_hat, f0, g0, phi_eps, g_eps, f_eps, achieved,
+                     decomposition)
 
 
 @dataclass(frozen=True)

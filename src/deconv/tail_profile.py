@@ -24,6 +24,9 @@ from .grid_signal import SampledSignal, l1_norm
 # mass, whichever is larger) are unmeasurable: p saturates to +inf there.
 SATURATION_FLOOR = 1e-300
 
+# dual_growth_check's second ratio divides by p*(s + KAPPA).
+KAPPA = 0.5
+
 
 def _check_increasing(x: np.ndarray, what: str, operation: str) -> None:
     if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
@@ -329,7 +332,6 @@ class MomentResult:
     """Exponential moment H(s) = integral e^{|t| s} |phi(t)| dt."""
 
     value: float
-    log_value: float
     truncation_dominated: bool
 
 
@@ -351,25 +353,20 @@ def exponential_moment(kernel: SampledSignal, s: float) -> MomentResult:
     dominated = bool(kernel.truncation_tail > 0.0 and
                      s * edge + np.log(kernel.truncation_tail)
                      > np.log(1e-6) + log_value)
-    return MomentResult(value, float(log_value), dominated)
+    return MomentResult(value, dominated)
 
 
 @dataclass(frozen=True)
 class DualGrowthReport:
-    """log G(s) against p*(s), plainly and with the kappa-shifted denominator."""
+    """log G(s) against p*(s), plainly and against p*(s + KAPPA)."""
 
-    s_values: np.ndarray
     ratios: np.ndarray
     shifted_ratios: np.ndarray
-    kappa: float
-    last_ratio: float
-    last_shifted: float
-    trend_slope: float
     any_divergent: bool
 
 
-def dual_growth_check(profile: TailProfile, pstar: DualProfile, s_list,
-                      kappa: float = 0.5) -> DualGrowthReport:
+def dual_growth_check(profile: TailProfile, pstar: DualProfile,
+                      s_list) -> DualGrowthReport:
     s_vals = np.asarray(s_list, dtype=np.float64)
     _check_increasing(s_vals, "s_list", "dual_growth_check")
     logs = np.empty(s_vals.size)
@@ -379,23 +376,17 @@ def dual_growth_check(profile: TailProfile, pstar: DualProfile, s_list,
         logs[j] = res.log_value
         divergent = divergent or res.tail_divergent
     denom = pstar.value_at(s_vals)
-    denom_shifted = pstar.value_at(s_vals + kappa)
+    denom_shifted = pstar.value_at(s_vals + KAPPA)
     if np.any(denom <= 0.0):
         raise ValidationError("p* must be positive on s_list for the ratio",
                               module="tail_profile", operation="dual_growth_check")
-    ratios = logs / denom
-    shifted = logs / denom_shifted
-    slope = float(np.polyfit(s_vals, ratios, 1)[0]) if s_vals.size >= 2 else 0.0
-    return DualGrowthReport(s_vals, ratios, shifted, kappa,
-                            float(ratios[-1]), float(shifted[-1]), slope,
-                            divergent)
+    return DualGrowthReport(logs / denom, logs / denom_shifted, divergent)
 
 
 @dataclass(frozen=True)
 class SuperlinearReport:
     verdict: bool
     decade_ratio: float
-    rate_values: np.ndarray  # p(s)/s at s_hi/100, s_hi/10, s_hi
     strictly_increasing: bool
 
 
@@ -408,5 +399,4 @@ def detect_superlinear(profile: TailProfile) -> SuperlinearReport:
     the boundary and the verdict is stable under grid refinement.
     """
     ratio, r = _superlinear_ratio(profile)
-    return SuperlinearReport(bool(ratio >= 2.0), ratio, r,
-                             bool(r[0] < r[1] < r[2]))
+    return SuperlinearReport(bool(ratio >= 2.0), ratio, bool(r[0] < r[1] < r[2]))

@@ -42,7 +42,7 @@ def exp_profile(exp_kernel):
 
 @pytest.fixture(scope="session")
 def gaussian_instance(gaussian_kernel, gaussian_profile):
-    return SweepInstance(name="gaussian", kernel=gaussian_kernel,
+    return SweepInstance(kernel=gaussian_kernel,
                          profile=gaussian_profile, q=1.0, beta=0.2,
                          grids=GridSpec(t_extent=30.0, t_step=0.005,
                                         freq_extent_factor=800.0,
@@ -52,7 +52,7 @@ def gaussian_instance(gaussian_kernel, gaussian_profile):
 
 @pytest.fixture(scope="session")
 def indicator_instance(indicator_kernel, indicator_profile):
-    return SweepInstance(name="indicator", kernel=indicator_kernel,
+    return SweepInstance(kernel=indicator_kernel,
                          profile=indicator_profile, q=1.0, beta=0.2,
                          grids=GridSpec(t_extent=20.0, t_step=0.005,
                                         freq_extent_factor=400.0,

@@ -73,6 +73,16 @@ def test_analyze_kernel_skips_zeros_off_unit_support(tmp_path):
     assert detector["superlinear"] is False
 
 
+def test_zeros_json_predicts_density_from_its_own_exponents(tmp_path):
+    # one growth profile feeds sigma_hat, mu_hat and predicted_d
+    config = Path(__file__).resolve().parents[1] / "configs" / "indicator.json"
+    out = tmp_path / "out"
+    assert main(["analyze-kernel", "--config", str(config),
+                 "--out", str(out)]) == 0
+    zeros = read_json(out, "zeros.json")
+    assert zeros["predicted_d"] == zeros["sigma_hat"] - zeros["mu_hat"]
+
+
 def test_deconvolve_outputs(tmp_path):
     cfg = parse_config(small_config())
     out = tmp_path / "out"

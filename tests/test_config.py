@@ -107,7 +107,6 @@ def test_build_kernel_variants(tmp_path):
 def test_build_instance_synth():
     cfg = parse_config(good_config())
     inst = build_instance(cfg)
-    assert inst.name == "indicator"
     assert inst.kernel.spacing == 0.01
     assert inst.kernel.t_min == 0.0 and inst.kernel.t_max == 1.0
     assert inst.f0_signal is None
@@ -124,7 +123,6 @@ def test_build_instance_f0_file(tmp_path):
     t = -5.0 + 0.01 * np.arange(1001)
     write_signal_csv(str(tmp_path / "f0.csv"),
                      SampledSignal(-5.0, 0.01, np.exp(-t * t)))
-    inst = build_instance(cfg, name="custom")
-    assert inst.name == "custom"
+    inst = build_instance(cfg)
     assert inst.f0_signal is not None
     assert inst.f0_signal.size == 1001

@@ -105,8 +105,6 @@ def test_zero_density_of_unit_indicator(indicator_kernel):
     assert report.counts.tolist() == [6, 12, 18, 24, 30]
     assert np.all(report.counts % 2 == 0)  # conjugate-symmetric zeros
     assert math.isclose(report.d_hat, math.pi * 0.3, rel_tol=1e-12)
-    assert math.isclose(report.predicted_d, 0.9083, abs_tol=2e-3)
-    assert abs(report.d_hat - report.predicted_d) <= 0.1
 
 
 def test_zero_density_of_shifted_indicator(chi38):
@@ -128,8 +126,4 @@ def test_zero_density_preconditions(indicator_kernel):
 def test_zero_report_validation():
     r = np.array([1.0, 2.0])
     with pytest.raises(ValidationError):
-        ed.ZeroCountReport(r, np.array([3, 2]), np.array([3.0, 1.0]),
-                           1.0, math.nan)
-    with pytest.raises(ValidationError):
-        ed.ZeroCountReport(r, np.array([1, 2, 3]), np.array([1.0, 1.0]),
-                           1.0, math.nan)
+        ed.ZeroCountReport(r, np.array([3, 2]))

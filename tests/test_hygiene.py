@@ -1,20 +1,27 @@
-"""Source hygiene: no imported name left unused, no function local left unread.
+"""Source hygiene: no imported name left unused, no function local or record
+field left unread.
 
 A static scan with `ast` over the library and the test modules.  An import
 counts as used when its bound name is read anywhere in the module (or listed
 in `__all__`); a function local counts as read when any code inside the
 function, nested closures included, loads it.  Names starting with an
-underscore are deliberate placeholders and are skipped.
+underscore are deliberate placeholders and are skipped.  A dataclass field of
+the library counts as read when some `.field` load outside its own class's
+`__post_init__` names it, in the library, the tests or the benchmark; the
+match is by attribute name alone, so a read of the same name on another
+class counts too.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "deconv").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+LIBRARY = sorted((ROOT / "src" / "deconv").glob("*.py"))
+SOURCES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py")])
+READERS = sorted([*SOURCES, *(ROOT / "perfbench").glob("*.py")])
 
 
 def _loaded(node: ast.AST) -> set:
@@ -80,3 +87,39 @@ def test_no_unused_imports_or_unread_locals(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     problems = _unused_imports(tree) + _unread_locals(tree)
     assert problems == [], f"{path.name}: {problems}"
+
+
+def _attribute_loads(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else target.id
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in READERS}
+    loads = sum((_attribute_loads(tree) for tree in trees.values()), Counter())
+    unread = []
+    for path in LIBRARY:
+        for cls in ast.walk(trees[path]):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            own = Counter()
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                    own += _attribute_loads(node)
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    name = node.target.id
+                    if loads[name] - own[name] <= 0:
+                        unread.append(f"{path.name}: {cls.name}.{name}")
+    assert unread == [], unread

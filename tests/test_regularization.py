@@ -10,8 +10,8 @@ from deconv.errors import (NoRootError, SaturationError, ValidationError)
 from deconv.grid_signal import TransformSamples
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
-                                   GridSpec, SweepInstance,
-                                   deconvolve, error_decomposition, make_plan,
+                                   GridSpec, RegularizationPlan, SweepInstance,
+                                   deconvolve, error_decomposition,
                                    plan_radius, run_single, run_sweep,
                                    smooth_spectrum, solve_frequency_radius,
                                    tikhonov_filter)
@@ -93,20 +93,18 @@ def test_radius_rejects_bad_hypotheses():
 
 @pytest.fixture(scope="module")
 def indicator_plan(indicator_profile):
-    return make_plan(1e-6, 0.2, 1.0, 1.0, 1.0,
-                     *plan_radius(1e-6, 0.2, 1.0, indicator_profile))
+    return RegularizationPlan(1e-6, 0.2, 1.0, 1.0, 1.0,
+                              *plan_radius(1e-6, 0.2, 1.0, indicator_profile))
 
 
 def test_plan_rejects_tampered_fields(indicator_plan):
     plan = indicator_plan
     with pytest.raises(ValidationError):
-        dataclasses.replace(plan, delta=plan.delta * 1.001)
-    with pytest.raises(ValidationError):
         dataclasses.replace(plan, r_eps=plan.r_eps * 1.001)
     with pytest.raises(ValidationError):
-        dataclasses.replace(plan, c2=0.5)
+        dataclasses.replace(plan, g0_l2=0.0)
     with pytest.raises(ValidationError):
-        dataclasses.replace(plan, c1=4.0 * plan.c2)  # no kernel mass left
+        dataclasses.replace(plan, phi0_l1=0.0)
 
 
 def test_plan_recovers_its_norms(indicator_plan):
@@ -161,7 +159,7 @@ def test_deconvolve_requires_grid_past_radius(indicator_kernel, indicator_plan):
 @pytest.fixture(scope="module")
 def small_instance(indicator_kernel, indicator_profile):
     # deliberately coarse and narrow so a full pipeline pass stays cheap
-    return SweepInstance(name="small", kernel=indicator_kernel,
+    return SweepInstance(kernel=indicator_kernel,
                          profile=indicator_profile, q=1.0, beta=0.2,
                          grids=GridSpec(t_extent=10.0, t_step=0.01,
                                         freq_extent_factor=60.0,
@@ -277,8 +275,6 @@ def test_decomposition_grid_preconditions(indicator_plan):
 
 def test_decomposition_record_validation():
     with pytest.raises(ValidationError):
-        ErrorDecomposition(-1.0, 0.0, 0.0, -3.0, 0.0, False)
+        ErrorDecomposition(-1.0, 0.0, 0.0, 0.0, False)
     with pytest.raises(ValidationError):
-        ErrorDecomposition(1.0, 0.0, 0.0, 2.0, 0.0, False)  # not 3x the sum
-    with pytest.raises(ValidationError):
-        ErrorDecomposition(0.0, 0.0, 0.0, 0.0, 1.0, False)  # cert violated
+        ErrorDecomposition(0.0, 0.0, 0.0, 1.0, False)  # cert violated
