@@ -9,8 +9,9 @@ The frequency grids are not tied to the time grid (different spacing,
 different extent), so a plain FFT does not apply.  When the evaluation
 points are uniform too, the sum over the samples is a chirp-z transform
 (Rabiner, Schafer & Rader 1969; Bluestein 1970): one FFT convolution,
-O((N+M) log(N+M)) for N samples and M points.  Any other set of points,
-such as single bisection probes, is summed directly.
+O((N+M) log(N+M)) for N samples and M points, at the least FFT length
+2^a 3^b 5^c >= N+M-1 (36000, not 65536, for 35108).  Any other set of
+points, such as single bisection probes, is summed directly.
 """
 
 from __future__ import annotations
@@ -128,6 +129,18 @@ def _progression(points: np.ndarray):
     return None
 
 
+def _smooth_length(k: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= k."""
+    best, p5 = 1 << (k - 1).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:  # p * 2^a with 2^a the least power of 2 >= k / p
+            best = min(best, p << ((k - 1) // p).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
 def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
                 spacing: float, weighted: np.ndarray) -> np.ndarray:
     """Bluestein chirp-z sums at x0 + dx*(0 .. m-1).  With the point index a
@@ -143,10 +156,10 @@ def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
     p0 = x0 + dx * ((m - 1) // 2)
     t0 = t_min + spacing * ((n - 1) // 2)
     c = 0.5 * sign * dx * spacing
-    d = np.arange(a[0] - b[-1], a[-1] - b[0] + 1)
-    size = 1 << int(n + m - 2).bit_length()
+    d = np.abs(np.arange(a[0] - b[-1], a[-1] - b[0] + 1))  # the chirp is even
+    size = _smooth_length(n + m - 1)
     u = weighted * np.exp(1j * (sign * p0 * spacing * b + c * (b * b)))
-    chirp = np.exp(-1j * c * (d * d))
+    chirp = np.exp(-1j * c * np.arange(max(d[0], d[-1]) + 1) ** 2)[d]
     conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp, size))
     pre = np.exp(1j * (sign * t0 * (x0 + dx * np.arange(m)) + c * (a * a)))
     return pre * conv[n - 1:n - 1 + m]

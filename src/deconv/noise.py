@@ -4,7 +4,9 @@ The error model allows the measured kernel and data to differ from the truth
 by eps in L1 and L2 respectively.  We split the budget evenly: the kernel
 gets a fixed-shape bump with L1 norm exactly eps/2, the data a seeded
 band-limited wave with L2 norm exactly eps/2, so the model bound holds with
-equality margin 2 and every sweep row is reproducible from its seed.
+equality margin 2 and every sweep row is reproducible from its seed.  The
+wave sum_k a_k cos(k t/32 + phi_k), k = 1..64, is summed as the real part
+of one chirp-z transform (no BLAS).
 
 The generator is splitmix64, written out below so any language can replay
 the stream bit for bit:
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .grid_signal import SampledSignal, l1_norm, l2_norm
+from .grid_signal import SampledSignal, _oscillatory_sums, l1_norm, l2_norm
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -75,9 +77,9 @@ def noise_components(phi0: SampledSignal, g0: SampledSignal, eps: float,
     u = splitmix64_stream(seed, 2 * WAVE_COUNT)
     amplitudes = 2.0 * u[0::2] - 1.0
     phases = 2.0 * np.pi * u[1::2]
-    omegas = (np.arange(WAVE_COUNT) + 1.0) * (WAVE_MAX_FREQ / WAVE_COUNT)
-    tg = g0.grid()
-    wave = np.cos(np.outer(omegas, tg) + phases[:, None]).T @ amplitudes
+    step = WAVE_MAX_FREQ / WAVE_COUNT
+    wave = _oscillatory_sums(g0.grid(), +1.0, step, step,
+                             amplitudes * np.exp(1j * phases)).real
     raw_l2 = l2_norm(SampledSignal(g0.t_min, g0.spacing, wave))
     if raw_l2 < 1e-12:
         raise ComputationError("degenerate noise draw (all amplitudes cancel)",

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, NoRootError, SaturationError, ValidationError
-from .grid_signal import (SampledSignal, TransformSamples, _symmetric_grid,
-                          fourier_at, fourier_grid, inverse_fourier, l2_norm)
+from .grid_signal import (SampledSignal, TransformSamples, fourier_grid,
+                          inverse_fourier, l2_norm)
 from .noise import inject_noise
 from .tail_profile import TailProfile, bisect, tail_cutoff
 
@@ -294,6 +294,9 @@ class GridSpec:
     freq_extent_factor: float
     freq_step: float
 
+    def half_count(self, r_eps: float) -> int:
+        return int(math.ceil(self.freq_extent_factor * r_eps / self.freq_step))
+
 
 @dataclass(frozen=True)
 class SweepInstance:
@@ -325,27 +328,28 @@ class RunResult:
     decomposition: ErrorDecomposition
 
 
-def run_single(instance: SweepInstance, eps: float, seed: int = None,
-               noise_free: bool = False) -> RunResult:
-    """One pipeline pass at a single noise level.
+def _spectra(instance: SweepInstance, r_eps: float) -> tuple:
+    """(f0_hat, phi0_hat) on the frequency grid the run gives radius r_eps."""
+    step, half = instance.grids.freq_step, instance.grids.half_count(r_eps)
+    phi0_hat = fourier_grid(instance.kernel, step, half)
+    if instance.f0_signal is not None:
+        return fourier_grid(instance.f0_signal, step, half), phi0_hat
+    lam = phi0_hat.frequencies
+    return TransformSamples(lam, smooth_spectrum(lam, instance.q)), phi0_hat
 
-    (s_eps, R_eps) come first because the frequency grid extent is a
-    multiple of r_eps; the plan is built once |g0|_2 exists.
-    """
+
+def _run_row(instance: SweepInstance, eps: float, s_eps: float, r_eps: float,
+             spectra: tuple, seed: int, noise_free: bool) -> RunResult:
+    """run_single's pass given (s_eps, R_eps) and spectra at R_eps or
+    wider: the row's grid is their centred slice, bit for bit its own."""
     phi0 = instance.kernel
-    s_eps, r_eps = plan_radius(eps, instance.beta, instance.q, instance.profile)
-    step = instance.grids.freq_step
-    half = int(math.ceil(instance.grids.freq_extent_factor * r_eps / step))
-    lam = _symmetric_grid(step, half)
+    half = instance.grids.half_count(r_eps)
+    mid = spectra[1].size // 2
+    cut = slice(mid - half, mid + half + 1)
+    lam = spectra[1].frequencies[cut]
+    f0_hat, phi0_hat = (TransformSamples(lam, s.values[cut]) for s in spectra)
 
     f0_real = instance.f0_signal is None or instance.f0_signal.is_real()
-    if instance.f0_signal is not None:
-        f0_hat_vals = fourier_at(instance.f0_signal, lam)
-    else:
-        f0_hat_vals = smooth_spectrum(lam, instance.q).astype(np.complex128)
-    f0_hat = TransformSamples(lam, f0_hat_vals)
-    phi0_hat = TransformSamples(lam, fourier_at(phi0, lam))
-
     t_min, t_step, t_count = instance.time_grid()
     f0 = inverse_fourier(f0_hat, t_min, t_step, t_count, real=f0_real)
     g0 = inverse_fourier(TransformSamples(lam, f0_hat.values * phi0_hat.values),
@@ -354,16 +358,23 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
 
     plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
                               instance.profile.l1_total, s_eps, r_eps)
-    if seed is None:
-        seed = instance.base_seed
     phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps, seed)
-    f_eps = deconvolve(g_eps, phi_eps, plan, step, half)
+    f_eps = deconvolve(g_eps, phi_eps, plan, instance.grids.freq_step, half)
 
     diff = SampledSignal(t_min, t_step, f0.values - f_eps.values)
     achieved = l2_norm(diff)
     decomposition = error_decomposition(f0_hat, phi0_hat, plan, achieved ** 2)
     return RunResult(plan, f0_hat, f0, g0, phi_eps, g_eps, f_eps, achieved,
                      decomposition)
+
+
+def run_single(instance: SweepInstance, eps: float, seed: int = None,
+               noise_free: bool = False) -> RunResult:
+    """One pipeline pass at a single noise level; (s_eps, R_eps) come first
+    because the frequency grid extent is a multiple of r_eps."""
+    radius = plan_radius(eps, instance.beta, instance.q, instance.profile)
+    return _run_row(instance, eps, *radius, _spectra(instance, radius[1]),
+                    instance.base_seed if seed is None else seed, noise_free)
 
 
 @dataclass(frozen=True)
@@ -396,6 +407,8 @@ class SweepResult:
 def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
     """Decreasing-eps sweep; a failed row is recorded and the sweep goes on.
 
+    All (s_eps, R_eps) are solved first, then the spectra once at the
+    largest R_eps (not always the last eps's); each row takes its slice.
     c3_fit is the max of achieved/rate_ref over rows; its stability is the
     max/min ratio over the last half of the successful rows.
     """
@@ -403,11 +416,22 @@ def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
     if len(eps_arr) < 2 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValidationError("eps_list must be strictly decreasing",
                               module="regularization", operation="run_sweep")
-    records = []
-    failures = []
-    for idx, eps in enumerate(eps_arr):
+    radii = []
+    for eps in eps_arr:
         try:
-            res = run_single(instance, eps, seed=instance.base_seed + idx)
+            radii.append(plan_radius(eps, instance.beta, instance.q,
+                                     instance.profile))
+        except (ComputationError, ValidationError) as exc:
+            radii.append(exc)
+    records, failures, spectra = [], [], None
+    for idx, (eps, radius) in enumerate(zip(eps_arr, radii)):
+        try:
+            if isinstance(radius, Exception):
+                raise radius
+            spectra = spectra or _spectra(instance, max(
+                r[1] for r in radii if isinstance(r, tuple)))
+            res = _run_row(instance, eps, *radius, spectra,
+                           instance.base_seed + idx, False)
         except (ComputationError, ValidationError) as exc:
             failures.append((eps, str(exc)))
             continue

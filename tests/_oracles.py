@@ -118,3 +118,17 @@ def splitmix64_reference(seed, count):
         z = z ^ (z >> 31)
         out.append((z >> 11) * 2.0 ** -53)
     return np.array(out)
+
+
+def noise_wave_reference(seed, t):
+    """The documented 64-mode wave sum_k a_k cos(omega_k t + phi_k), one
+    cosine per mode: a_k = 2u - 1 and phi_k = 2 pi u' from alternate draws
+    of the stream, omega_k = k * 2/64 for k = 1..64."""
+    u = splitmix64_reference(seed, 128)
+    t = np.asarray(t, dtype=np.float64)
+    wave = np.zeros(t.shape)
+    for k in range(64):
+        a = 2.0 * u[2 * k] - 1.0
+        phi = 2.0 * math.pi * u[2 * k + 1]
+        wave += a * np.cos((k + 1) * (2.0 / 64.0) * t + phi)
+    return wave

@@ -309,34 +309,6 @@ def test_reruns_are_byte_identical(tmp_path):
     assert man_c == man_d
 
 
-def test_deconvolve_bytes_do_not_depend_on_thread_count(tmp_path):
-    # BLAS reductions round differently with the thread count, so every
-    # output byte must come from code that does not reach them
-    root = Path(__file__).resolve().parents[1]
-    outs = []
-    for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-        env["DECONV_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        out = tmp_path / threads
-        subprocess.run([sys.executable, "-m", "deconv.cli", "deconvolve",
-                        "--config", str(root / "configs" / "gaussian.json"),
-                        "--out", str(out), "--eps", "1e-6"],
-                       env=env, check=True, timeout=300)
-        outs.append(out)
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        if name == "manifest.json":
-            a, b = (read_json(out, name) for out in outs)
-            a.pop("wall_clock_seconds")
-            b.pop("wall_clock_seconds")
-            assert a == b
-        else:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
 def _src_env(threads=None):
     """The environment for a subprocess importing deconv from this checkout."""
     root = Path(__file__).resolve().parents[1]
@@ -348,20 +320,23 @@ def _src_env(threads=None):
     return env
 
 
-@pytest.mark.parametrize("command", ["analyze-kernel", "zeros"])
-def test_diagnostics_bytes_do_not_depend_on_thread_count(tmp_path, command):
-    # the Young dual and the contour sums are elementwise: no BLAS reduction
-    config = Path(__file__).resolve().parents[1] / "configs" / "indicator.json"
+def _same_outputs_across_thread_counts(tmp_path, argv, code=0):
+    """Run the CLI under DECONV_THREADS=1 and 2 and compare every output
+    file byte for byte, the manifests apart from their wall-clock timings;
+    returns the file names."""
+    config = Path(__file__).resolve().parents[1] / "configs"
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        subprocess.run([sys.executable, "-m", "deconv.cli", command,
-                        "--config", str(config), "--out", str(out)],
-                       env=_src_env(threads), check=True, timeout=300)
+        done = subprocess.run([sys.executable, "-m", "deconv.cli", argv[0],
+                               "--config", str(config / argv[1]),
+                               "--out", str(out), *argv[2:]],
+                              env=_src_env(threads), capture_output=True,
+                              timeout=300)
+        assert done.returncode == code, done.stderr
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
-    assert "zeros.json" in names
     for name in names:
         if name == "manifest.json":
             a, b = (read_json(out, name) for out in outs)
@@ -370,6 +345,31 @@ def test_diagnostics_bytes_do_not_depend_on_thread_count(tmp_path, command):
             assert a == b
         else:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    return names
+
+
+def test_deconvolve_bytes_do_not_depend_on_thread_count(tmp_path):
+    # BLAS reductions round differently with the thread count, so every
+    # output byte must come from code that does not reach them
+    _same_outputs_across_thread_counts(
+        tmp_path, ["deconvolve", "gaussian.json", "--eps", "1e-6"])
+
+
+@pytest.mark.parametrize("command", ["analyze-kernel", "zeros"])
+def test_diagnostics_bytes_do_not_depend_on_thread_count(tmp_path, command):
+    # the Young dual and the contour sums are elementwise: no BLAS reduction
+    assert "zeros.json" in _same_outputs_across_thread_counts(
+        tmp_path, [command, "indicator.json"])
+
+
+@pytest.mark.parametrize("command, code, output", [
+    ("sweep", 4, "sweep.csv"), ("smallset", 0, "smallset.json")])
+def test_pipeline_bytes_do_not_depend_on_thread_count(tmp_path, command,
+                                                      code, output):
+    # chirp-z sums and elementwise reductions only; the sweep exits 4 by
+    # design (criterion 3) and still writes its files
+    assert output in _same_outputs_across_thread_counts(
+        tmp_path, [command, "indicator.json"], code)
 
 
 def test_cli_import_stays_light():

@@ -9,7 +9,8 @@ from _oracles import gauss_hat, indicator_hat, two_sided_exp_hat
 from deconv.errors import ValidationError
 from deconv.grid_signal import (SampledSignal, TransformSamples, _chirp_sums,
                                 _oscillatory_sums, _progression,
-                                _symmetric_grid, fourier_at, fourier_grid,
+                                _smooth_length, _symmetric_grid, fourier_at,
+                                fourier_grid,
                                 inverse_fourier, l1_norm, l2_norm,
                                 laplace_parts, read_signal_csv,
                                 trapezoid_weights, write_signal_csv)
@@ -175,6 +176,69 @@ def test_chirp_matches_direct_sums_at_pipeline_sizes(gaussian_kernel):
         slow = _oscillatory_sums(pts[idx], -1.0, t0, step, weights)
         assert (np.max(np.abs(fast[idx] - slow))
                 <= 1e-12 * np.sum(np.abs(weights)))
+
+
+def _is_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_smooth_length_is_the_least_smooth_length():
+    smooth = [k for k in range(1, 8193) if _is_smooth(k)]
+    for k in range(1, 5001):
+        assert _smooth_length(k) == next(s for s in smooth if s >= k)
+    # the pipeline's sizes: the gaussian and indicator forward transforms
+    assert _smooth_length(24775) == 25000
+    assert _smooth_length(35108) == 36000
+    assert _smooth_length(2 ** 15 + 1) == 32805  # 3^8 * 5, not 2^16
+
+
+def test_chirp_matches_direct_sums_far_below_the_power_of_two():
+    # n + m - 1 = 2^15 + 1: the FFT is 32805 long where a power of two
+    # would be 65536
+    rng = np.random.default_rng(5)
+    n, m, t_min, h, x0, dx = 769, 32001, -3.0, 0.0078, -40.0, 0.0025
+    w = h * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    fast = _chirp_sums(x0, dx, m, -1.0, t_min, h, w)
+    idx = np.sort(rng.choice(m, 256, replace=False))
+    t = t_min + h * np.arange(n)
+    slow = np.array([np.sum(w * np.exp(-1j * (x0 + dx * i) * t))
+                     for i in idx])
+    assert np.max(np.abs(fast[idx] - slow)) <= 1e-12 * np.sum(np.abs(w))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0),
+       n=st.integers(2, 200), half=st.integers(1, 300),
+       step=st.floats(1e-3, 0.2), seed=st.integers(0, 2 ** 32 - 1))
+def test_fourier_grid_is_linear(a, b, n, half, step, seed):
+    rng = np.random.default_rng(seed)
+    f = SampledSignal(-1.0, 0.01, rng.standard_normal(n)
+                      + 1j * rng.standard_normal(n))
+    g = SampledSignal(-1.0, 0.01, rng.standard_normal(n))
+    combo = SampledSignal(-1.0, 0.01, a * f.values + b * g.values)
+    got = fourier_grid(combo, step, half).values
+    want = (a * fourier_grid(f, step, half).values
+            + b * fourier_grid(g, step, half).values)
+    scale = abs(a) * l1_norm(f) + abs(b) * l1_norm(g)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale + 1e-300
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(scale=st.floats(0.5, 2.0), center=st.floats(-2.0, 2.0))
+def test_real_inverse_round_trips_a_gaussian(scale, center):
+    # the transform is negligible past 40/scale and the gaussian past
+    # 6 scale, so both truncations sit far below the tolerance
+    h = 0.01
+    t_min = center - 12.0 * scale
+    count = int(round(24.0 * scale / h)) + 1
+    t = t_min + h * np.arange(count)
+    signal = SampledSignal(t_min, h, np.exp(-((t - center) / scale) ** 2))
+    tf = fourier_grid(signal, 0.01, int(round(40.0 / scale / 0.01)))
+    back = inverse_fourier(tf, t_min, h, count, real=True)
+    assert np.max(np.abs(back.values - signal.values)) <= 1e-10
 
 
 def test_chirp_rejects_sizes_past_exact_squares():

@@ -9,7 +9,9 @@ underscore are deliberate placeholders and are skipped.  A dataclass field of
 the library counts as read when some `.field` load outside its own class's
 `__post_init__` names it, in the library, the tests or the benchmark; the
 match is by attribute name alone, so a read of the same name on another
-class counts too.
+class counts too.  The library may not use `@`, `dot`, `matmul` or
+`inner`: they reach BLAS, whose reductions round differently with the
+thread count, and outputs must not depend on it.
 """
 
 import ast
@@ -123,3 +125,35 @@ def test_every_dataclass_field_is_read():
                     if loads[name] - own[name] <= 0:
                         unread.append(f"{path.name}: {cls.name}.{name}")
     assert unread == [], unread
+
+
+BLAS_PRODUCTS = {"dot", "matmul", "inner"}
+
+
+def _matrix_products(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_PRODUCTS:
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and any(a.name in BLAS_PRODUCTS for a in node.names)):
+            found.append(f"line {node.lineno}: import")
+    return found
+
+
+def test_matrix_product_scan_sees_every_form():
+    code = ("x = a @ b\nx @= b\ny = np.dot(a, b)\nz = a.dot(b)\n"
+            "w = np.matmul(a, b)\nv = np.inner(a, b)\n"
+            "from numpy import inner\n")
+    assert len(_matrix_products(ast.parse(code))) == 7
+    assert _matrix_products(ast.parse("@decorator\ndef f(): pass\n")) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_has_no_matrix_product(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _matrix_products(tree) == [], path.name

@@ -9,7 +9,7 @@ from deconv.errors import ValidationError
 from deconv.grid_signal import SampledSignal, l1_norm, l2_norm
 from deconv.noise import inject_noise, noise_components, splitmix64_stream
 
-from _oracles import splitmix64_reference
+from _oracles import noise_wave_reference, splitmix64_reference
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,22 @@ def test_component_norms_are_exact(gaussian_kernel, data_signal, eps):
     bump, wave = noise_components(gaussian_kernel, data_signal, eps, seed=11)
     assert math.isclose(l1_norm(bump), 0.5 * eps, rel_tol=1e-12)
     assert math.isclose(l2_norm(wave), 0.5 * eps, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 11, 20240817])
+def test_wave_matches_the_cosine_sum(data_signal, seed):
+    # the wave is rescaled to L2 norm eps/2; the oracle's own trapezoid
+    # norm undoes that scaling
+    eps = 1e-6
+    _, wave = noise_components(data_signal, data_signal, eps, seed)
+    want = noise_wave_reference(seed, data_signal.grid())
+    w = np.full(want.size, data_signal.spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    raw_l2 = math.sqrt(float(np.sum(w * want * want)))
+    got = wave.values.real * (raw_l2 / (0.5 * eps))
+    assert np.all(wave.values.imag == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_injected_pair_deviates_by_the_budget(gaussian_kernel, data_signal):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from deconv.errors import (NoRootError, SaturationError, ValidationError)
-from deconv.grid_signal import TransformSamples
+from deconv.grid_signal import SampledSignal, TransformSamples
+from deconv.kernels import default_profile_grid
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
                                    GridSpec, RegularizationPlan, SweepInstance,
@@ -15,6 +16,7 @@ from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
                                    plan_radius, run_single, run_sweep,
                                    smooth_spectrum, solve_frequency_radius,
                                    tikhonov_filter)
+from deconv.tail_profile import tail_mass_profile
 
 from _oracles import log_radius_root
 
@@ -207,6 +209,75 @@ def test_run_sweep_on_two_levels(small_instance):
     assert result.records[0].eps == 1e-5
     assert result.records[1].r_eps > result.records[0].r_eps
     assert math.isfinite(result.c3_fit) and result.c3_fit > 0.0
+
+
+@pytest.fixture(scope="module")
+def bump_instance():
+    # a gaussian with a 1e-7-mass bump at t = 8: below that mass the tail
+    # cutoff jumps past the bump and R_eps falls although eps falls
+    t = -10.0 + 0.01 * np.arange(2001)
+    bump = 1e-7 / (0.1 * math.sqrt(math.pi)) * np.exp(-((t - 8.0) / 0.1) ** 2)
+    kernel = SampledSignal(-10.0, 0.01, np.exp(-t * t) + bump)
+    return SweepInstance(kernel=kernel, profile=tail_mass_profile(
+                             kernel, default_profile_grid(kernel)),
+                         q=1.0, beta=0.2,
+                         grids=GridSpec(t_extent=10.0, t_step=0.01,
+                                        freq_extent_factor=60.0,
+                                        freq_step=0.01),
+                         base_seed=7)
+
+
+SWEEPS = [("small_instance", [1e-4, 1e-6, 1e-8]),
+          ("bump_instance", [1e-4, 1e-6, 1e-9])]
+
+
+@pytest.mark.parametrize("name, eps_list", SWEEPS)
+def test_run_sweep_transforms_the_kernel_once(request, monkeypatch, name,
+                                              eps_list):
+    instance = request.getfixturevalue(name)
+    radius_calls = []
+    kernel_calls = []
+    solve = regularization.solve_frequency_radius
+    transform = regularization.fourier_grid
+
+    def counting_solve(*args):
+        radius_calls.append(args)
+        return solve(*args)
+
+    def counting_transform(signal, *args):
+        if signal is instance.kernel:
+            kernel_calls.append(args)
+        return transform(signal, *args)
+
+    monkeypatch.setattr(regularization, "solve_frequency_radius",
+                        counting_solve)
+    monkeypatch.setattr(regularization, "fourier_grid", counting_transform)
+    result = run_sweep(instance, eps_list)
+    assert result.failures == ()
+    assert [args[0] for args in radius_calls] == eps_list
+    # one transform, on the grid of the largest radius
+    assert kernel_calls == [(instance.grids.freq_step,
+                             max(instance.grids.half_count(r.r_eps)
+                                 for r in result.records))]
+
+
+def test_bump_instance_radius_is_not_monotone(bump_instance):
+    radii = [plan_radius(eps, 0.2, 1.0, bump_instance.profile)[1]
+             for eps in (1e-4, 1e-6, 1e-9)]
+    assert radii[0] < radii[1] and radii[2] < radii[1]
+
+
+@pytest.mark.parametrize("name, eps_list", SWEEPS)
+def test_sweep_rows_equal_single_runs(request, name, eps_list):
+    instance = request.getfixturevalue(name)
+    result = run_sweep(instance, eps_list)
+    assert result.failures == ()
+    for idx, (eps, row) in enumerate(zip(eps_list, result.records)):
+        single = run_single(instance, eps, seed=instance.base_seed + idx)
+        assert (row.eps, row.s_eps, row.delta, row.r_eps) == (
+            eps, single.plan.s_eps, single.plan.delta, single.plan.r_eps)
+        assert math.isclose(row.achieved_error, single.achieved_error,
+                            rel_tol=1e-9)
 
 
 def test_run_sweep_rejects_bad_eps_list(small_instance):
