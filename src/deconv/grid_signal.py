@@ -158,11 +158,12 @@ def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
     c = 0.5 * sign * dx * spacing
     d = np.abs(np.arange(a[0] - b[-1], a[-1] - b[0] + 1))  # the chirp is even
     size = _smooth_length(n + m - 1)
-    u = weighted * np.exp(1j * (sign * p0 * spacing * b + c * (b * b)))
-    chirp = np.exp(-1j * c * np.arange(max(d[0], d[-1]) + 1) ** 2)[d]
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(chirp, size))
+    u, chirp = np.zeros((2, size), dtype=np.complex128)  # FFTs run in place
+    u[:n] = weighted * np.exp(1j * (sign * p0 * spacing * b + c * (b * b)))
+    chirp[:d.size] = np.exp(-1j * c * np.arange(max(d[0], d[-1]) + 1) ** 2)[d]
+    np.multiply(np.fft.fft(u, out=u), np.fft.fft(chirp, out=chirp), out=u)
     pre = np.exp(1j * (sign * t0 * (x0 + dx * np.arange(m)) + c * (a * a)))
-    return pre * conv[n - 1:n - 1 + m]
+    return pre * np.fft.ifft(u, out=u)[n - 1:n - 1 + m]
 
 
 def _oscillatory_sums(points: np.ndarray, sign: float, t_min: float,
@@ -251,7 +252,7 @@ def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
                 "a real inverse needs an odd grid exactly symmetric about 0",
                 module="grid_signal", operation="inverse_fourier")
         mid = freqs.size // 2
-        weighted = (w * transform.values)[mid:]
+        weighted = w[mid:] * transform.values[mid:]
         weighted[0] *= 0.5
         half = _oscillatory_sums(ts, +1.0, float(freqs[mid]), h, weighted)
         vals = (2.0 * half.real) / (2.0 * np.pi) + 0j
