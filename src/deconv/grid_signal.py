@@ -12,10 +12,18 @@ points are uniform too, the sum over the samples is a chirp-z transform
 O((N+M) log(N+M)) for N samples and M points, at the least FFT length
 2^a 3^b 5^c >= N+M-1 (36000, not 65536, for 35108).  Any other set of
 points, such as single bisection probes, is summed directly.
+
+A chirp-z transform is a setup that depends only on the grids (two chirps
+and a chirp spectrum) and one forward and one inverse FFT per signal.  A
+regularization row inverts f0, g0 and the filtered f between the same
+grids, so it runs inside `_row_scope`, where `inverse_fourier` reuses one
+setup; outside that scope every transform builds its own.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,13 +149,16 @@ def _smooth_length(k: int) -> int:
     return best
 
 
-def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
-                spacing: float, weighted: np.ndarray) -> np.ndarray:
-    """Bluestein chirp-z sums at x0 + dx*(0 .. m-1).  With the point index a
-    and the sample index b centred, a*b = (a^2 + b^2 - (a-b)^2)/2 makes the
-    sum one FFT convolution with exp(-i*c*d^2), c = sign*dx*spacing/2; d^2
-    is an exact float64 integer while n + m < 2^26."""
-    n = weighted.size
+def _chirp_setup(x0: float, dx: float, m: int, sign: float, t_min: float,
+                 spacing: float, n: int) -> tuple:
+    """The weight-free part of the chirp-z sums at x0 + dx*(0 .. m-1) over n
+    samples: (lead chirp, chirp spectrum, output chirp).
+
+    With the point index a and the sample index b centred,
+    a*b = (a^2 + b^2 - (a-b)^2)/2 makes the sum one FFT convolution with
+    exp(-i*c*d^2), c = sign*dx*spacing/2; d^2 is an exact float64 integer
+    while n + m < 2^26, which is checked before anything is allocated.
+    """
     if n + m >= 1 << 26:
         raise ValidationError("chirp-z transform needs n + m < 2^26",
                               module="grid_signal", operation="_chirp_sums")
@@ -157,13 +168,33 @@ def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
     t0 = t_min + spacing * ((n - 1) // 2)
     c = 0.5 * sign * dx * spacing
     d = np.abs(np.arange(a[0] - b[-1], a[-1] - b[0] + 1))  # the chirp is even
-    size = _smooth_length(n + m - 1)
-    u, chirp = np.zeros((2, size), dtype=np.complex128)  # FFTs run in place
-    u[:n] = weighted * np.exp(1j * (sign * p0 * spacing * b + c * (b * b)))
-    chirp[:d.size] = np.exp(-1j * c * np.arange(max(d[0], d[-1]) + 1) ** 2)[d]
-    np.multiply(np.fft.fft(u, out=u), np.fft.fft(chirp, out=chirp), out=u)
-    pre = np.exp(1j * (sign * t0 * (x0 + dx * np.arange(m)) + c * (a * a)))
-    return pre * np.fft.ifft(u, out=u)[n - 1:n - 1 + m]
+    lead = np.exp(1j * (sign * p0 * spacing * b + c * (b * b)))
+    spectrum = np.zeros(_smooth_length(n + m - 1), dtype=np.complex128)
+    spectrum[:d.size] = np.exp(-1j * c * np.arange(max(d[0], d[-1]) + 1) ** 2)[d]
+    np.fft.fft(spectrum, out=spectrum)
+    out = np.exp(1j * (sign * t0 * (x0 + dx * np.arange(m)) + c * (a * a)))
+    return lead, spectrum, out
+
+
+def _chirp_apply(setup: tuple, weighted: np.ndarray) -> np.ndarray:
+    """The sums of one weight vector given its _chirp_setup: FFT of the
+    zero-padded weighted * lead, times the chirp spectrum, inverse FFT, and
+    out * the slice of m sums, each product in the order written.  Complex
+    multiplication under FMA is not bitwise commutative, and numpy swaps
+    `x * temporary` once the temporary reaches 256 KiB."""
+    lead, spectrum, out = setup
+    n = lead.size
+    u = np.zeros(spectrum.size, dtype=np.complex128)  # FFTs run in place
+    np.multiply(weighted, lead, out=u[:n])
+    np.multiply(np.fft.fft(u, out=u), spectrum, out=u)
+    return np.multiply(out, np.fft.ifft(u, out=u)[n - 1:n - 1 + out.size])
+
+
+def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
+                spacing: float, weighted: np.ndarray) -> np.ndarray:
+    """Bluestein chirp-z sums at x0 + dx*(0 .. m-1): one setup, applied once."""
+    return _chirp_apply(_chirp_setup(x0, dx, m, sign, t_min, spacing,
+                                     weighted.size), weighted)
 
 
 def _oscillatory_sums(points: np.ndarray, sign: float, t_min: float,
@@ -233,6 +264,35 @@ def _uniform_spacing(freqs: np.ndarray, operation: str) -> float:
     return h
 
 
+# The chirp-z setup inverse_fourier keeps inside a _row_scope; None outside.
+_ROW_SETUP = contextvars.ContextVar("_ROW_SETUP", default=None)
+
+
+@contextlib.contextmanager
+def _row_scope():
+    """Within the block, inverse_fourier holds its last chirp-z setup and
+    reuses it while the setup's scalar arguments match; on exit it is gone."""
+    token = _ROW_SETUP.set(())
+    try:
+        yield
+    finally:
+        _ROW_SETUP.reset(token)
+
+
+def _inverse_sums(points: np.ndarray, t_min: float, spacing: float,
+                  weighted: np.ndarray) -> np.ndarray:
+    """_oscillatory_sums with sign +1, through the row scope's setup."""
+    held = _ROW_SETUP.get()
+    grid = None if held is None else _progression(points)
+    if grid is None:
+        return _oscillatory_sums(points, +1.0, t_min, spacing, weighted)
+    key = (*grid, points.size, +1.0, t_min, spacing, weighted.size)
+    if not held or held[0] != key:
+        held = (key, _chirp_setup(*key))
+        _ROW_SETUP.set(held)
+    return _chirp_apply(held[1], weighted)
+
+
 def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
                     count: int, real: bool = False) -> SampledSignal:
     """Inverse transform (1/2pi) * integral F(lambda)*exp(i*lambda*t) d(lambda)
@@ -254,10 +314,10 @@ def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
         mid = freqs.size // 2
         weighted = w[mid:] * transform.values[mid:]
         weighted[0] *= 0.5
-        half = _oscillatory_sums(ts, +1.0, float(freqs[mid]), h, weighted)
+        half = _inverse_sums(ts, float(freqs[mid]), h, weighted)
         vals = (2.0 * half.real) / (2.0 * np.pi) + 0j
     else:
-        res = _oscillatory_sums(ts, +1.0, float(freqs[0]), h, w * transform.values)
+        res = _inverse_sums(ts, float(freqs[0]), h, w * transform.values)
         vals = res / (2.0 * np.pi)
     return SampledSignal(t_min, spacing, vals)
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, NoRootError, SaturationError, ValidationError
-from .grid_signal import (SampledSignal, TransformSamples, fourier_grid,
-                          inverse_fourier, l2_norm)
+from .grid_signal import (SampledSignal, TransformSamples, _row_scope,
+                          fourier_grid, inverse_fourier, l2_norm)
 from .noise import inject_noise
 from .tail_profile import TailProfile, bisect, tail_cutoff
 
@@ -338,10 +338,13 @@ def _spectra(instance: SweepInstance, r_eps: float) -> tuple:
     return TransformSamples(lam, smooth_spectrum(lam, instance.q)), phi0_hat
 
 
+@_row_scope()
 def _run_row(instance: SweepInstance, eps: float, s_eps: float, r_eps: float,
              spectra: tuple, seed: int, noise_free: bool) -> RunResult:
     """run_single's pass given (s_eps, R_eps) and spectra at R_eps or
-    wider: the row's grid is their centred slice, bit for bit its own."""
+    wider: the row's grid is their centred slice, bit for bit its own.
+    The f0, g0 and f_eps inverses map one frequency grid onto one time
+    grid, so in the row's scope they share one chirp-z setup."""
     phi0 = instance.kernel
     half = instance.grids.half_count(r_eps)
     mid = spectra[1].size // 2

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import gauss_hat, indicator_hat, two_sided_exp_hat
 from deconv.errors import ValidationError
-from deconv.grid_signal import (SampledSignal, TransformSamples, _chirp_sums,
+from deconv.grid_signal import (SampledSignal, TransformSamples, _chirp_apply,
+                                _chirp_setup, _chirp_sums,
                                 _oscillatory_sums, _progression,
                                 _smooth_length, _symmetric_grid, fourier_at,
                                 fourier_grid,
@@ -239,6 +240,25 @@ def test_real_inverse_round_trips_a_gaussian(scale, center):
     tf = fourier_grid(signal, 0.01, int(round(40.0 / scale / 0.01)))
     back = inverse_fourier(tf, t_min, h, count, real=True)
     assert np.max(np.abs(back.values - signal.values)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 120), m=st.integers(2, 160),
+       sign=st.sampled_from([-1.0, 1.0]), x0=st.floats(-50.0, 50.0),
+       dx=st.floats(1e-3, 0.5), t_min=st.floats(-5.0, 5.0),
+       h=st.floats(1e-3, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_shared_chirp_setup_gives_each_weight_vector_its_own_sums(
+        n, m, sign, x0, dx, t_min, h, seed):
+    rng = np.random.default_rng(seed)
+    setup = _chirp_setup(x0, dx, m, sign, t_min, h, n)
+    t = t_min + h * np.arange(n)
+    for _ in range(2):
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        shared = _chirp_apply(setup, w)
+        assert np.array_equal(shared, _chirp_sums(x0, dx, m, sign, t_min, h, w))
+        direct = np.array([np.sum(w * np.exp(sign * 1j * (x0 + dx * i) * t))
+                           for i in range(m)])
+        assert np.max(np.abs(shared - direct)) <= 1e-12 * np.sum(np.abs(w))
 
 
 def test_chirp_rejects_sizes_past_exact_squares():

@@ -11,7 +11,10 @@ the library counts as read when some `.field` load outside its own class's
 match is by attribute name alone, so a read of the same name on another
 class counts too.  The library may not use `@`, `dot`, `matmul` or
 `inner`: they reach BLAS, whose reductions round differently with the
-thread count, and outputs must not depend on it.
+thread count, and outputs must not depend on it.  Nor may it memoize with
+`functools.lru_cache` or `functools.cache`: a memo that outlives one
+operation would speed up repeated calls in one process but not a one-shot
+CLI run, and would hold its arrays for the life of the process.
 """
 
 import ast
@@ -157,3 +160,41 @@ def test_matrix_product_scan_sees_every_form():
 def test_library_has_no_matrix_product(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _matrix_products(tree) == [], path.name
+
+
+MEMOS = {"lru_cache", "cache"}
+
+
+def _memos(tree: ast.Module) -> list:
+    modules = {"functools"} | {a.asname for node in ast.walk(tree)
+                               if isinstance(node, ast.Import)
+                               for a in node.names
+                               if a.name == "functools" and a.asname}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in MEMOS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append(f"line {node.lineno}: functools.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom) and node.module == "functools"
+              and any(a.name in MEMOS for a in node.names)):
+            found.append(f"line {node.lineno}: import")
+    return found
+
+
+def test_memo_scan_sees_every_form():
+    code = ("import functools\n@functools.lru_cache(maxsize=None)\n"
+            "def f(): pass\n@functools.cache\ndef g(): pass\n"
+            "from functools import lru_cache\n"
+            "from functools import cache as memo\n"
+            "import functools as ft\nh = ft.cache(f)\n")
+    assert len(_memos(ast.parse(code))) == 5
+    assert _memos(ast.parse("import functools\n"
+                            "h = functools.partial(f)\nx.cache = 1\n")) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_keeps_no_memo(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _memos(tree) == [], path.name

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from deconv.errors import (NoRootError, SaturationError, ValidationError)
+from deconv import grid_signal
+from deconv.errors import (ComputationError, NoRootError, SaturationError,
+                           ValidationError)
 from deconv.grid_signal import SampledSignal, TransformSamples
 from deconv.kernels import default_profile_grid
 import deconv.regularization as regularization
@@ -278,6 +280,53 @@ def test_sweep_rows_equal_single_runs(request, name, eps_list):
             eps, single.plan.s_eps, single.plan.delta, single.plan.r_eps)
         assert math.isclose(row.achieved_error, single.achieved_error,
                             rel_tol=1e-9)
+
+
+@pytest.fixture
+def chirp_setups(monkeypatch):
+    """The arguments of every chirp-z setup built while the test runs."""
+    calls = []
+    original = grid_signal._chirp_setup
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grid_signal, "_chirp_setup", counting)
+    return calls
+
+
+def test_a_row_builds_one_inverse_setup(gaussian_instance, indicator_instance,
+                                        chirp_setups):
+    # forward: the kernel, the noise wave, g_eps and phi_eps; the f0, g0
+    # and f_eps inverses share the fifth
+    run_single(gaussian_instance, 1e-6)
+    assert len(chirp_setups) == 5
+    assert grid_signal._ROW_SETUP.get() is None
+    chirp_setups.clear()
+    # the kernel's spectrum once, then four setups per row
+    run_sweep(indicator_instance, [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    assert len(chirp_setups) == 1 + 5 * 4
+    assert grid_signal._ROW_SETUP.get() is None
+
+
+def test_the_shared_setup_ends_with_its_row(small_instance, monkeypatch):
+    held = []
+
+    def failing(*args):
+        held.append(grid_signal._ROW_SETUP.get())
+        raise ComputationError("injected", module="regularization",
+                               operation="deconvolve")
+
+    monkeypatch.setattr(regularization, "deconvolve", failing)
+    with pytest.raises(ComputationError):
+        run_single(small_instance, 1e-6)
+    assert grid_signal._ROW_SETUP.get() is None
+    result = run_sweep(small_instance, [1e-5, 1e-6])
+    assert [eps for eps, _ in result.failures] == [1e-5, 1e-6]
+    assert grid_signal._ROW_SETUP.get() is None
+    # inside each row the scope held the setup of the f0 and g0 inverses
+    assert len(held) == 3 and all(len(setup) == 2 for setup in held)
 
 
 def test_run_sweep_rejects_bad_eps_list(small_instance):
