@@ -112,17 +112,24 @@ def _decomposition_dict(d: ErrorDecomposition) -> dict:
             "coverage_flag": d.coverage_flag}
 
 
-def _emit_zero_reports(kernel, manifest: _Manifest) -> None:
+def _zero_reports(kernel):
+    """Zero-count table and growth exponents; NaN exponents when the growth
+    profile cannot read them."""
     report = zero_density(kernel, np.array(ZERO_RADII))
-    write_csv(manifest.path("zeros_csv", "zeros.csv"), "R,n,density",
-              zip(report.radii.tolist(), report.counts.tolist(),
-                  report.densities.tolist()))
     try:
         growth = growth_profile(
             kernel, np.linspace(10.0, GROWTH_RADII_MAX, GROWTH_RADII_COUNT))
         sigma_hat, mu_hat = growth.sigma_hat, growth.mu_hat
     except (ValidationError, ComputationError):
         sigma_hat = mu_hat = math.nan
+    return report, sigma_hat, mu_hat
+
+
+def _write_zero_reports(zeros, manifest: _Manifest) -> None:
+    report, sigma_hat, mu_hat = zeros
+    write_csv(manifest.path("zeros_csv", "zeros.csv"), "R,n,density",
+              zip(report.radii.tolist(), report.counts.tolist(),
+                  report.densities.tolist()))
     _write_json(manifest.path("zeros_json", "zeros.json"),
                 {"sigma_hat": sigma_hat, "mu_hat": mu_hat,
                  "d_hat": report.d_hat, "predicted_d": sigma_hat - mu_hat})
@@ -138,6 +145,8 @@ def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
                       np.arange(0.0, DUAL_GRID_MAX + 0.5 * DUAL_GRID_STEP,
                                 DUAL_GRID_STEP))
     detector = detect_superlinear(profile)
+    zeros = (_zero_reports(kernel) if supported_in_unit_interval(kernel)
+             else None)
     manifest.stage("compute")
 
     write_csv(manifest.path("profile_csv", "profile.csv"), "s,p",
@@ -148,11 +157,11 @@ def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
                 {"superlinear": detector.verdict,
                  "decade_ratio": detector.decade_ratio,
                  "strictly_increasing": detector.strictly_increasing})
-    if supported_in_unit_interval(kernel):
-        _emit_zero_reports(kernel, manifest)
-    else:
+    if zeros is None:
         manifest.notes.append("growth/zero reports skipped: kernel support "
                               "is not inside [0, 1]")
+    else:
+        _write_zero_reports(zeros, manifest)
     manifest.stage("write")
     return manifest.write()
 
@@ -255,6 +264,8 @@ def cmd_zeros(config: ExperimentConfig, out_dir: str) -> dict:
         raise ConfigError("zeros requires a compact-support kernel: the "
                           "transform is entire only then",
                           module="commands", operation="cmd_zeros")
-    _emit_zero_reports(kernel, manifest)
-    manifest.stage("compute_and_write")
+    zeros = _zero_reports(kernel)
+    manifest.stage("compute")
+    _write_zero_reports(zeros, manifest)
+    manifest.stage("write")
     return manifest.write()

@@ -8,7 +8,9 @@ the support edges,
 
 and its zeros have linear density (sigma - mu)/pi along radii.  Everything
 here is evaluated in the log domain, so there is no overflow ceiling on the
-radii.
+radii.  Zeros are counted by the argument principle on circles; a real
+kernel's transform is conjugate-symmetric, Phi(conj z) = conj Phi(z), so
+its contour sum is evaluated on the upper half-circle and mirrored.
 """
 
 from __future__ import annotations
@@ -121,10 +123,21 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
 
 
 def _winding_attempt(kernel: SampledSignal, r: float, n: int):
-    """One argument-principle pass: (winding, max wrapped phase step)."""
-    theta = 2.0 * math.pi * np.arange(n) / n
+    """One argument-principle pass: (winding, max wrapped phase step).
+
+    The contour samples are r * exp(2 pi i k / n), k = 0 .. n-1.  A real
+    kernel has Phi(conj z) = conj Phi(z), so only k = 0 .. n//2 (the upper
+    half-circle) are summed and sample n-k is the conjugate mirror of
+    sample k; a complex kernel sums the whole circle.
+    """
+    real = kernel.is_real()
+    theta = 2.0 * math.pi * np.arange(n // 2 + 1 if real else n) / n
     zs = r * np.exp(1j * theta)
     log_scale, reduced = laplace_parts(kernel, zs)
+    if real:
+        lower = slice((n - 1) // 2, 0, -1)  # k = (n-1)//2 .. 1 -> n-k
+        reduced = np.concatenate([reduced, np.conj(reduced[lower])])
+        log_scale = np.concatenate([log_scale, log_scale[lower]])
     mag = np.abs(reduced)
     if np.min(mag) == 0.0:
         return None  # dead sample: treat as contour-on-zero, caller nudges
@@ -144,10 +157,12 @@ def count_zeros(kernel: SampledSignal, r: float, contour_points: int) -> int:
     """Zeros of the transform inside |z| <= r by contour phase tracking.
 
     The winding number of Phi around the circle equals the enclosed zero
-    count.  A contour sample landing on a near-zero (|Phi| under 1e-13 of
-    the contour max) nudges the radius outward by 0.37 * (2 pi / N) * r and
-    retries; a wrapped phase step above pi/2, or a winding off an integer by
-    more than 0.02, retries once at 4x the points and then fails hard.
+    count.  For a real kernel only the upper half-circle's samples are
+    summed and the lower half is their conjugate mirror.  A contour sample
+    landing on a near-zero (|Phi| under 1e-13 of the contour max) nudges the
+    radius outward by 0.37 * (2 pi / N) * r and retries; a wrapped phase
+    step above pi/2, or a winding off an integer by more than 0.02, retries
+    once at 4x the points and then fails hard.
     """
     _require_compact(kernel, "count_zeros")
     if not (r > 0.0 and np.isfinite(r)):
@@ -215,7 +230,8 @@ def zero_density(kernel: SampledSignal, radii,
     """n(R)/R table with d_hat = pi * final density.
 
     Each radius gets ceil(points_per_radius * R) contour samples (floor 64
-    per the phase-resolution requirement).
+    per the phase-resolution requirement); a real kernel evaluates the
+    transform at the n//2 + 1 of them on the upper half-circle.
     """
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:

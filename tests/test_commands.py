@@ -146,6 +146,28 @@ def test_zeros_outputs_and_compactness_guard(tmp_path):
         cmd_zeros(gauss, str(tmp_path / "out2"))
 
 
+@pytest.mark.parametrize("command", [cmd_analyze_kernel, cmd_zeros])
+def test_the_zero_count_is_timed_as_compute(tmp_path, monkeypatch, command):
+    events = []
+    count, stage = commands.zero_density, commands._Manifest.stage
+
+    def counting(*args):
+        events.append("zero_density")
+        return count(*args)
+
+    def staging(manifest, name):
+        events.append(name)
+        stage(manifest, name)
+
+    monkeypatch.setattr(commands, "zero_density", counting)
+    monkeypatch.setattr(commands._Manifest, "stage", staging)
+    data = small_config()
+    data["grids"]["t_step"] = 0.005
+    manifest = command(parse_config(data), str(tmp_path / "out"))
+    assert events == ["zero_density", "compute", "write"]
+    assert list(manifest["wall_clock_seconds"]) == ["compute", "write"]
+
+
 def test_zeros_propagates_unexpected_errors(tmp_path, monkeypatch):
     # only the documented refusals of growth_profile degrade to null
     # exponents; anything else is a bug and must surface

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import deconv.entire_diagnostics as ed
+from _oracles import trapezoid_laplace_zeros
+from deconv.commands import ZERO_RADII
 from deconv.errors import (ComputationError, PhaseTrackingError,
                            ValidationError)
-from deconv.grid_signal import SampledSignal
+from deconv.grid_signal import SampledSignal, laplace_parts
 from deconv.kernels import make_indicator
 
 GROWTH_RADII = np.linspace(10.0, 400.0, 40)
@@ -127,3 +130,82 @@ def test_zero_report_validation():
     r = np.array([1.0, 2.0])
     with pytest.raises(ValidationError):
         ed.ZeroCountReport(r, np.array([3, 2]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(17, 257), seed=st.integers(0, 2 ** 32 - 1),
+       re=st.floats(-200.0, 200.0), im=st.floats(-200.0, 200.0))
+def test_laplace_parts_of_a_real_kernel_is_conjugate_symmetric(n, seed,
+                                                               re, im):
+    # the half-circle mirror in _winding_attempt rests on this, bit for bit
+    rng = np.random.default_rng(seed)
+    kernel = SampledSignal(0.0, 1.0 / (n - 1), rng.standard_normal(n))
+    z = np.array([complex(re, im)])
+    log_scale, reduced = laplace_parts(kernel, z)
+    mirror_scale, mirror = laplace_parts(kernel, np.conj(z))
+    assert np.array_equal(mirror, np.conj(reduced))
+    assert np.array_equal(mirror_scale, log_scale)
+
+
+def full_circle_winding(kernel, r, n):
+    """The argument-principle sum with every contour sample evaluated."""
+    theta = 2.0 * math.pi * np.arange(n) / n
+    _, reduced = laplace_parts(kernel, r * np.exp(1j * theta))
+    steps = np.angle(reduced * np.conj(np.roll(reduced, 1)))
+    return np.sum(steps) / (2.0 * math.pi), np.max(np.abs(steps))
+
+
+@pytest.mark.parametrize("r,n", [(r, int(math.ceil(64.0 * r)))
+                                 for r in (20.0, 40.0, 60.0, 80.0, 100.0)]
+                         + [(10.0, 641), (20.0, 1281)])
+def test_mirrored_winding_matches_the_full_circle(indicator_kernel, chi38,
+                                                  r, n):
+    for kernel in (indicator_kernel, chi38):
+        winding, max_step = ed._winding_attempt(kernel, r, n)
+        want_winding, want_step = full_circle_winding(kernel, r, n)
+        assert abs(winding - want_winding) <= 1e-9
+        assert abs(max_step - want_step) <= 1e-9
+
+
+@pytest.fixture
+def contour_points(monkeypatch):
+    """Sizes of the point sets the zero counter hands to laplace_parts."""
+    sizes = []
+    original = ed.laplace_parts
+
+    def counting(kernel, zs):
+        sizes.append(np.size(zs))
+        return original(kernel, zs)
+
+    monkeypatch.setattr(ed, "laplace_parts", counting)
+    return sizes
+
+
+def test_a_complex_kernel_counts_on_the_full_circle(contour_points):
+    # Phi(z) is the unit indicator's transform at z + 2i: no conjugate
+    # symmetry, so the lower half-circle has to be summed
+    base = make_indicator(0.0, 1.0, 0.005)
+    kernel = SampledSignal(base.t_min, base.spacing,
+                           base.values * np.exp(2j * base.grid()))
+    assert not kernel.is_real()
+    radii = (20.0, 40.0, 60.0, 80.0, 100.0)
+    zeros = trapezoid_laplace_zeros(kernel.spacing, kernel.values, 101.0)
+    for r in radii:
+        assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
+    points = [int(math.ceil(64.0 * r)) for r in radii]
+    counts = [ed.count_zeros(kernel, r, n) for r, n in zip(radii, points)]
+    assert counts == [int(np.sum(np.abs(zeros) <= r)) for r in radii]
+    assert contour_points == points
+
+
+def test_a_real_kernel_sums_half_the_contour(indicator_kernel,
+                                             contour_points):
+    # sum of n//2 + 1 over n = 1280 .. 6400; the full circle is 19200
+    ed.zero_density(indicator_kernel, np.array(ZERO_RADII))
+    assert sum(contour_points) == 9605
+    contour_points.clear()
+    # a zero pair 0.03 inside the circle, halfway between two samples:
+    # the first pass steps past pi/2 and the retry takes 4x the points
+    r, n = 2.0 * math.pi + 0.03, 406
+    assert ed.count_zeros(indicator_kernel, r, n) == 2
+    assert contour_points == [n // 2 + 1, 4 * n // 2 + 1]

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deconv import grid_signal
+from deconv.config import build_instance, load_config
 from deconv.errors import (ComputationError, NoRootError, SaturationError,
                            ValidationError)
 from deconv.grid_signal import SampledSignal, TransformSamples
@@ -280,6 +282,21 @@ def test_sweep_rows_equal_single_runs(request, name, eps_list):
             eps, single.plan.s_eps, single.plan.delta, single.plan.r_eps)
         assert math.isclose(row.achieved_error, single.achieved_error,
                             rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "indicator", "two_sided_exp"])
+def test_delta_and_data_term_fall_with_eps(name):
+    # C1 and C2 carry ||g0||_2 measured on each row's own grid, so the
+    # eps powers alone do not settle the order
+    config = load_config(str(Path(__file__).resolve().parents[1] / "configs"
+                             / f"{name}.json"))
+    instance = build_instance(config)
+    rows = [run_single(instance, eps, noise_free=True)
+            for eps in config.eps_list]
+    deltas = [row.plan.delta for row in rows]
+    data = [row.decomposition.data_term for row in rows]
+    assert all(b < a for a, b in zip(deltas, deltas[1:]))
+    assert all(b < a for a, b in zip(data, data[1:]))
 
 
 @pytest.fixture
