@@ -128,8 +128,7 @@ def _zero_reports(kernel):
 def _write_zero_reports(zeros, manifest: _Manifest) -> None:
     report, sigma_hat, mu_hat = zeros
     write_csv(manifest.path("zeros_csv", "zeros.csv"), "R,n,density",
-              zip(report.radii.tolist(), report.counts.tolist(),
-                  report.densities.tolist()))
+              (report.radii, report.counts, report.densities))
     _write_json(manifest.path("zeros_json", "zeros.json"),
                 {"sigma_hat": sigma_hat, "mu_hat": mu_hat,
                  "d_hat": report.d_hat, "predicted_d": sigma_hat - mu_hat})
@@ -150,9 +149,9 @@ def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
     manifest.stage("compute")
 
     write_csv(manifest.path("profile_csv", "profile.csv"), "s,p",
-              zip(profile.s_grid.tolist(), profile.p_values.tolist()))
+              (profile.s_grid, profile.p_values))
     write_csv(manifest.path("dual_csv", "dual.csv"), "s,pstar",
-              zip(dual.s_grid.tolist(), dual.dual_values.tolist()))
+              (dual.s_grid, dual.dual_values))
     _write_json(manifest.path("detector_json", "detector.json"),
                 {"superlinear": detector.verdict,
                  "decade_ratio": detector.decade_ratio,
@@ -206,9 +205,10 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str) -> dict:
     sweep = run_sweep(instance, config.eps_list)
     manifest.stage("compute")
 
+    rows = [(r.eps, r.s_eps, r.delta, r.r_eps, r.achieved_error, r.bound,
+             r.rate_ref, r.c3_row) for r in sweep.records]
     write_csv(manifest.path("sweep_csv", "sweep.csv"), SWEEP_HEADER,
-              ((r.eps, r.s_eps, r.delta, r.r_eps, r.achieved_error, r.bound,
-                r.rate_ref, r.c3_row) for r in sweep.records))
+              np.array(rows, dtype=np.float64).reshape(len(rows), 8).T)
     gates = {
         "stability_ok": sweep.c3_stability <= 10.0,
         "inversions_ok": sweep.inversions <= 1,

@@ -368,8 +368,7 @@ def laplace_parts(signal: SampledSignal, zs) -> tuple[np.ndarray, np.ndarray]:
 
 def write_signal_csv(path: str, signal: SampledSignal) -> None:
     v = signal.values
-    write_csv(path, "t,re,im",
-              zip(signal.grid().tolist(), v.real.tolist(), v.imag.tolist()))
+    write_csv(path, "t,re,im", (signal.grid(), v.real, v.imag))
 
 
 def read_signal_csv(path: str, truncation_tail: float = 0.0) -> SampledSignal:
@@ -383,5 +382,7 @@ def read_signal_csv(path: str, truncation_tail: float = 0.0) -> SampledSignal:
                               module="grid_signal", operation="read_signal_csv")
     t = data[:, 0]
     h = _uniform_spacing(t, "read_signal_csv")
-    return SampledSignal(float(t[0]), h, data[:, 1] + 1j * data[:, 2],
-                         truncation_tail)
+    # re + 1j * im would turn -0.0 into 0.0 and inf into nan parts
+    values = np.empty(t.size, dtype=np.complex128)
+    values.real, values.imag = data[:, 1], data[:, 2]
+    return SampledSignal(float(t[0]), h, values, truncation_tail)

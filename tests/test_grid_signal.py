@@ -363,6 +363,25 @@ def test_signal_csv_roundtrips_exactly(tmp_path, indicator_kernel):
     assert np.array_equal(back.values, indicator_kernel.values)
 
 
+def test_signal_csv_roundtrips_every_magnitude_bit_for_bit(tmp_path):
+    # 1e-300 .. 1e300 crosses the writer's numpy range (1e-29 .. 1e17) and
+    # the `%` fallback on both sides; signed zeros must keep their sign
+    magnitudes = np.logspace(-300, 300, 1201)
+    re = magnitudes * np.where(np.arange(1201) % 2, -1.0, 1.0)
+    im = -magnitudes[::-1]
+    re[[5, 600]] = -0.0
+    im[[7, 600]] = [0.0, -0.0]
+    values = np.empty(re.size, dtype=np.complex128)
+    values.real, values.imag = re, im   # re + 1j * im loses the -0.0 parts
+    signal = SampledSignal(-3.0, 0.25, values)
+    path = str(tmp_path / "sig.csv")
+    write_signal_csv(path, signal)
+    back = read_signal_csv(path)
+    assert (back.t_min, back.spacing) == (-3.0, 0.25)
+    bits = back.values.view(np.float64).view(np.int64)
+    assert np.array_equal(bits, signal.values.view(np.float64).view(np.int64))
+
+
 def test_signal_validation_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         SampledSignal(0.0, 0.0, np.ones(4, dtype=np.complex128))

@@ -14,10 +14,13 @@ class counts too.  The library may not use `@`, `dot`, `matmul` or
 thread count, and outputs must not depend on it.  Nor may it memoize with
 `functools.lru_cache` or `functools.cache`: a memo that outlives one
 operation would speed up repeated calls in one process but not a one-shot
-CLI run, and would hold its arrays for the life of the process.
+CLI run, and would hold its arrays for the life of the process.  And only
+`fileio.py` may hold a round-trip float format or call `np.savetxt`: the
+library has one CSV writer.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -198,3 +201,41 @@ def test_memo_scan_sees_every_form():
 def test_library_keeps_no_memo(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _memos(tree) == [], path.name
+
+
+# One CSV writer: `fileio.write_csv` owns the float format.  A round-trip
+# `%.17g`-style format (precision 15 or more, as `%`, `{:.17g}`, f-string
+# or `format` spec) or `np.savetxt` anywhere else in the library is a
+# second writer; short formats such as `{:.3f}` in messages are not.
+FLOAT_FORMAT = re.compile(
+    r"(?:%|(?:^|:))[-+ #0]*\d*\.(?:1[5-9]|[2-9]\d)[eEfFgG]")
+
+
+def _second_writers(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and FLOAT_FORMAT.search(node.value)):
+            found.append(f"line {node.lineno}: {node.value!r}")
+        elif ((isinstance(node, ast.Attribute) and node.attr == "savetxt")
+              or (isinstance(node, ast.ImportFrom)
+                  and any(a.name == "savetxt" for a in node.names))):
+            found.append(f"line {node.lineno}: savetxt")
+    return found
+
+
+def test_second_writer_scan_sees_every_form():
+    code = ("a = '%.17g' % x\nb = '{:.17g}'.format(x)\nc = f'{x:.17g}'\n"
+            "d = format(x, '.17g')\ne = '%-24.17e' % x\nnp.savetxt(p, x)\n"
+            "from numpy import savetxt\n")
+    assert len(_second_writers(ast.parse(code))) == 7
+    assert _second_writers(ast.parse(
+        "a = '%d rows' % n\nb = f'{x:.3f}'\nc = '%.6g' % x\n"
+        "d = 'v1.17e'\n")) == []
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "fileio.py"],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_has_one_csv_writer(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _second_writers(tree) == [], path.name
