@@ -64,10 +64,15 @@ def _typed_spec(raw, kind: str, allowed: dict) -> dict:
     return dict(raw)
 
 
-def _positive(value, name: str) -> float:
+def _number(value, name: str) -> float:
+    """A JSON number as a float; true and false are not numbers here."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise _fail(f"{name} must be a number")
-    v = float(value)
+    return float(value)
+
+
+def _positive(value, name: str) -> float:
+    v = _number(value, name)
     if not (v > 0.0 and math.isfinite(v)):
         raise _fail(f"{name} must be positive and finite")
     return v
@@ -85,9 +90,8 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
 
     kernel = _typed_spec(data["kernel"], "kernel", _KERNEL_PARAMS)
     if kernel["type"] == "indicator":
-        a, b = kernel["a"], kernel["b"]
-        if not (isinstance(a, (int, float)) and isinstance(b, (int, float))
-                and float(a) < float(b)):
+        a, b = _number(kernel["a"], "kernel.a"), _number(kernel["b"], "kernel.b")
+        if not a < b:
             raise _fail("indicator kernel needs numbers a < b")
     elif kernel["type"] == "gaussian":
         _positive(kernel["scale"], "kernel.scale")
@@ -97,12 +101,9 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     f0 = _typed_spec(data["f0"], "f0", _F0_PARAMS)
 
     eps_raw = data["eps_list"]
-    if (not isinstance(eps_raw, list) or not eps_raw
-            or not all(isinstance(e, (int, float)) for e in eps_raw)):
+    if not isinstance(eps_raw, list) or not eps_raw:
         raise _fail("eps_list must be a nonempty array of numbers")
-    eps_list = tuple(float(e) for e in eps_raw)
-    if any(e <= 0.0 for e in eps_list):
-        raise _fail("eps_list entries must be positive")
+    eps_list = tuple(_positive(e, "each eps_list entry") for e in eps_raw)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise _fail("eps_list must be strictly decreasing")
 
@@ -167,6 +168,21 @@ def check_eps(eps, l1_total: float, beta: float) -> float:
     return eps
 
 
+def _read_signal_file(config: ExperimentConfig, spec: dict, what: str,
+                      operation: str) -> SampledSignal:
+    """The t,re,im CSV a file-type spec names, relative to the config file;
+    a missing or malformed file is a ConfigError."""
+    path = os.path.join(config.base_dir, spec["path"])
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} file {path} does not exist",
+                          module="config", operation=operation)
+    try:
+        return read_signal_csv(path)
+    except (ValidationError, ValueError) as exc:
+        raise ConfigError(f"{what} file {path} cannot be read: {exc}",
+                          module="config", operation=operation) from exc
+
+
 def build_kernel(config: ExperimentConfig) -> SampledSignal:
     """The sampled kernel; a spec the time step cannot sample is a ConfigError."""
     spec = config.kernel
@@ -178,14 +194,10 @@ def build_kernel(config: ExperimentConfig) -> SampledSignal:
             return make_gaussian(float(spec["scale"]), step)
         if spec["type"] == "two_sided_exp":
             return make_two_sided_exp(float(spec["rate"]), step)
-        path = os.path.join(config.base_dir, spec["path"])
-        if not os.path.isfile(path):
-            raise ConfigError(f"kernel file {path} does not exist",
-                              module="config", operation="build_kernel")
-        return read_signal_csv(path)
     except ValidationError as exc:
         raise ConfigError(f"kernel cannot be sampled: {exc}",
                           module="config", operation="build_kernel") from exc
+    return _read_signal_file(config, spec, "kernel", "build_kernel")
 
 
 def build_instance(config: ExperimentConfig) -> SweepInstance:
@@ -194,11 +206,8 @@ def build_instance(config: ExperimentConfig) -> SweepInstance:
     check_eps(config.eps_list[0], profile.l1_total, config.beta)  # the largest
     f0_signal = None
     if config.f0["type"] == "file":
-        path = os.path.join(config.base_dir, config.f0["path"])
-        if not os.path.isfile(path):
-            raise ConfigError(f"f0 file {path} does not exist",
-                              module="config", operation="build_instance")
-        f0_signal = read_signal_csv(path)
+        f0_signal = _read_signal_file(config, config.f0, "f0",
+                                      "build_instance")
     return SweepInstance(
         kernel=kernel,
         profile=profile,

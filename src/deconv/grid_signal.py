@@ -86,26 +86,36 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class TransformSamples:
-    """Values of a transform on an explicit frequency grid."""
+    """Values of a transform on the symmetric frequency grid
+    spacing * (-half_count .. half_count); the grid is derived, not stored."""
 
-    frequencies: np.ndarray
+    spacing: float
     values: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=np.float64)
         vals = np.asarray(self.values, dtype=np.complex128)
-        if freqs.ndim != 1 or freqs.shape != vals.shape:
+        if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
             raise ValidationError(
-                "frequencies and values must be matching 1-d arrays",
+                "transform values must be a 1-d array of odd size >= 3",
                 module="grid_signal", operation="TransformSamples")
-        freqs = freqs.copy(); freqs.setflags(write=False)
+        if not (self.spacing > 0.0 and np.isfinite(self.spacing)):
+            raise ValidationError(
+                "frequency spacing must be positive and finite",
+                module="grid_signal", operation="TransformSamples")
         vals = vals.copy(); vals.setflags(write=False)
-        object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "values", vals)
 
     @property
     def size(self) -> int:
         return self.values.size
+
+    @property
+    def half_count(self) -> int:
+        return self.values.size // 2
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return _symmetric_grid(self.spacing, self.half_count)
 
 
 def trapezoid_weights(count: int, spacing: float) -> np.ndarray:
@@ -249,19 +259,7 @@ def fourier_grid(signal: SampledSignal, freq_spacing: float,
         vals = np.concatenate([np.conj(upper[:0:-1]), upper])
     else:
         vals = fourier_at(signal, freqs)
-    return TransformSamples(freqs, vals)
-
-
-def _uniform_spacing(freqs: np.ndarray, operation: str) -> float:
-    if freqs.size < 2:
-        raise ValidationError("need at least two frequency samples",
-                              module="grid_signal", operation=operation)
-    d = np.diff(freqs)
-    h = float(d[0])
-    if h <= 0 or not np.allclose(d, h, rtol=1e-9, atol=0.0):
-        raise ValidationError("frequency grid must be uniform and increasing",
-                              module="grid_signal", operation=operation)
-    return h
+    return TransformSamples(freq_spacing, vals)
 
 
 # The chirp-z setup inverse_fourier keeps inside a _row_scope; None outside.
@@ -279,14 +277,15 @@ def _row_scope():
         _ROW_SETUP.reset(token)
 
 
-def _inverse_sums(points: np.ndarray, t_min: float, spacing: float,
-                  weighted: np.ndarray) -> np.ndarray:
-    """_oscillatory_sums with sign +1, through the row scope's setup."""
+def _inverse_sums(t_min: float, t_step: float, count: int, x0: float,
+                  freq_step: float, weighted: np.ndarray) -> np.ndarray:
+    """sum_k weighted[k] * exp(i*(x0 + freq_step*k)*t) at the times
+    t_min + t_step*(0 .. count-1): chirp-z sums through the row scope's
+    setup."""
+    key = (t_min, t_step, count, +1.0, x0, freq_step, weighted.size)
     held = _ROW_SETUP.get()
-    grid = None if held is None else _progression(points)
-    if grid is None:
-        return _oscillatory_sums(points, +1.0, t_min, spacing, weighted)
-    key = (*grid, points.size, +1.0, t_min, spacing, weighted.size)
+    if held is None:
+        return _chirp_apply(_chirp_setup(*key), weighted)
     if not held or held[0] != key:
         held = (key, _chirp_setup(*key))
         _ROW_SETUP.set(held)
@@ -299,25 +298,18 @@ def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
     onto a uniform time grid.
 
     real=True states that the transform is conjugate-symmetric, so the
-    result is real and is computed from the nonnegative half of the grid;
-    the grid must then have odd size and be exactly symmetric about 0.
+    result is real and is computed from the nonnegative half of the grid.
     """
-    freqs = transform.frequencies
-    h = _uniform_spacing(freqs, "inverse_fourier")
-    ts = t_min + spacing * np.arange(count, dtype=np.float64)
-    w = trapezoid_weights(freqs.size, h)
+    h, mid = transform.spacing, transform.half_count
+    w = trapezoid_weights(transform.size, h)
     if real:
-        if freqs.size % 2 == 0 or not np.array_equal(freqs, -freqs[::-1]):
-            raise ValidationError(
-                "a real inverse needs an odd grid exactly symmetric about 0",
-                module="grid_signal", operation="inverse_fourier")
-        mid = freqs.size // 2
         weighted = w[mid:] * transform.values[mid:]
         weighted[0] *= 0.5
-        half = _inverse_sums(ts, float(freqs[mid]), h, weighted)
+        half = _inverse_sums(t_min, spacing, count, 0.0, h, weighted)
         vals = (2.0 * half.real) / (2.0 * np.pi) + 0j
     else:
-        res = _inverse_sums(ts, float(freqs[0]), h, w * transform.values)
+        res = _inverse_sums(t_min, spacing, count, -h * mid, h,
+                            w * transform.values)
         vals = res / (2.0 * np.pi)
     return SampledSignal(t_min, spacing, vals)
 
@@ -381,8 +373,12 @@ def read_signal_csv(path: str, truncation_tail: float = 0.0) -> SampledSignal:
         raise ValidationError("expected three columns in %s" % path,
                               module="grid_signal", operation="read_signal_csv")
     t = data[:, 0]
-    h = _uniform_spacing(t, "read_signal_csv")
+    d = np.diff(t)
+    if not (d.size and d[0] > 0.0 and np.allclose(d, d[0], rtol=1e-9, atol=0.0)):
+        raise ValidationError("the t column of %s must have at least two rows, "
+                              "uniform and increasing" % path,
+                              module="grid_signal", operation="read_signal_csv")
     # re + 1j * im would turn -0.0 into 0.0 and inf into nan parts
     values = np.empty(t.size, dtype=np.complex128)
     values.real, values.imag = data[:, 1], data[:, 2]
-    return SampledSignal(float(t[0]), h, values, truncation_tail)
+    return SampledSignal(float(t[0]), float(d[0]), values, truncation_tail)

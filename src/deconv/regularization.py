@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ComputationError, NoRootError, SaturationError, ValidationError
 from .grid_signal import (SampledSignal, TransformSamples, _row_scope,
-                          fourier_grid, inverse_fourier, l2_norm)
+                          fourier_grid, inverse_fourier, l2_norm,
+                          trapezoid_weights)
 from .noise import inject_noise
 from .tail_profile import TailProfile, bisect, tail_cutoff
 
@@ -174,12 +175,12 @@ def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,
     if not (delta > 0.0):
         raise ValidationError("delta must be positive",
                               module="regularization", operation="tikhonov_filter")
-    if not np.array_equal(g_hat.frequencies, phi_hat.frequencies):
+    if (g_hat.spacing, g_hat.size) != (phi_hat.spacing, phi_hat.size):
         raise ValidationError("transforms live on different frequency grids",
                               module="regularization", operation="tikhonov_filter")
     p = phi_hat.values
     mag2 = p.real ** 2 + p.imag ** 2
-    return TransformSamples(g_hat.frequencies,
+    return TransformSamples(g_hat.spacing,
                             g_hat.values * np.conj(p) / (delta + mag2))
 
 
@@ -231,17 +232,14 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
     coverage flag reports when a power-law extrapolation of |f0_hat|^2
     suggests the grid misses more than 1% of the outer integral.
     """
-    if not np.array_equal(f0_hat.frequencies, phi0_hat.frequencies):
+    if (f0_hat.spacing, f0_hat.size) != (phi0_hat.spacing, phi0_hat.size):
         raise ValidationError("transforms live on different frequency grids",
                               module="regularization", operation="error_decomposition")
     lam = f0_hat.frequencies
-    if lam[0] > -plan.r_eps or lam[-1] < plan.r_eps:
+    if lam[-1] < plan.r_eps:
         raise ValidationError("frequency grid does not cover |lambda| <= r_eps",
                               module="regularization", operation="error_decomposition")
-    d = np.diff(lam)
-    w = np.zeros(lam.size)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
+    w = trapezoid_weights(lam.size, f0_hat.spacing)
     f2 = f0_hat.values.real ** 2 + f0_hat.values.imag ** 2
     threshold = plan.eps ** plan.beta
     below = np.abs(phi0_hat.values) < threshold
@@ -334,8 +332,8 @@ def _spectra(instance: SweepInstance, r_eps: float) -> tuple:
     phi0_hat = fourier_grid(instance.kernel, step, half)
     if instance.f0_signal is not None:
         return fourier_grid(instance.f0_signal, step, half), phi0_hat
-    lam = phi0_hat.frequencies
-    return TransformSamples(lam, smooth_spectrum(lam, instance.q)), phi0_hat
+    return (TransformSamples(step, smooth_spectrum(phi0_hat.frequencies,
+                                                   instance.q)), phi0_hat)
 
 
 @_row_scope()
@@ -346,23 +344,22 @@ def _run_row(instance: SweepInstance, eps: float, s_eps: float, r_eps: float,
     The f0, g0 and f_eps inverses map one frequency grid onto one time
     grid, so in the row's scope they share one chirp-z setup."""
     phi0 = instance.kernel
-    half = instance.grids.half_count(r_eps)
-    mid = spectra[1].size // 2
+    step, half = instance.grids.freq_step, instance.grids.half_count(r_eps)
+    mid = spectra[1].half_count
     cut = slice(mid - half, mid + half + 1)
-    lam = spectra[1].frequencies[cut]
-    f0_hat, phi0_hat = (TransformSamples(lam, s.values[cut]) for s in spectra)
+    f0_hat, phi0_hat = (TransformSamples(step, s.values[cut]) for s in spectra)
 
     f0_real = instance.f0_signal is None or instance.f0_signal.is_real()
     t_min, t_step, t_count = instance.time_grid()
     f0 = inverse_fourier(f0_hat, t_min, t_step, t_count, real=f0_real)
-    g0 = inverse_fourier(TransformSamples(lam, f0_hat.values * phi0_hat.values),
+    g0 = inverse_fourier(TransformSamples(step, f0_hat.values * phi0_hat.values),
                          t_min, t_step, t_count,
                          real=f0_real and phi0.is_real())
 
     plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
                               instance.profile.l1_total, s_eps, r_eps)
     phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps, seed)
-    f_eps = deconvolve(g_eps, phi_eps, plan, instance.grids.freq_step, half)
+    f_eps = deconvolve(g_eps, phi_eps, plan, step, half)
 
     diff = SampledSignal(t_min, t_step, f0.values - f_eps.values)
     achieved = l2_norm(diff)

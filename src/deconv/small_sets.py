@@ -84,7 +84,9 @@ def _eval_abs(phi_hat_fn, lam) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     vals = np.asarray(phi_hat_fn(arr))
     if vals.shape != arr.shape:
-        vals = np.array([phi_hat_fn(x) for x in arr])
+        raise ValidationError("phi_hat_fn must map an array of frequencies "
+                              "to an array of the same shape",
+                              module="small_sets", operation="measure_small_set")
     return np.abs(vals)
 
 
@@ -116,27 +118,21 @@ def measure_small_set(phi_hat_fn, threshold: float, r: float,
                       above_pt, below_pt, atol=1e-3 * resolution)
         return 0.5 * (a + b)
 
+    # the edges alternate: a run's first index, then one past its last
+    padded = np.concatenate(([False], below, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
     intervals = []
-    i = 0
-    n = below.size
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and below[j + 1]:
-            j += 1
+    for i, j in zip(edges[0::2], edges[1::2] - 1):
         if i == 0:
             lo = float(lam[0])
         else:
             lo = crossing(float(lam[i - 1]), float(lam[i]))
-        if j == n - 1:
+        if j == below.size - 1:
             hi = float(lam[-1])
         else:
             hi = crossing(float(lam[j + 1]), float(lam[j]))
         if hi > lo:
             intervals.append((lo, hi))
-        i = j + 1
 
     short = [iv for iv in intervals if iv[1] - iv[0] < 4.0 * resolution]
     if short:

@@ -56,12 +56,12 @@ def test_criterion_01_error_bound_with_finer_grid_oracle(gaussian_runs,
         assert d.achieved_sq_error <= d.total_bound + 1e-6
 
     res = gaussian_runs[1e-6]
-    step, half = gaussian_instance.grids.freq_step, res.f0_hat.size // 2
+    step, half = gaussian_instance.grids.freq_step, res.f0_hat.half_count
     lam4 = _symmetric_grid(step / 4.0, 4 * half)
-    f0_hat_4 = TransformSamples(lam4,
+    f0_hat_4 = TransformSamples(step / 4.0,
                                 smooth_spectrum(lam4, gaussian_instance.q)
                                 .astype(np.complex128))
-    phi0_hat_4 = TransformSamples(lam4,
+    phi0_hat_4 = TransformSamples(step / 4.0,
                                   fourier_at(gaussian_instance.kernel, lam4))
     dec4 = error_decomposition(f0_hat_4, phi0_hat_4, res.plan,
                                res.achieved_error ** 2)

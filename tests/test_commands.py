@@ -213,15 +213,26 @@ def test_cli_smallset_saturation_exit_code(tmp_path):
     assert err["operation"] == "plan_radius"
 
 
-def _off_lattice(data):
+def _off_lattice(data, folder):
     # 0.0033 is no multiple of the step: the indicator cannot be sampled
     data["kernel"] = {"type": "indicator", "a": 0.0, "b": 0.0033}
     data["grids"]["t_step"] = 0.005
 
 
-def _eps_above_mass(data):
+def _eps_above_mass(data, folder):
     # the indicator of [0, 1] has l1 mass 1: no tail cutoff exists at eps 2
     data["eps_list"] = [2.0, 1e-5, 1e-6, 1e-7]
+
+
+def _kernel_csv_not_numeric(data, folder):
+    (folder / "kernel.csv").write_text("t,re,im\n0.0,1.0,0.0\n0.01,one,0.0\n")
+    data["kernel"] = {"type": "file", "path": "kernel.csv"}
+
+
+def _f0_csv_not_uniform(data, folder):
+    (folder / "f0.csv").write_text("t,re,im\n0.0,1.0,0.0\n0.01,1.0,0.0\n"
+                                   "0.03,1.0,0.0\n")
+    data["f0"] = {"type": "file", "path": "f0.csv"}
 
 
 @pytest.mark.parametrize("edit,argv,operation", [
@@ -229,11 +240,13 @@ def _eps_above_mass(data):
     (_eps_above_mass, ["sweep"], "check_eps"),
     (None, ["deconvolve", "--eps", "1.5"], "check_eps"),
     (None, ["smallset", "--eps", "1.5"], "check_eps"),
+    (_kernel_csv_not_numeric, ["deconvolve"], "build_kernel"),
+    (_f0_csv_not_uniform, ["deconvolve"], "build_instance"),
 ])
 def test_cli_user_input_errors_exit_2(tmp_path, edit, argv, operation):
     data = small_config()
     if edit is not None:
-        edit(data)
+        edit(data, tmp_path)
     cfg_path = write_config(tmp_path, data)
     out = tmp_path / "out"
     code = main([argv[0], "--config", cfg_path, "--out", str(out)] + argv[1:])

@@ -40,6 +40,7 @@ def test_valid_config_parses():
     (lambda d: d.update(eps_list=[1e-6, 1e-4]), "eps increasing"),
     (lambda d: d.update(eps_list=[1e-4, -1e-6]), "eps negative"),
     (lambda d: d.update(eps_list=[]), "eps empty"),
+    (lambda d: d.update(eps_list=[True, 1e-6, 1e-8, 1e-10]), "bool eps"),
     (lambda d: d.update(seed=-1), "negative seed"),
     (lambda d: d.update(seed=True), "bool seed"),
     (lambda d: d.update(seed=1.5), "float seed"),
@@ -51,6 +52,8 @@ def test_valid_config_parses():
     (lambda d: d.update(kernel={"type": "wavelet"}), "unknown kernel"),
     (lambda d: d.update(kernel={"type": "indicator", "a": 1.0, "b": 0.0}),
      "indicator a >= b"),
+    (lambda d: d.update(kernel={"type": "indicator", "a": False, "b": True}),
+     "bool indicator ends"),
     (lambda d: d.update(kernel={"type": "gaussian", "scale": -1.0}),
      "negative scale"),
     (lambda d: d.update(kernel={"type": "gaussian"}), "missing scale"),

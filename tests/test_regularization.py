@@ -11,7 +11,7 @@ from deconv import grid_signal
 from deconv.config import build_instance, load_config
 from deconv.errors import (ComputationError, NoRootError, SaturationError,
                            ValidationError)
-from deconv.grid_signal import SampledSignal, TransformSamples
+from deconv.grid_signal import SampledSignal, TransformSamples, _symmetric_grid
 from deconv.kernels import default_profile_grid
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
@@ -132,10 +132,10 @@ def test_make_plan_saturates_below_the_tail_floor(indicator_profile):
 
 
 def test_tikhonov_filter_am_gm_bound():
-    lam = np.linspace(-5.0, 5.0, 301)
     rng = np.random.default_rng(3)
-    g = TransformSamples(lam, rng.normal(size=301) + 1j * rng.normal(size=301))
-    p = TransformSamples(lam, rng.normal(size=301) + 1j * rng.normal(size=301))
+    step = 1.0 / 30.0  # 301 points on [-5, 5]
+    g = TransformSamples(step, rng.normal(size=301) + 1j * rng.normal(size=301))
+    p = TransformSamples(step, rng.normal(size=301) + 1j * rng.normal(size=301))
     delta = 0.037
     f = tikhonov_filter(g, p, delta)
     cap = np.abs(g.values) / (2.0 * math.sqrt(delta))
@@ -147,11 +147,11 @@ def test_tikhonov_filter_am_gm_bound():
 
 
 def test_tikhonov_filter_validation():
-    lam = np.linspace(-1.0, 1.0, 11)
-    g = TransformSamples(lam, np.ones(11, dtype=np.complex128))
-    p_other = TransformSamples(lam * 2.0, np.ones(11, dtype=np.complex128))
-    with pytest.raises(ValidationError):
-        tikhonov_filter(g, p_other, 0.1)
+    g = TransformSamples(0.2, np.ones(11, dtype=np.complex128))
+    for other in (TransformSamples(0.4, np.ones(11, dtype=np.complex128)),
+                  TransformSamples(0.2, np.ones(13, dtype=np.complex128))):
+        with pytest.raises(ValidationError):
+            tikhonov_filter(g, other, 0.1)
     with pytest.raises(ValidationError):
         tikhonov_filter(g, g, 0.0)
 
@@ -317,8 +317,14 @@ def test_a_row_builds_one_inverse_setup(gaussian_instance, indicator_instance,
                                         chirp_setups):
     # forward: the kernel, the noise wave, g_eps and phi_eps; the f0, g0
     # and f_eps inverses share the fifth
-    run_single(gaussian_instance, 1e-6)
+    res = run_single(gaussian_instance, 1e-6)
     assert len(chirp_setups) == 5
+    # it maps the nonnegative frequencies onto the time grid, both taken
+    # from the grid description, not read back from an array
+    inverse, = (a for a in chirp_setups
+                if a[3] == +1.0 and a[6] == res.f0_hat.size // 2 + 1)
+    assert inverse[:3] == gaussian_instance.time_grid()  # dx is t_step
+    assert inverse[4:6] == (0.0, gaussian_instance.grids.freq_step)
     assert grid_signal._ROW_SETUP.get() is None
     chirp_setups.clear()
     # the kernel's spectrum once, then four setups per row
@@ -363,10 +369,9 @@ def test_smooth_spectrum_is_strictly_subcritical():
 
 def test_decomposition_splits_at_the_radius(indicator_plan):
     plan = indicator_plan
-    lam = np.linspace(-1.0, 1.0, 401)
-    ones = np.ones(lam.size, dtype=np.complex128)
-    f0_hat = TransformSamples(lam, ones)
-    phi0_hat = TransformSamples(lam, 0.01 * ones)  # below eps^beta everywhere
+    ones = np.ones(401, dtype=np.complex128)  # on [-1, 1]
+    f0_hat = TransformSamples(0.005, ones)
+    phi0_hat = TransformSamples(0.005, 0.01 * ones)  # below eps^beta everywhere
     dec = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
     assert math.isclose(dec.inner_term, 2.0 * plan.r_eps, rel_tol=0.05)
     assert math.isclose(dec.outer_term, 2.0 * (1.0 - plan.r_eps), rel_tol=0.05)
@@ -378,20 +383,19 @@ def test_decomposition_splits_at_the_radius(indicator_plan):
 
 def test_decomposition_ignores_exact_threshold_points(indicator_plan):
     plan = indicator_plan
-    lam = np.linspace(-1.0, 1.0, 401)
-    ones = np.ones(lam.size, dtype=np.complex128)
+    ones = np.ones(401, dtype=np.complex128)  # on [-1, 1]
     at_threshold = (plan.eps ** plan.beta) * ones  # not strictly below
-    dec = error_decomposition(TransformSamples(lam, ones),
-                              TransformSamples(lam, at_threshold), plan, 0.0)
+    dec = error_decomposition(TransformSamples(0.005, ones),
+                              TransformSamples(0.005, at_threshold), plan, 0.0)
     assert dec.outer_term == 0.0
     assert dec.inner_term == 0.0
 
 
 def test_decomposition_coverage_clear_for_decaying_tail(indicator_plan):
     plan = indicator_plan
-    lam = np.linspace(-50.0, 50.0, 4001)
-    f0_hat = TransformSamples(lam, (1.0 + lam * lam) ** -1.5 + 0j)
-    phi0_hat = TransformSamples(lam, 0.01 * np.ones(lam.size, np.complex128))
+    lam = _symmetric_grid(0.025, 2000)  # 4001 points on [-50, 50]
+    f0_hat = TransformSamples(0.025, (1.0 + lam * lam) ** -1.5 + 0j)
+    phi0_hat = TransformSamples(0.025, 0.01 * np.ones(lam.size, np.complex128))
     dec = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
     assert dec.outer_term > dec.inner_term > 0.0
     assert not dec.coverage_flag
@@ -399,15 +403,13 @@ def test_decomposition_coverage_clear_for_decaying_tail(indicator_plan):
 
 def test_decomposition_grid_preconditions(indicator_plan):
     plan = indicator_plan
-    lam_short = np.linspace(-0.1, 0.1, 21)
     ones = np.ones(21, dtype=np.complex128)
+    short = TransformSamples(0.01, ones)  # [-0.1, 0.1] misses r_eps
     with pytest.raises(ValidationError):
-        error_decomposition(TransformSamples(lam_short, ones),
-                            TransformSamples(lam_short, ones), plan, 0.0)
-    lam = np.linspace(-1.0, 1.0, 21)
+        error_decomposition(short, short, plan, 0.0)
     with pytest.raises(ValidationError):
-        error_decomposition(TransformSamples(lam, ones),
-                            TransformSamples(lam * 2.0, ones), plan, 0.0)
+        error_decomposition(TransformSamples(0.1, ones),
+                            TransformSamples(0.2, ones), plan, 0.0)
 
 
 def test_decomposition_record_validation():

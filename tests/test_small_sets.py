@@ -76,6 +76,8 @@ def test_measure_preconditions():
         measure_small_set(gauss_hat, 0.01, -1.0, 2e-4)
     with pytest.raises(ValidationError):
         measure_small_set(gauss_hat, 0.01, 4.0, 0.01)  # coarser than r/1e4
+    with pytest.raises(ValidationError):  # not vectorized: one value back
+        measure_small_set(lambda lam: 1.0, 0.01, 4.0, 2e-4)
 
 
 def test_report_validation_and_serialization():
