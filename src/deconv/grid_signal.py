@@ -10,8 +10,10 @@ different extent), so a plain FFT does not apply.  When the evaluation
 points are uniform too, the sum over the samples is a chirp-z transform
 (Rabiner, Schafer & Rader 1969; Bluestein 1970): one FFT convolution,
 O((N+M) log(N+M)) for N samples and M points, at the least FFT length
-2^a 3^b 5^c >= N+M-1 (36000, not 65536, for 35108).  Any other set of
-points, such as single bisection probes, is summed directly.
+2^a 3^b 5^c >= N+M-1 (36000, not 65536, for 35108).  For a real signal
+and points symmetric about 0 it runs over the nonnegative half only and
+mirrors the rest.  Any other set of points, such as a batch of bisection
+probes, and any one or two points are summed directly.
 
 A chirp-z transform is a setup that depends only on the grids (two chirps
 and a chirp spectrum) and one forward and one inverse FFT per signal.  A
@@ -207,22 +209,41 @@ def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
                                      weighted.size), weighted)
 
 
+def _mirror(upper: np.ndarray, count: int) -> np.ndarray:
+    """Values at all `count` points of a grid symmetric about 0 from those at
+    its upper (count + 1) // 2 points, which start at 0 for an odd count:
+    a real signal's transform has F(-x) = conj F(x)."""
+    return np.concatenate([np.conj(upper[::-1][:count // 2]), upper])
+
+
 def _oscillatory_sums(points: np.ndarray, sign: float, t_min: float,
-                      spacing: float, weighted: np.ndarray) -> np.ndarray:
+                      spacing: float, weighted: np.ndarray,
+                      real: bool = False) -> np.ndarray:
     """sum_j weighted[j] * exp(sign*1j*points*t_j) for t_j on the grid.
 
-    Uniform points take the chirp-z transform, any others a direct sum in
-    chunks of about 2^20 phases; neither reaches BLAS, whose reductions
-    round differently with the thread count.
+    Three or more uniform points take the chirp-z transform, any others a
+    direct sum in chunks of about 2^20 phases (any two points fit a
+    progression, and two direct sums cost less than a chirp-z setup);
+    neither reaches BLAS, whose reductions round differently with the
+    thread count.  real=True states that the weights are real: a
+    progression centred on 0 (to its own 4-ulp tolerance) then sums only
+    its nonnegative half, from 0 or dx/2, and mirrors the rest.
     """
     pts = np.asarray(points, dtype=np.float64).ravel()
-    grid = _progression(pts)
+    m = pts.size
+    grid = _progression(pts) if m > 2 else None
     if grid is not None:
-        return _chirp_sums(*grid, pts.size, sign, t_min, spacing, weighted)
+        x0, dx = grid
+        reach = max(abs(float(pts[0])), abs(float(pts[-1])))
+        if real and abs(x0 + dx * (0.5 * (m - 1))) <= 4.0 * np.spacing(reach):
+            upper = _chirp_sums(0.0 if m % 2 else 0.5 * dx, dx, (m + 1) // 2,
+                                sign, t_min, spacing, weighted)
+            return _mirror(upper, m)
+        return _chirp_sums(x0, dx, m, sign, t_min, spacing, weighted)
     t = t_min + spacing * np.arange(weighted.size)
-    out = np.empty(pts.size, dtype=np.complex128)
+    out = np.empty(m, dtype=np.complex128)
     rows = max(1, (1 << 20) // t.size)
-    for start in range(0, pts.size, rows):
+    for start in range(0, m, rows):
         phase = np.outer(pts[start:start + rows], sign * t)
         out[start:start + rows] = np.sum(np.exp(1j * phase) * weighted, axis=1)
     return out
@@ -233,7 +254,7 @@ def fourier_at(signal: SampledSignal, lambdas) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=np.float64)
     w = trapezoid_weights(signal.size, signal.spacing)
     res = _oscillatory_sums(lam.ravel(), -1.0, signal.t_min, signal.spacing,
-                            w * signal.values)
+                            w * signal.values, signal.is_real())
     return res.reshape(lam.shape)
 
 
@@ -255,8 +276,7 @@ def fourier_grid(signal: SampledSignal, freq_spacing: float,
                               module="grid_signal", operation="fourier_grid")
     freqs = _symmetric_grid(freq_spacing, half_count)
     if signal.is_real():
-        upper = fourier_at(signal, freqs[half_count:])
-        vals = np.concatenate([np.conj(upper[:0:-1]), upper])
+        vals = _mirror(fourier_at(signal, freqs[half_count:]), freqs.size)
     else:
         vals = fourier_at(signal, freqs)
     return TransformSamples(freq_spacing, vals)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .grid_signal import SampledSignal, _oscillatory_sums, l1_norm, l2_norm
+from .grid_signal import SampledSignal, _chirp_sums, l1_norm, l2_norm
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -78,8 +78,8 @@ def noise_components(phi0: SampledSignal, g0: SampledSignal, eps: float,
     amplitudes = 2.0 * u[0::2] - 1.0
     phases = 2.0 * np.pi * u[1::2]
     step = WAVE_MAX_FREQ / WAVE_COUNT
-    wave = _oscillatory_sums(g0.grid(), +1.0, step, step,
-                             amplitudes * np.exp(1j * phases)).real
+    wave = _chirp_sums(g0.t_min, g0.spacing, g0.size, +1.0, step, step,
+                       amplitudes * np.exp(1j * phases)).real
     raw_l2 = l2_norm(SampledSignal(g0.t_min, g0.spacing, wave))
     if raw_l2 < 1e-12:
         raise ComputationError("degenerate noise draw (all amplitudes cancel)",

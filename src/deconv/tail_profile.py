@@ -193,20 +193,36 @@ def tail_mass_profile(kernel: SampledSignal, s_grid) -> TailProfile:
     return TailProfile(s, p, float(total), kernel.truncation_tail)
 
 
-def bisect(inside, a: float, b: float, atol: float = 0.0,
-           rtol: float = 0.0) -> tuple[float, float]:
+def bisect(inside, a, b, atol: float = 0.0, rtol: float = 0.0) -> tuple:
     """Halve the bracket [a, b] (either order) around the edge of a predicate.
 
     inside(x) is true at b and false at a; each midpoint replaces the end
     it agrees with, until |b - a| <= atol + rtol*|b|.  Returns the final
     (a, b), so callers choose between an end and the midpoint.
+
+    a and b may also be 1-d arrays of brackets, halved in lockstep: inside
+    then maps an array of midpoints to an array of truth values, and each
+    bracket is frozen once it has converged, so it ends bit for bit where
+    a scalar call on it would.
     """
-    while abs(b - a) > atol + rtol * abs(b):
-        mid = 0.5 * (a + b)
-        if inside(mid):
-            b = mid
-        else:
-            a = mid
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        while abs(b - a) > atol + rtol * abs(b):
+            mid = 0.5 * (a + b)
+            if inside(mid):
+                b = mid
+            else:
+                a = mid
+        return a, b
+    a = np.array(a, dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
+    live = np.flatnonzero(np.abs(b - a) > atol + rtol * np.abs(b))
+    while live.size:
+        mid = 0.5 * (a[live] + b[live])
+        hit = np.asarray(inside(mid), dtype=bool)
+        b[live[hit]] = mid[hit]
+        a[live[~hit]] = mid[~hit]
+        live = live[np.abs(b[live] - a[live])
+                    > atol + rtol * np.abs(b[live])]
     return a, b
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import gauss_hat, indicator_hat, two_sided_exp_hat
+from deconv import grid_signal
 from deconv.errors import ValidationError
 from deconv.grid_signal import (SampledSignal, TransformSamples, _chirp_apply,
                                 _chirp_setup, _chirp_sums,
@@ -143,7 +144,8 @@ def test_chirp_matches_direct_sums(n, m, x0, dx, t_min, h, sign, seed):
     assert _progression(pts) is not None
     # reversed, the same points are no progression and are summed directly
     assert _progression(pts[::-1]) is None
-    fast = _oscillatory_sums(pts, sign, t_min, h, w)
+    # called directly: _oscillatory_sums sums two points directly too
+    fast = _chirp_sums(*_progression(pts), m, sign, t_min, h, w)
     slow = _oscillatory_sums(pts[::-1], sign, t_min, h, w)[::-1]
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.sum(np.abs(w))
 
@@ -169,6 +171,61 @@ def test_chirp_matches_direct_sums_at_pipeline_sizes(gaussian_kernel):
         slow = _oscillatory_sums(pts[idx], -1.0, t0, step, weights)
         assert (np.max(np.abs(fast[idx] - slow))
                 <= 1e-12 * np.sum(np.abs(weights)))
+
+
+def _counting_setups(monkeypatch) -> list:
+    """The point counts m of every chirp-z setup built from now on."""
+    built, real_setup = [], grid_signal._chirp_setup
+
+    def counting(x0, dx, m, *rest):
+        built.append(m)
+        return real_setup(x0, dx, m, *rest)
+    monkeypatch.setattr(grid_signal, "_chirp_setup", counting)
+    return built
+
+
+@pytest.mark.parametrize("count", [2001, 2000])
+def test_a_real_symmetric_scan_sums_half_the_grid(gaussian_kernel,
+                                                  monkeypatch, count):
+    k = gaussian_kernel
+    t = k.grid()
+    odd = SampledSignal(k.t_min, k.spacing, t * np.exp(-t * t))
+    lam = np.linspace(-20.0, 20.0, count)
+    built = _counting_setups(monkeypatch)
+    mirrored = fourier_at(odd, lam)
+    assert built == [(count + 1) // 2]
+    weighted = trapezoid_weights(odd.size, odd.spacing) * odd.values
+    full = _chirp_sums(*_progression(lam), count, -1.0, odd.t_min,
+                       odd.spacing, weighted)
+    assert built[1:] == [count]
+    # measured 4.9e-15 of the peak
+    assert (np.max(np.abs(mirrored - full))
+            <= 1e-13 * np.max(np.abs(full)))
+    half = count // 2
+    assert np.array_equal(mirrored[:half], np.conj(mirrored[::-1][:half]))
+    built.clear()
+    complex_kernel = SampledSignal(k.t_min, k.spacing, k.values * (1.0 + 0.5j))
+    fourier_at(complex_kernel, lam)
+    assert built == [count]
+    built.clear()
+    fourier_at(odd, np.linspace(0.0, 20.0, count))  # not centred on 0
+    assert built == [count]
+
+
+def test_two_points_are_summed_directly(gaussian_kernel, monkeypatch):
+    # any two points fit a progression, and two direct sums cost less than
+    # a chirp-z setup of the kernel's length; the rows of a direct batch
+    # equal the one-point sums bit for bit
+    built = _counting_setups(monkeypatch)
+    pair = np.array([-1.3, 1.3])
+    batch = np.array([-2.5, -1.3, 0.2, 1.3, 7.0])
+    assert _progression(pair) is not None and _progression(batch) is None
+    for pts in (pair, batch):
+        together = fourier_at(gaussian_kernel, pts)
+        alone = [fourier_at(gaussian_kernel, pts[i:i + 1])[0]
+                 for i in range(pts.size)]
+        assert np.array_equal(together, alone)
+    assert built == []
 
 
 def _is_smooth(k):

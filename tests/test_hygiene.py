@@ -16,7 +16,8 @@ thread count, and outputs must not depend on it.  Nor may it memoize with
 operation would speed up repeated calls in one process but not a one-shot
 CLI run, and would hold its arrays for the life of the process.  And only
 `fileio.py` may hold a round-trip float format or call `np.savetxt`: the
-library has one CSV writer.
+library has one CSV writer.  And only `tail_profile.bisect` may halve a
+bracket in a `while` loop: the library has one root finder.
 """
 
 import ast
@@ -239,3 +240,66 @@ def test_second_writer_scan_sees_every_form():
 def test_library_has_one_csv_writer(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _second_writers(tree) == [], path.name
+
+
+# One root finder: `tail_profile.bisect` halves every bracket, scalar or
+# batched.  A `while` loop elsewhere that assigns a midpoint
+# `0.5 * (x + y)` or `(x + y) / 2` is a second one.
+ROOT_FINDERS = {"tail_profile.py": {"bisect"}}
+
+
+def _is_midpoint(node: ast.AST) -> bool:
+    if not isinstance(node, ast.BinOp):
+        return False
+    sides = (node.left, node.right)
+    if isinstance(node.op, ast.Mult):
+        return (any(isinstance(x, ast.Constant) and x.value == 0.5
+                    for x in sides)
+                and any(isinstance(x, ast.BinOp) and isinstance(x.op, ast.Add)
+                        for x in sides))
+    return (isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Add)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+
+def _midpoint_loops(tree: ast.Module, allowed=frozenset()) -> list:
+    exempt = {id(loop) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name in allowed
+              for loop in ast.walk(func) if isinstance(loop, ast.While)}
+    found = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, ast.While) or id(loop) in exempt:
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign,
+                                  ast.NamedExpr))
+                    and node.value is not None
+                    and any(_is_midpoint(x) for x in ast.walk(node.value))):
+                found.append(f"line {node.lineno}: midpoint in a while loop")
+    return found
+
+
+def test_midpoint_loop_scan_sees_every_form():
+    code = ("def crossings(a, b, live):\n"
+            "    while live.size:\n"
+            "        mid = 0.5 * (a[live] + b[live])\n"
+            "        live = live[1:]\n"
+            "    while a < b:\n"
+            "        a, m = a + 1, (a + b) / 2\n"
+            "        if (c := (a + b) * 0.5) > 1:\n"
+            "            b -= 0.5 * (b + a)\n")
+    assert len(_midpoint_loops(ast.parse(code))) == 4
+    bisect = code.replace("crossings", "bisect")
+    assert _midpoint_loops(ast.parse(bisect), {"bisect"}) == []
+    assert _midpoint_loops(ast.parse(
+        "mid = 0.5 * (a + b)\nwhile a < b:\n    a = 0.5 * (a - b)\n"
+        "    b = (a + b) / 3\n")) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_has_one_root_finder(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = ROOT_FINDERS.get(path.name, frozenset())
+    assert _midpoint_loops(tree, allowed) == [], path.name

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from deconv.errors import ComputationError, NoRootError, ValidationError
-from deconv.regularization import LOG_15E3
+from deconv.grid_signal import SampledSignal, fourier_at
+from deconv.kernels import default_profile_grid
+from deconv.regularization import LOG_15E3, plan_radius
 from deconv.small_sets import (SmallSetReport, cartan_bound, measure_small_set,
                                solve_dual_radius)
-from deconv.tail_profile import DualProfile
+from deconv.tail_profile import DualProfile, bisect, tail_mass_profile
 
 from _oracles import gauss_hat, indicator_hat
 
@@ -24,6 +27,68 @@ def test_indicator_dip_lattice_measure():
     assert len(k1) == 1
     assert report.intervals[0][0] == -100.0
     assert report.intervals[-1][1] == 100.0
+
+
+def test_all_endpoints_are_bisected_in_lockstep():
+    sizes = []
+
+    def counting(lam):
+        sizes.append(np.size(lam))
+        return indicator_hat(lam)
+
+    report = measure_small_set(counting, 0.01, 100.0, 0.005)
+    assert report.interval_count == 32
+    # one scan, then ten halvings of all 62 interior endpoints at once
+    # (one call per endpoint per halving would be 620)
+    assert sizes == [40001] + [62] * 10
+    # each endpoint is where a scalar bisection of its bracket ends
+    lam = np.linspace(-100.0, 100.0, 40001)
+    ends = [x for iv in report.intervals for x in iv][1:-1]
+    for end, falling in zip(ends, [False, True] * 31):
+        j = int(np.searchsorted(lam, end))
+        above, below = (lam[j - 1], lam[j]) if falling else (lam[j], lam[j - 1])
+        a, b = bisect(lambda x: abs(indicator_hat([x])[0]) < 0.01,
+                      float(above), float(below), atol=1e-3 * 0.005)
+        assert end == 0.5 * (a + b)
+
+
+def _derivative_small_set(threshold: float, r: float) -> tuple:
+    """Interval count and measure of {|phi_hat| < threshold, |x| <= r} for
+    phi_hat(x) = -i (sqrt(pi)/2) x e^{-x^2/4}: the edges solve
+    x^2 e^{-x^2/2} = k^2, k = 2 threshold / sqrt(pi), on Lambert-W
+    branches 0 (inner) and -1 (outer)."""
+    k = 2.0 * threshold / math.sqrt(math.pi)
+    inner, outer = (math.sqrt(-2.0 * lambertw(-0.5 * k * k, branch).real)
+                    for branch in (0, -1))
+    count, measure = 1, 2.0 * min(r, inner)
+    if outer < r:
+        count, measure = 3, measure + 2.0 * (r - outer)
+    return count, measure
+
+
+@pytest.mark.parametrize("eps, thr, r, want", [
+    (1e-4, None, None, 0.1345), (1e-6, None, None, 0.1426),
+    (1e-8, None, None, 0.0567), (1e-10, None, None, 0.0226),
+    (None, 0.3, 5.0, None)])
+def test_a_zero_mean_kernel_has_a_small_set(gaussian_kernel, eps, thr, r,
+                                            want):
+    # phi(t) = t e^{-t^2} on the gaussian kernel's grid: its transform
+    # vanishes at 0, so B_eps is not empty at the plan's threshold and
+    # radius, and at threshold 0.3 and r = 5 it has three intervals
+    t = gaussian_kernel.grid()
+    kernel = SampledSignal(gaussian_kernel.t_min, gaussian_kernel.spacing,
+                           t * np.exp(-t * t))
+    if eps is not None:
+        profile = tail_mass_profile(kernel, default_profile_grid(kernel))
+        thr = eps ** 0.2
+        _, r = plan_radius(eps, 0.2, 1.0, profile)
+    report = measure_small_set(lambda lam: fourier_at(kernel, lam), thr, r,
+                               r / 2e4)
+    count, measure = _derivative_small_set(thr, r)
+    assert report.interval_count == count
+    assert math.isclose(report.measure_estimate, measure, rel_tol=1e-6)
+    if want is not None:
+        assert round(report.measure_estimate, 4) == want
 
 
 def test_small_set_nests_with_threshold():

@@ -239,3 +239,46 @@ def test_bisect_stops_on_atol_and_on_rtol():
     calls.clear()
     assert bisect(inside, 3.0, 3.5, atol=0.5) == (3.0, 3.5)
     assert calls == []
+
+
+@pytest.mark.parametrize("atol, rtol", [(1e-9, 0.0), (0.0, 1e-12),
+                                        (1e-6, 1e-9)])
+def test_bisect_halves_arrays_of_brackets_in_lockstep(atol, rtol):
+    def inside(x):
+        return x * x > 2.0
+
+    # mixed widths, both orders, and one bracket converged from the start
+    a = np.array([0.0, 1.4, -1.0, 1.0, 3.0, 1.41421])
+    b = np.array([8.0, 1.42, -3.0, 1.5, 1.0, 1.41422])
+    sizes = []
+
+    def batch(x):
+        sizes.append(x.size)
+        return inside(x)
+
+    a_out, b_out = bisect(batch, a, b, atol=atol, rtol=rtol)
+    steps = []
+    for i in range(a.size):
+        calls = []
+
+        def one(x):
+            calls.append(x)
+            return inside(x)
+
+        sa, sb = bisect(one, float(a[i]), float(b[i]), atol=atol, rtol=rtol)
+        assert type(sa) is float and type(sb) is float
+        assert (a_out[i], b_out[i]) == (sa, sb)
+        steps.append(len(calls))
+    # one call per halving; a bracket leaves the batch once it has converged
+    assert len(sizes) == max(steps)
+    assert sizes == [sum(n > k for n in steps) for k in range(len(sizes))]
+    # the inputs are not written to
+    assert a[0] == 0.0 and b[0] == 8.0
+
+
+def test_bisect_of_no_brackets_calls_nothing():
+    def never(x):
+        raise AssertionError("called")
+
+    a, b = bisect(never, np.empty(0), np.empty(0), atol=1e-3)
+    assert a.size == 0 and b.size == 0
