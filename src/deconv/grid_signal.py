@@ -10,16 +10,20 @@ different extent), so a plain FFT does not apply.  When the evaluation
 points are uniform too, the sum over the samples is a chirp-z transform
 (Rabiner, Schafer & Rader 1969; Bluestein 1970): one FFT convolution,
 O((N+M) log(N+M)) for N samples and M points, at the least FFT length
-2^a 3^b 5^c >= N+M-1 (36000, not 65536, for 35108).  For a real signal
-and points symmetric about 0 it runs over the nonnegative half only and
-mirrors the rest.  Any other set of points, such as a batch of bisection
-probes, and any one or two points are summed directly.
+2^a 3^b 5^c that holds the lags -D..D, 2D+1 = N+M-1 or N+M (36000, not
+65536, for 35108).  For a real signal and points symmetric about 0 it runs
+over the nonnegative half only and mirrors the rest.  Any other set of
+points, such as a batch of bisection probes, and any one or two points are
+summed directly.
 
 A chirp-z transform is a setup that depends only on the grids (two chirps
-and a chirp spectrum) and one forward and one inverse FFT per signal.  A
-regularization row inverts f0, g0 and the filtered f between the same
-grids, so it runs inside `_row_scope`, where `inverse_fourier` reuses one
-setup; outside that scope every transform builds its own.
+and a chirp spectrum, from one exp per lag) and one forward and one
+inverse FFT per signal.  The same setup also gives the adjoint sums, over
+the points at the samples with the sign flipped.  A regularization row
+runs inside `_row_scope`, which holds the setups built in it: phi0 and
+phi_eps share the kernel's, the f0, g0 and f_eps inverses share one, and
+the forward transform of g_eps runs on that inverse's adjoint.  Outside a
+scope every transform builds its own setup.
 """
 
 from __future__ import annotations
@@ -161,6 +165,15 @@ def _smooth_length(k: int) -> int:
     return best
 
 
+def _phases(phase0: float, theta: float, start: int, count: int) -> np.ndarray:
+    """exp(i*(phase0 + theta*k)) for k = start .. start+count-1: a coarse
+    table at every 64th k times a fine one of 64 entries."""
+    fine = np.exp(1j * (theta * np.arange(64)))
+    coarse = np.exp(1j * (phase0 + theta * (start + 64 * np.arange(
+        -(-count // 64)))))
+    return np.multiply.outer(coarse, fine).ravel()[:count]
+
+
 def _chirp_setup(x0: float, dx: float, m: int, sign: float, t_min: float,
                  spacing: float, n: int) -> tuple:
     """The weight-free part of the chirp-z sums at x0 + dx*(0 .. m-1) over n
@@ -168,23 +181,30 @@ def _chirp_setup(x0: float, dx: float, m: int, sign: float, t_min: float,
 
     With the point index a and the sample index b centred,
     a*b = (a^2 + b^2 - (a-b)^2)/2 makes the sum one FFT convolution with
-    exp(-i*c*d^2), c = sign*dx*spacing/2; d^2 is an exact float64 integer
-    while n + m < 2^26, which is checked before anything is allocated.
+    exp(-i*c*d^2), c = sign*dx*spacing/2, over the lags |d| <= D.  The only
+    long exp is Q[j] = exp(i*c*j^2), j = 0..D: the spectrum is conj(Q)
+    mirrored onto -D..D, so it serves the transposed sums too, and the
+    chirps are linear phases times Q[|a|] and Q[|b|].  j^2 is an exact
+    float64 integer while n + m < 2^26, which is checked before anything
+    is allocated.
     """
     if n + m >= 1 << 26:
         raise ValidationError("chirp-z transform needs n + m < 2^26",
                               module="grid_signal", operation="_chirp_sums")
-    a = np.arange(m) - (m - 1) // 2
-    b = np.arange(n) - (n - 1) // 2
-    p0 = x0 + dx * ((m - 1) // 2)
-    t0 = t_min + spacing * ((n - 1) // 2)
+    am, bn = (m - 1) // 2, (n - 1) // 2
+    p0 = x0 + dx * am
+    t0 = t_min + spacing * bn
     c = 0.5 * sign * dx * spacing
-    d = np.abs(np.arange(a[0] - b[-1], a[-1] - b[0] + 1))  # the chirp is even
-    lead = np.exp(1j * (sign * p0 * spacing * b + c * (b * b)))
-    spectrum = np.zeros(_smooth_length(n + m - 1), dtype=np.complex128)
-    spectrum[:d.size] = np.exp(-1j * c * np.arange(max(d[0], d[-1]) + 1) ** 2)[d]
+    lags = max(am + n - 1 - bn, m - 1 - am + bn)
+    q = np.exp(1j * (c * np.arange(lags + 1) ** 2))
+    lead = (_phases(0.0, sign * p0 * spacing, -bn, n)
+            * q[np.abs(np.arange(n) - bn)])
+    spectrum = np.zeros(_smooth_length(2 * lags + 1), dtype=np.complex128)
+    np.conj(q, out=spectrum[:lags + 1])
+    np.conj(q[lags:0:-1], out=spectrum[spectrum.size - lags:])
     np.fft.fft(spectrum, out=spectrum)
-    out = np.exp(1j * (sign * t0 * (x0 + dx * np.arange(m)) + c * (a * a)))
+    out = (_phases(sign * t0 * x0, sign * t0 * dx, 0, m)
+           * q[np.abs(np.arange(m) - am)])
     return lead, spectrum, out
 
 
@@ -193,20 +213,52 @@ def _chirp_apply(setup: tuple, weighted: np.ndarray) -> np.ndarray:
     zero-padded weighted * lead, times the chirp spectrum, inverse FFT, and
     out * the slice of m sums, each product in the order written.  Complex
     multiplication under FMA is not bitwise commutative, and numpy swaps
-    `x * temporary` once the temporary reaches 256 KiB."""
+    `x * temporary` once the temporary reaches 256 KiB.  The reversed
+    setup gives K^T w for an m-vector w: the chirps swap roles and, the
+    chirp being even, the same spectrum serves at the mirrored offset."""
     lead, spectrum, out = setup
-    n = lead.size
+    shift = (lead.size - 1) // 2 - (out.size - 1) // 2
+    pad = max(0, -shift)
     u = np.zeros(spectrum.size, dtype=np.complex128)  # FFTs run in place
-    np.multiply(weighted, lead, out=u[:n])
+    np.multiply(weighted, lead, out=u[pad:pad + lead.size])
     np.multiply(np.fft.fft(u, out=u), spectrum, out=u)
-    return np.multiply(out, np.fft.ifft(u, out=u)[n - 1:n - 1 + out.size])
+    first = pad + shift
+    return np.multiply(out, np.fft.ifft(u, out=u)[first:first + out.size])
+
+
+# The chirp-z setups built inside a _row_scope, by their arguments; None
+# outside one.
+_ROW_SETUPS = contextvars.ContextVar("_ROW_SETUPS", default=None)
+
+
+@contextlib.contextmanager
+def _row_scope():
+    """Within the block, _chirp_sums holds the setups it builds and reuses
+    them for the same grids; on exit they are gone."""
+    token = _ROW_SETUPS.set({})
+    try:
+        yield
+    finally:
+        _ROW_SETUPS.reset(token)
 
 
 def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
-                spacing: float, weighted: np.ndarray) -> np.ndarray:
-    """Bluestein chirp-z sums at x0 + dx*(0 .. m-1): one setup, applied once."""
-    return _chirp_apply(_chirp_setup(x0, dx, m, sign, t_min, spacing,
-                                     weighted.size), weighted)
+                spacing: float, weighted: np.ndarray,
+                hold: bool = True) -> np.ndarray:
+    """Bluestein chirp-z sums at x0 + dx*(0 .. m-1).  Inside a _row_scope
+    a held setup serves again, and one held for the adjoint (points and
+    samples swapped, sign flipped) gives conj(K^T conj(weighted)); a
+    setup its row uses once is built with hold=False and not kept."""
+    key = (x0, dx, m, sign, t_min, spacing, weighted.size)
+    held = _ROW_SETUPS.get() if hold else None
+    if held is None:
+        return _chirp_apply(_chirp_setup(*key), weighted)
+    if key not in held:
+        adjoint = held.get((t_min, spacing, weighted.size, -sign, x0, dx, m))
+        if adjoint is not None:
+            return np.conj(_chirp_apply(adjoint[::-1], np.conj(weighted)))
+        held[key] = _chirp_setup(*key)
+    return _chirp_apply(held[key], weighted)
 
 
 def _mirror(upper: np.ndarray, count: int) -> np.ndarray:
@@ -282,36 +334,6 @@ def fourier_grid(signal: SampledSignal, freq_spacing: float,
     return TransformSamples(freq_spacing, vals)
 
 
-# The chirp-z setup inverse_fourier keeps inside a _row_scope; None outside.
-_ROW_SETUP = contextvars.ContextVar("_ROW_SETUP", default=None)
-
-
-@contextlib.contextmanager
-def _row_scope():
-    """Within the block, inverse_fourier holds its last chirp-z setup and
-    reuses it while the setup's scalar arguments match; on exit it is gone."""
-    token = _ROW_SETUP.set(())
-    try:
-        yield
-    finally:
-        _ROW_SETUP.reset(token)
-
-
-def _inverse_sums(t_min: float, t_step: float, count: int, x0: float,
-                  freq_step: float, weighted: np.ndarray) -> np.ndarray:
-    """sum_k weighted[k] * exp(i*(x0 + freq_step*k)*t) at the times
-    t_min + t_step*(0 .. count-1): chirp-z sums through the row scope's
-    setup."""
-    key = (t_min, t_step, count, +1.0, x0, freq_step, weighted.size)
-    held = _ROW_SETUP.get()
-    if held is None:
-        return _chirp_apply(_chirp_setup(*key), weighted)
-    if not held or held[0] != key:
-        held = (key, _chirp_setup(*key))
-        _ROW_SETUP.set(held)
-    return _chirp_apply(held[1], weighted)
-
-
 def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
                     count: int, real: bool = False) -> SampledSignal:
     """Inverse transform (1/2pi) * integral F(lambda)*exp(i*lambda*t) d(lambda)
@@ -321,15 +343,14 @@ def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
     result is real and is computed from the nonnegative half of the grid.
     """
     h, mid = transform.spacing, transform.half_count
-    w = trapezoid_weights(transform.size, h)
     if real:
-        weighted = w[mid:] * transform.values[mid:]
-        weighted[0] *= 0.5
-        half = _inverse_sums(t_min, spacing, count, 0.0, h, weighted)
+        weighted = trapezoid_weights(mid + 1, h) * transform.values[mid:]
+        half = _chirp_sums(t_min, spacing, count, +1.0, 0.0, h, weighted)
         vals = (2.0 * half.real) / (2.0 * np.pi) + 0j
     else:
-        res = _inverse_sums(t_min, spacing, count, -h * mid, h,
-                            w * transform.values)
+        res = _chirp_sums(t_min, spacing, count, +1.0, -h * mid, h,
+                          trapezoid_weights(transform.size, h)
+                          * transform.values)
         vals = res / (2.0 * np.pi)
     return SampledSignal(t_min, spacing, vals)
 

@@ -326,28 +326,27 @@ class RunResult:
     decomposition: ErrorDecomposition
 
 
-def _spectra(instance: SweepInstance, r_eps: float) -> tuple:
-    """(f0_hat, phi0_hat) on the frequency grid the run gives radius r_eps."""
-    step, half = instance.grids.freq_step, instance.grids.half_count(r_eps)
-    phi0_hat = fourier_grid(instance.kernel, step, half)
-    if instance.f0_signal is not None:
-        return fourier_grid(instance.f0_signal, step, half), phi0_hat
-    return (TransformSamples(step, smooth_spectrum(phi0_hat.frequencies,
-                                                   instance.q)), phi0_hat)
-
-
 @_row_scope()
-def _run_row(instance: SweepInstance, eps: float, s_eps: float, r_eps: float,
-             spectra: tuple, seed: int, noise_free: bool) -> RunResult:
-    """run_single's pass given (s_eps, R_eps) and spectra at R_eps or
-    wider: the row's grid is their centred slice, bit for bit its own.
-    The f0, g0 and f_eps inverses map one frequency grid onto one time
-    grid, so in the row's scope they share one chirp-z setup."""
+def run_single(instance: SweepInstance, eps: float, seed: int = None,
+               noise_free: bool = False) -> RunResult:
+    """One pipeline pass at a single noise level; (s_eps, R_eps) come first
+    because the frequency grid extent is a multiple of r_eps.
+
+    The row runs in its own chirp-z scope and builds three setups: it
+    holds the kernel's (phi0_hat and phi_eps_hat) and the frequency-to-time
+    inverse (f0, g0 and f_eps, and g_eps_hat on its adjoint); the noise
+    wave's is used once and dropped.
+    """
+    s_eps, r_eps = plan_radius(eps, instance.beta, instance.q,
+                               instance.profile)
     phi0 = instance.kernel
     step, half = instance.grids.freq_step, instance.grids.half_count(r_eps)
-    mid = spectra[1].half_count
-    cut = slice(mid - half, mid + half + 1)
-    f0_hat, phi0_hat = (TransformSamples(step, s.values[cut]) for s in spectra)
+    phi0_hat = fourier_grid(phi0, step, half)
+    if instance.f0_signal is None:
+        f0_hat = TransformSamples(step, smooth_spectrum(phi0_hat.frequencies,
+                                                        instance.q))
+    else:
+        f0_hat = fourier_grid(instance.f0_signal, step, half)
 
     f0_real = instance.f0_signal is None or instance.f0_signal.is_real()
     t_min, t_step, t_count = instance.time_grid()
@@ -358,7 +357,8 @@ def _run_row(instance: SweepInstance, eps: float, s_eps: float, r_eps: float,
 
     plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
                               instance.profile.l1_total, s_eps, r_eps)
-    phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps, seed)
+    phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps,
+                                  instance.base_seed if seed is None else seed)
     f_eps = deconvolve(g_eps, phi_eps, plan, step, half)
 
     diff = SampledSignal(t_min, t_step, f0.values - f_eps.values)
@@ -366,15 +366,6 @@ def _run_row(instance: SweepInstance, eps: float, s_eps: float, r_eps: float,
     decomposition = error_decomposition(f0_hat, phi0_hat, plan, achieved ** 2)
     return RunResult(plan, f0_hat, f0, g0, phi_eps, g_eps, f_eps, achieved,
                      decomposition)
-
-
-def run_single(instance: SweepInstance, eps: float, seed: int = None,
-               noise_free: bool = False) -> RunResult:
-    """One pipeline pass at a single noise level; (s_eps, R_eps) come first
-    because the frequency grid extent is a multiple of r_eps."""
-    radius = plan_radius(eps, instance.beta, instance.q, instance.profile)
-    return _run_row(instance, eps, *radius, _spectra(instance, radius[1]),
-                    instance.base_seed if seed is None else seed, noise_free)
 
 
 @dataclass(frozen=True)
@@ -405,10 +396,9 @@ class SweepResult:
 
 
 def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
-    """Decreasing-eps sweep; a failed row is recorded and the sweep goes on.
+    """Decreasing-eps sweep of run_single rows, row i seeded base_seed + i;
+    a failed row is recorded and the sweep goes on.
 
-    All (s_eps, R_eps) are solved first, then the spectra once at the
-    largest R_eps (not always the last eps's); each row takes its slice.
     c3_fit is the max of achieved/rate_ref over rows; its stability is the
     max/min ratio over the last half of the successful rows.
     """
@@ -416,22 +406,10 @@ def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
     if len(eps_arr) < 2 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValidationError("eps_list must be strictly decreasing",
                               module="regularization", operation="run_sweep")
-    radii = []
-    for eps in eps_arr:
+    records, failures = [], []
+    for idx, eps in enumerate(eps_arr):
         try:
-            radii.append(plan_radius(eps, instance.beta, instance.q,
-                                     instance.profile))
-        except (ComputationError, ValidationError) as exc:
-            radii.append(exc)
-    records, failures, spectra = [], [], None
-    for idx, (eps, radius) in enumerate(zip(eps_arr, radii)):
-        try:
-            if isinstance(radius, Exception):
-                raise radius
-            spectra = spectra or _spectra(instance, max(
-                r[1] for r in radii if isinstance(r, tuple)))
-            res = _run_row(instance, eps, *radius, spectra,
-                           instance.base_seed + idx, False)
+            res = run_single(instance, eps, instance.base_seed + idx)
         except (ComputationError, ValidationError) as exc:
             failures.append((eps, str(exc)))
             continue

@@ -332,12 +332,86 @@ def test_a_shared_chirp_setup_gives_each_weight_vector_its_own_sums(
         assert np.max(np.abs(shared - direct)) <= 1e-12 * np.sum(np.abs(w))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_half=st.integers(1, 60), n_odd=st.booleans(),
+       m_half=st.integers(1, 80), m_odd=st.booleans(),
+       sign=st.sampled_from([-1.0, 1.0]), x0=st.floats(-50.0, 50.0),
+       dx=st.floats(1e-3, 0.5), t_min=st.floats(-5.0, 5.0),
+       h=st.floats(1e-3, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_chirp_setup_serves_its_adjoint(n_half, n_odd, m_half, m_odd, sign,
+                                          x0, dx, t_min, h, seed):
+    # the sums over the m points at the n samples with the sign flipped
+    # are conj(K^T conj(w)), K^T being the reversed setup, for n and m of
+    # either parity
+    n, m = 2 * n_half + n_odd, 2 * m_half + m_odd
+    rng = np.random.default_rng(seed)
+    setup = _chirp_setup(x0, dx, m, sign, t_min, h, n)
+    x = x0 + dx * np.arange(m)
+    t = t_min + h * np.arange(n)
+    w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    adjoint = np.conj(_chirp_apply(setup[::-1], np.conj(w)))
+    direct = np.array([np.sum(w * np.exp(-sign * 1j * x * tj)) for tj in t])
+    assert np.max(np.abs(adjoint - direct)) <= 1e-12 * np.sum(np.abs(w))
+    # inside a row scope _chirp_sums takes that route, building nothing
+    with grid_signal._row_scope():
+        _chirp_sums(x0, dx, m, sign, t_min, h, np.ones(n))
+        held = grid_signal._ROW_SETUPS.get()
+        assert np.array_equal(
+            _chirp_sums(t_min, h, n, -sign, x0, dx, w),
+            np.conj(_chirp_apply(held[(x0, dx, m, sign, t_min, h, n)][::-1],
+                                 np.conj(w))))
+        assert len(held) == 1
+
+
 def test_chirp_rejects_sizes_past_exact_squares():
     # d^2 stays an exact float64 integer only while n + m < 2^26; the
     # check fires before anything of that size is allocated
     with pytest.raises(ValidationError):
         _chirp_sums(0.0, 1.0, (1 << 26) - 1, -1.0, 0.0, 1.0,
                     np.ones(1, dtype=np.complex128))
+
+
+def _old_upper_weights(transform: TransformSamples) -> np.ndarray:
+    """The real inverse's weights as formed from all M trapezoid weights."""
+    mid = transform.half_count
+    weighted = (trapezoid_weights(transform.size, transform.spacing)[mid:]
+                * transform.values[mid:])
+    weighted[0] *= 0.5
+    return weighted
+
+
+def test_real_inverse_weights_match_the_full_grid_formula(monkeypatch):
+    # trapezoid_weights(mid + 1, h) on the upper half gives the old
+    # w[mid:] * v[mid:] with its first entry halved, bit for bit; the one
+    # exception is a zero-frequency value -0 - 0j, whose imaginary zero the
+    # old complex halving turned positive
+    seen, real_sums = [], grid_signal._chirp_sums
+
+    def recording(*args):
+        seen.append(args[-1])
+        return real_sums(*args)
+
+    monkeypatch.setattr(grid_signal, "_chirp_sums", recording)
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        mid = int(rng.integers(1, 40))
+        parts = (rng.standard_normal((2, 2 * mid + 1))
+                 * 10.0 ** rng.integers(-100, 100, (2, 2 * mid + 1)))
+        parts[rng.random(parts.shape) < 0.1] = 0.0
+        parts[rng.random(parts.shape) < 0.1] = -0.0
+        values = np.empty(2 * mid + 1, dtype=np.complex128)
+        values.real, values.imag = parts
+        transform = TransformSamples(float(rng.uniform(1e-4, 2.0)), values)
+        inverse_fourier(transform, -1.0, 0.1, 5, real=True)
+        old = _old_upper_weights(transform)
+        if np.all(np.signbit(parts[:, mid]) & (parts[:, mid] == 0.0)):
+            old[0] = complex(0.0, -0.0)
+        assert seen[-1].tobytes() == old.tobytes()
+    transform = TransformSamples(0.5, np.full(3, complex(-0.0, -0.0)))
+    inverse_fourier(transform, -1.0, 0.1, 5, real=True)
+    old = _old_upper_weights(transform)
+    assert np.signbit(seen[-1][0].imag) and not np.signbit(old[0].imag)
+    assert seen[-1][1:].tobytes() == old[1:].tobytes()
 
 
 def test_laplace_matches_windowed_closed_form():

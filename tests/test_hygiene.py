@@ -17,7 +17,9 @@ operation would speed up repeated calls in one process but not a one-shot
 CLI run, and would hold its arrays for the life of the process.  And only
 `fileio.py` may hold a round-trip float format or call `np.savetxt`: the
 library has one CSV writer.  And only `tail_profile.bisect` may halve a
-bracket in a `while` loop: the library has one root finder.
+bracket in a `while` loop: the library has one root finder.  And only
+`grid_signal` may name `_chirp_setup` or `_chirp_apply`: the library has
+one chirp-z entry point, `_chirp_sums`.
 """
 
 import ast
@@ -303,3 +305,41 @@ def test_library_has_one_root_finder(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     allowed = ROOT_FINDERS.get(path.name, frozenset())
     assert _midpoint_loops(tree, allowed) == [], path.name
+
+
+# One chirp-z entry point: outside `grid_signal` every chirp-z transform
+# goes through `_chirp_sums`, which knows the row scope's held setups.
+# Naming `_chirp_setup` or `_chirp_apply` anywhere else builds or applies a
+# setup behind the scope's back.
+CHIRP_INTERNALS = {"_chirp_setup", "_chirp_apply"}
+
+
+def _chirp_internals(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        names = ({a.name for a in node.names}
+                 if isinstance(node, ast.ImportFrom)
+                 else {getattr(node, "id", None), getattr(node, "attr", None)})
+        hit = sorted(names & CHIRP_INTERNALS)
+        if hit:
+            found.append(f"line {node.lineno}: {hit}")
+    return found
+
+
+def test_chirp_internal_scan_sees_every_form():
+    code = ("from .grid_signal import _chirp_setup\n"
+            "from . import grid_signal as gs\n"
+            "s = gs._chirp_setup(0.0, 1.0, 3, 1.0, 0.0, 1.0, 3)\n"
+            "y = gs._chirp_apply(s, w)\nf = _chirp_apply\n")
+    assert len(_chirp_internals(ast.parse(code))) == 4
+    assert _chirp_internals(ast.parse(
+        "from .grid_signal import _chirp_sums\n"
+        "y = _chirp_sums(0.0, 1.0, 3, 1.0, 0.0, 1.0, w)\n")) == []
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY
+                                  if p.name != "grid_signal.py"],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_has_one_chirp_entry_point(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _chirp_internals(tree) == [], path.name

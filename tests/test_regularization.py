@@ -16,6 +16,7 @@ from deconv.kernels import default_profile_grid
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
                                    GridSpec, RegularizationPlan, SweepInstance,
+                                   SweepRecord,
                                    deconvolve, error_decomposition,
                                    plan_radius, run_single, run_sweep,
                                    smooth_spectrum, solve_frequency_radius,
@@ -23,6 +24,15 @@ from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
 from deconv.tail_profile import tail_mass_profile
 
 from _oracles import log_radius_root
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ("gaussian", "indicator", "two_sided_exp")
+
+
+def shipped(name):
+    """(config, instance) of a shipped config."""
+    config = load_config(str(CONFIGS / f"{name}.json"))
+    return config, build_instance(config)
 
 
 def radius_residual(r, eps, beta, q, s_eps, l1):
@@ -231,26 +241,32 @@ def bump_instance():
                          base_seed=7)
 
 
+@pytest.fixture(scope="module")
+def shipped_indicator():
+    return shipped("indicator")[1]
+
+
 SWEEPS = [("small_instance", [1e-4, 1e-6, 1e-8]),
-          ("bump_instance", [1e-4, 1e-6, 1e-9])]
+          ("bump_instance", [1e-4, 1e-6, 1e-9]),
+          ("shipped_indicator",
+           list(load_config(str(CONFIGS / "indicator.json")).eps_list))]
 
 
 @pytest.mark.parametrize("name, eps_list", SWEEPS)
-def test_run_sweep_transforms_the_kernel_once(request, monkeypatch, name,
-                                              eps_list):
+def test_each_sweep_row_transforms_the_kernel_once(request, monkeypatch, name,
+                                                   eps_list):
     instance = request.getfixturevalue(name)
-    radius_calls = []
-    kernel_calls = []
+    calls = []
     solve = regularization.solve_frequency_radius
     transform = regularization.fourier_grid
 
     def counting_solve(*args):
-        radius_calls.append(args)
+        calls.append(("radius", args[0]))
         return solve(*args)
 
     def counting_transform(signal, *args):
         if signal is instance.kernel:
-            kernel_calls.append(args)
+            calls.append(("kernel", args))
         return transform(signal, *args)
 
     monkeypatch.setattr(regularization, "solve_frequency_radius",
@@ -258,11 +274,13 @@ def test_run_sweep_transforms_the_kernel_once(request, monkeypatch, name,
     monkeypatch.setattr(regularization, "fourier_grid", counting_transform)
     result = run_sweep(instance, eps_list)
     assert result.failures == ()
-    assert [args[0] for args in radius_calls] == eps_list
-    # one transform, on the grid of the largest radius
-    assert kernel_calls == [(instance.grids.freq_step,
-                             max(instance.grids.half_count(r.r_eps)
-                                 for r in result.records))]
+    # row by row in eps order: the radius, then the kernel on that row's grid
+    want = []
+    for eps, row in zip(eps_list, result.records, strict=True):
+        want += [("radius", eps),
+                 ("kernel", (instance.grids.freq_step,
+                             instance.grids.half_count(row.r_eps)))]
+    assert calls == want
 
 
 def test_bump_instance_radius_is_not_monotone(bump_instance):
@@ -272,25 +290,38 @@ def test_bump_instance_radius_is_not_monotone(bump_instance):
 
 
 @pytest.mark.parametrize("name, eps_list", SWEEPS)
-def test_sweep_rows_equal_single_runs(request, name, eps_list):
+def test_sweep_rows_equal_single_runs(request, monkeypatch, name, eps_list):
     instance = request.getfixturevalue(name)
+    solutions = []
+    solve = regularization.deconvolve
+
+    def recording(*args):
+        solutions.append(solve(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(regularization, "deconvolve", recording)
     result = run_sweep(instance, eps_list)
     assert result.failures == ()
-    for idx, (eps, row) in enumerate(zip(eps_list, result.records)):
+    rows = solutions[:]
+    assert len(rows) == len(eps_list)
+    for idx, (eps, row, f_eps) in enumerate(zip(eps_list, result.records,
+                                                rows)):
         single = run_single(instance, eps, seed=instance.base_seed + idx)
-        assert (row.eps, row.s_eps, row.delta, row.r_eps) == (
-            eps, single.plan.s_eps, single.plan.delta, single.plan.r_eps)
-        assert math.isclose(row.achieved_error, single.achieved_error,
-                            rel_tol=1e-9)
+        want = SweepRecord(eps, single.plan.s_eps, single.plan.delta,
+                           single.plan.r_eps, single.achieved_error,
+                           math.sqrt(single.decomposition.total_bound),
+                           single.plan.rate_ref)
+        # bit for bit, field by field
+        assert ([x.hex() for x in dataclasses.astuple(row)]
+                == [x.hex() for x in dataclasses.astuple(want)])
+        assert f_eps.values.tobytes() == single.f_eps.values.tobytes()
 
 
-@pytest.mark.parametrize("name", ["gaussian", "indicator", "two_sided_exp"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_delta_and_data_term_fall_with_eps(name):
     # C1 and C2 carry ||g0||_2 measured on each row's own grid, so the
     # eps powers alone do not settle the order
-    config = load_config(str(Path(__file__).resolve().parents[1] / "configs"
-                             / f"{name}.json"))
-    instance = build_instance(config)
+    config, instance = shipped(name)
     rows = [run_single(instance, eps, noise_free=True)
             for eps in config.eps_list]
     deltas = [row.plan.delta for row in rows]
@@ -313,43 +344,56 @@ def chirp_setups(monkeypatch):
     return calls
 
 
-def test_a_row_builds_one_inverse_setup(gaussian_instance, indicator_instance,
-                                        chirp_setups):
-    # forward: the kernel, the noise wave, g_eps and phi_eps; the f0, g0
-    # and f_eps inverses share the fifth
-    res = run_single(gaussian_instance, 1e-6)
-    assert len(chirp_setups) == 5
-    # it maps the nonnegative frequencies onto the time grid, both taken
-    # from the grid description, not read back from an array
-    inverse, = (a for a in chirp_setups
-                if a[3] == +1.0 and a[6] == res.f0_hat.size // 2 + 1)
-    assert inverse[:3] == gaussian_instance.time_grid()  # dx is t_step
-    assert inverse[4:6] == (0.0, gaussian_instance.grids.freq_step)
-    assert grid_signal._ROW_SETUP.get() is None
-    chirp_setups.clear()
-    # the kernel's spectrum once, then four setups per row
-    run_sweep(indicator_instance, [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
-    assert len(chirp_setups) == 1 + 5 * 4
-    assert grid_signal._ROW_SETUP.get() is None
+def test_a_row_builds_one_inverse_setup(chirp_setups):
+    # three setups per row: the kernel's (phi0_hat and phi_eps_hat), the
+    # inverse's (f0, g0 and f_eps, and g_eps_hat on its adjoint) and the
+    # noise wave's; g_eps_hat finds the adjoint only if the step its
+    # frequencies are read back with is exactly freq_step
+    for name in SHIPPED:
+        config, instance = shipped(name)
+        ends = [config.eps_list[0], config.eps_list[-1]]
+        for eps in ends:
+            chirp_setups.clear()
+            res = run_single(instance, eps)
+            assert len(chirp_setups) == 3, (name, eps)
+            upper = res.f0_hat.half_count + 1
+            step = instance.grids.freq_step
+            # the inverse maps the nonnegative frequencies onto the time
+            # grid, both taken from the grid description
+            inverse, = (a for a in chirp_setups
+                        if a[3] == +1.0 and a[6] == upper)
+            assert inverse == (*instance.time_grid(), +1.0, 0.0, step, upper)
+            k = instance.kernel
+            kernel, = (a for a in chirp_setups if a[3] == -1.0)
+            assert kernel == (0.0, step, upper, -1.0, k.t_min, k.spacing,
+                              k.size)
+            assert grid_signal._ROW_SETUPS.get() is None
+        chirp_setups.clear()
+        run_sweep(instance, ends)
+        assert len(chirp_setups) == 2 * 3, name
+        assert grid_signal._ROW_SETUPS.get() is None
 
 
 def test_the_shared_setup_ends_with_its_row(small_instance, monkeypatch):
     held = []
 
     def failing(*args):
-        held.append(grid_signal._ROW_SETUP.get())
+        held.append(len(grid_signal._ROW_SETUPS.get()))
         raise ComputationError("injected", module="regularization",
                                operation="deconvolve")
 
+    run_single(small_instance, 1e-6)
+    assert grid_signal._ROW_SETUPS.get() is None
     monkeypatch.setattr(regularization, "deconvolve", failing)
     with pytest.raises(ComputationError):
         run_single(small_instance, 1e-6)
-    assert grid_signal._ROW_SETUP.get() is None
+    assert grid_signal._ROW_SETUPS.get() is None
     result = run_sweep(small_instance, [1e-5, 1e-6])
     assert [eps for eps, _ in result.failures] == [1e-5, 1e-6]
-    assert grid_signal._ROW_SETUP.get() is None
-    # inside each row the scope held the setup of the f0 and g0 inverses
-    assert len(held) == 3 and all(len(setup) == 2 for setup in held)
+    assert grid_signal._ROW_SETUPS.get() is None
+    # inside each row the scope held the kernel's and the inverse's setups;
+    # the noise wave's, used once, is not kept
+    assert held == [2, 2, 2]
 
 
 def test_run_sweep_rejects_bad_eps_list(small_instance):
