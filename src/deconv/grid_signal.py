@@ -23,11 +23,13 @@ the points at the samples with the sign flipped.  A regularization row
 runs inside `_row_scope`, which holds the setups built in it: phi0 and
 phi_eps share the kernel's, the f0, g0 and f_eps inverses share one, and
 the forward transform of g_eps runs on that inverse's adjoint.  Outside a
-scope every transform builds its own setup.
+scope every transform builds its own setup.  A thread starts with an
+empty context, so each thread's rows run in their own scope.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 from dataclasses import dataclass
@@ -36,6 +38,27 @@ import numpy as np
 
 from .errors import ValidationError
 from .fileio import write_csv
+
+
+# A values array its maker hands over and drops: a record keeps it read-only
+# without the defensive copy, unless it is a view, which would pin its base.
+_Fresh = collections.namedtuple("_Fresh", "array")
+
+
+def _keep(record) -> np.ndarray:
+    """Check record.spacing; store record.values as a read-only complex
+    array and return it."""
+    if not (record.spacing > 0.0 and np.isfinite(record.spacing)):
+        raise ValidationError("spacing must be positive and finite",
+                              module="grid_signal",
+                              operation=type(record).__name__)
+    fresh = isinstance(record.values, _Fresh)
+    vals = np.asarray(record.values.array if fresh else record.values,
+                      dtype=np.complex128)
+    vals = vals if fresh and vals.flags.owndata else vals.copy()
+    vals.setflags(write=False)
+    object.__setattr__(record, "values", vals)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -54,14 +77,10 @@ class SampledSignal:
     truncation_tail: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _keep(self)
         if vals.ndim != 1 or vals.size < 2:
             raise ValidationError(
                 "signal needs a 1-d array with at least two samples",
-                module="grid_signal", operation="SampledSignal")
-        if not (self.spacing > 0.0 and np.isfinite(self.spacing)):
-            raise ValidationError(
-                "grid spacing must be positive and finite",
                 module="grid_signal", operation="SampledSignal")
         if not (self.truncation_tail >= 0.0 and np.isfinite(self.truncation_tail)):
             raise ValidationError(
@@ -71,9 +90,6 @@ class SampledSignal:
             raise ValidationError(
                 "signal samples must be finite",
                 module="grid_signal", operation="SampledSignal")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @property
     def size(self) -> int:
@@ -99,17 +115,11 @@ class TransformSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _keep(self)
         if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
             raise ValidationError(
                 "transform values must be a 1-d array of odd size >= 3",
                 module="grid_signal", operation="TransformSamples")
-        if not (self.spacing > 0.0 and np.isfinite(self.spacing)):
-            raise ValidationError(
-                "frequency spacing must be positive and finite",
-                module="grid_signal", operation="TransformSamples")
-        vals = vals.copy(); vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @property
     def size(self) -> int:
@@ -143,10 +153,12 @@ def l2_norm(signal: SampledSignal) -> float:
 
 
 def _progression(points: np.ndarray):
-    """(x0, dx > 0) if every point is within 4 ulp of max|points| of x0 + k*dx."""
+    """(x0, dx > 0) if every point is within 4 ulp of max|points| of x0 + k*dx;
+    from x0 = 0, dx is the second point ((dx * k) / k need not be dx)."""
     if points.size > 1:
         x0 = float(points[0])
-        dx = (float(points[-1]) - x0) / (points.size - 1)
+        dx = (float(points[1]) if x0 == 0.0
+              else (float(points[-1]) - x0) / (points.size - 1))
         miss = np.max(np.abs(points - (x0 + dx * np.arange(points.size))))
         if dx > 0.0 and miss <= 4.0 * np.spacing(np.max(np.abs(points))):
             return x0, dx
@@ -331,7 +343,7 @@ def fourier_grid(signal: SampledSignal, freq_spacing: float,
         vals = _mirror(fourier_at(signal, freqs[half_count:]), freqs.size)
     else:
         vals = fourier_at(signal, freqs)
-    return TransformSamples(freq_spacing, vals)
+    return TransformSamples(freq_spacing, _Fresh(vals))
 
 
 def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
@@ -352,7 +364,7 @@ def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
                           trapezoid_weights(transform.size, h)
                           * transform.values)
         vals = res / (2.0 * np.pi)
-    return SampledSignal(t_min, spacing, vals)
+    return SampledSignal(t_min, spacing, _Fresh(vals))
 
 
 def laplace_parts(signal: SampledSignal, zs) -> tuple[np.ndarray, np.ndarray]:

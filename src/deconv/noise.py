@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .grid_signal import SampledSignal, _chirp_sums, l1_norm, l2_norm
+from .grid_signal import SampledSignal, _chirp_sums, _Fresh, l1_norm, l2_norm
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -97,7 +97,8 @@ def inject_noise(phi0: SampledSignal, g0: SampledSignal, eps: float,
         return phi0, g0
     bump, wave = noise_components(phi0, g0, eps, seed)
     phi_eps = SampledSignal(phi0.t_min, phi0.spacing,
-                            phi0.values + bump.values, phi0.truncation_tail)
+                            _Fresh(phi0.values + bump.values),
+                            phi0.truncation_tail)
     g_eps = SampledSignal(g0.t_min, g0.spacing,
-                          g0.values + wave.values, g0.truncation_tail)
+                          _Fresh(g0.values + wave.values), g0.truncation_tail)
     return phi_eps, g_eps

@@ -21,12 +21,14 @@ spectral mass of the unknown where the kernel transform is small, split at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ComputationError, NoRootError, SaturationError, ValidationError
-from .grid_signal import (SampledSignal, TransformSamples, _row_scope,
+from .grid_signal import (SampledSignal, TransformSamples, _Fresh, _row_scope,
                           fourier_grid, inverse_fourier, l2_norm,
                           trapezoid_weights)
 from .noise import inject_noise
@@ -179,9 +181,12 @@ def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,
         raise ValidationError("transforms live on different frequency grids",
                               module="regularization", operation="tikhonov_filter")
     p = phi_hat.values
-    mag2 = p.real ** 2 + p.imag ** 2
-    return TransformSamples(g_hat.spacing,
-                            g_hat.values * np.conj(p) / (delta + mag2))
+    mag2 = p.real ** 2 + p.imag ** 2 + delta
+    # one buffer, in a fixed order (see grid_signal._chirp_apply)
+    out = np.conj(p)
+    out *= g_hat.values
+    out /= mag2
+    return TransformSamples(g_hat.spacing, _Fresh(out))
 
 
 def deconvolve(g_eps: SampledSignal, phi_eps: SampledSignal,
@@ -192,9 +197,10 @@ def deconvolve(g_eps: SampledSignal, phi_eps: SampledSignal,
     if freq_spacing * half_count < plan.r_eps:
         raise ValidationError("frequency grid does not reach r_eps",
                               module="regularization", operation="deconvolve")
-    g_hat = fourier_grid(g_eps, freq_spacing, half_count)
-    phi_hat = fourier_grid(phi_eps, freq_spacing, half_count)
-    f_hat = tikhonov_filter(g_hat, phi_hat, plan.delta)
+    # neither forward transform outlives the filter
+    f_hat = tikhonov_filter(fourier_grid(g_eps, freq_spacing, half_count),
+                            fourier_grid(phi_eps, freq_spacing, half_count),
+                            plan.delta)
     return inverse_fourier(f_hat, g_eps.t_min, g_eps.spacing, g_eps.size,
                            real=g_eps.is_real() and phi_eps.is_real())
 
@@ -343,27 +349,32 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
     step, half = instance.grids.freq_step, instance.grids.half_count(r_eps)
     phi0_hat = fourier_grid(phi0, step, half)
     if instance.f0_signal is None:
-        f0_hat = TransformSamples(step, smooth_spectrum(phi0_hat.frequencies,
-                                                        instance.q))
+        f0_hat = TransformSamples(step, _Fresh(smooth_spectrum(
+            phi0_hat.frequencies, instance.q)))
     else:
         f0_hat = fourier_grid(instance.f0_signal, step, half)
 
     f0_real = instance.f0_signal is None or instance.f0_signal.is_real()
     t_min, t_step, t_count = instance.time_grid()
     f0 = inverse_fourier(f0_hat, t_min, t_step, t_count, real=f0_real)
-    g0 = inverse_fourier(TransformSamples(step, f0_hat.values * phi0_hat.values),
+    g0 = inverse_fourier(TransformSamples(step, _Fresh(f0_hat.values
+                                                       * phi0_hat.values)),
                          t_min, t_step, t_count,
                          real=f0_real and phi0.is_real())
 
     plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
                               instance.profile.l1_total, s_eps, r_eps)
+    # phi0_hat is gone before the reconstruction allocates
+    terms = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
+    del phi0_hat
     phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps,
                                   instance.base_seed if seed is None else seed)
     f_eps = deconvolve(g_eps, phi_eps, plan, step, half)
 
-    diff = SampledSignal(t_min, t_step, f0.values - f_eps.values)
-    achieved = l2_norm(diff)
-    decomposition = error_decomposition(f0_hat, phi0_hat, plan, achieved ** 2)
+    achieved = l2_norm(SampledSignal(t_min, t_step,
+                                     _Fresh(f0.values - f_eps.values)))
+    # replace() runs the certificate check again, now on the achieved error
+    decomposition = replace(terms, achieved_sq_error=achieved ** 2)
     return RunResult(plan, f0_hat, f0, g0, phi_eps, g_eps, f_eps, achieved,
                      decomposition)
 
@@ -395,9 +406,24 @@ class SweepResult:
     invalid: bool
 
 
+def _sweep_row(instance: SweepInstance, eps: float, seed: int):
+    """One row's SweepRecord, or (eps, reason); its RunResult dies here."""
+    try:
+        res = run_single(instance, eps, seed)
+    except (ComputationError, ValidationError) as exc:
+        return eps, str(exc)
+    return SweepRecord(eps, res.plan.s_eps, res.plan.delta, res.plan.r_eps,
+                       res.achieved_error,
+                       math.sqrt(res.decomposition.total_bound),
+                       res.plan.rate_ref)
+
+
 def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
     """Decreasing-eps sweep of run_single rows, row i seeded base_seed + i;
-    a failed row is recorded and the sweep goes on.
+    a failed row is recorded and the sweep goes on.  With two or more usable
+    CPUs a helper thread takes rows from the front (large eps, small grids)
+    and the caller from the back; a row's result depends on its eps and
+    seed only, never on the thread that ran it.
 
     c3_fit is the max of achieved/rate_ref over rows; its stability is the
     max/min ratio over the last half of the successful rows.
@@ -406,17 +432,35 @@ def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
     if len(eps_arr) < 2 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValidationError("eps_list must be strictly decreasing",
                               module="regularization", operation="run_sweep")
-    records, failures = [], []
-    for idx, eps in enumerate(eps_arr):
+    rows = [None] * len(eps_arr)
+    pending, lock, raised = list(range(len(eps_arr))), threading.Lock(), []
+
+    def drain(end):
         try:
-            res = run_single(instance, eps, instance.base_seed + idx)
-        except (ComputationError, ValidationError) as exc:
-            failures.append((eps, str(exc)))
-            continue
-        records.append(SweepRecord(eps, res.plan.s_eps, res.plan.delta,
-                                   res.plan.r_eps, res.achieved_error,
-                                   math.sqrt(res.decomposition.total_bound),
-                                   res.plan.rate_ref))
+            while True:
+                with lock:
+                    if not pending:
+                        return
+                    idx = pending.pop(end)
+                rows[idx] = _sweep_row(instance, eps_arr[idx],
+                                       instance.base_seed + idx)
+        except BaseException as exc:  # re-raised below, after the join
+            with lock:
+                pending.clear()
+            raised.append(exc)
+
+    helper = threading.Thread(target=drain, args=(0,), daemon=True)
+    if len(os.sched_getaffinity(0)) > 1:
+        helper.start()
+    try:
+        drain(-1)
+    finally:
+        if helper.ident is not None:
+            helper.join()
+    if raised:
+        raise raised[0]
+    records = [r for r in rows if isinstance(r, SweepRecord)]
+    failures = [r for r in rows if not isinstance(r, SweepRecord)]
     invalid = len(failures) > 0.25 * len(eps_arr)
     if not records:
         return SweepResult((), tuple(failures), math.nan, math.nan, math.nan,

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from _oracles import gauss_hat, indicator_hat, two_sided_exp_hat
 from deconv import grid_signal
 from deconv.errors import ValidationError
-from deconv.grid_signal import (SampledSignal, TransformSamples, _chirp_apply,
+from deconv.grid_signal import (SampledSignal, TransformSamples, _Fresh,
+                                _chirp_apply,
                                 _chirp_setup, _chirp_sums,
                                 _oscillatory_sums, _progression,
                                 _smooth_length, _symmetric_grid, fourier_at,
@@ -332,6 +333,35 @@ def test_a_shared_chirp_setup_gives_each_weight_vector_its_own_sums(
         assert np.max(np.abs(shared - direct)) <= 1e-12 * np.sum(np.abs(w))
 
 
+@pytest.mark.parametrize("step", [0.003, 0.007])
+def test_a_progression_from_zero_reads_its_step_exactly(step, monkeypatch):
+    # (step * k) / k misses step for these half counts, so a step read back
+    # from the last point would keep a real signal's forward transform off
+    # the inverse's setup, whose adjoint it is
+    halves = [k for k in range(1000, 3000) if (step * k) / k != step]
+    assert len(halves) > 200
+    for k in halves:
+        assert _progression(_symmetric_grid(step, k)[k:]) == (0.0, step)
+    setups = []
+    original = grid_signal._chirp_setup
+
+    def counting(*args):
+        setups.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grid_signal, "_chirp_setup", counting)
+    signal = SampledSignal(-1.0, 0.05,
+                           np.exp(-np.linspace(-1.0, 1.0, 41) ** 2))
+    for k in halves[::40]:
+        setups.clear()
+        with grid_signal._row_scope():
+            inverse_fourier(TransformSamples(step, np.ones(2 * k + 1)),
+                            signal.t_min, signal.spacing, signal.size,
+                            real=True)
+            fourier_grid(signal, step, k)
+        assert len(setups) == 1, k
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n_half=st.integers(1, 60), n_odd=st.booleans(),
        m_half=st.integers(1, 80), m_odd=st.booleans(),
@@ -521,3 +551,25 @@ def test_signal_validation_rejects_bad_shapes():
 def test_signal_values_are_read_only(indicator_kernel):
     with pytest.raises(ValueError):
         indicator_kernel.values[0] = 0.0
+
+
+def test_fresh_values_are_kept_uncopied_unless_a_view():
+    # a record copies what a caller passes in, keeps a fresh array that
+    # owns its data as it is, and copies a fresh view rather than pin its
+    # base; each ends read-only, and the checks still run
+    for make in (lambda v: SampledSignal(0.0, 0.1, v),
+                 lambda v: TransformSamples(0.1, v)):
+        base = np.arange(5, dtype=np.complex128)
+        for values, kept in ((base, False), (_Fresh(base[1:4]), False),
+                             (_Fresh(base), True)):
+            record = make(values)
+            arr = values.array if isinstance(values, _Fresh) else values
+            assert (record.values is arr) == kept
+            assert np.array_equal(record.values, arr)
+            assert not record.values.flags.writeable
+    with pytest.raises(ValidationError):
+        SampledSignal(0.0, 0.1, _Fresh(np.array([1.0, np.nan])))
+    with pytest.raises(ValidationError):
+        TransformSamples(0.1, _Fresh(np.zeros(4)))
+    with pytest.raises(ValidationError):
+        TransformSamples(0.0, _Fresh(np.zeros(3)))

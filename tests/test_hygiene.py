@@ -19,7 +19,9 @@ CLI run, and would hold its arrays for the life of the process.  And only
 library has one CSV writer.  And only `tail_profile.bisect` may halve a
 bracket in a `while` loop: the library has one root finder.  And only
 `grid_signal` may name `_chirp_setup` or `_chirp_apply`: the library has
-one chirp-z entry point, `_chirp_sums`.
+one chirp-z entry point, `_chirp_sums`.  And only `regularization` may
+import `threading` or `concurrent`: the sweep's helper thread is the
+library's one place that runs work concurrently.
 """
 
 import ast
@@ -343,3 +345,56 @@ def test_chirp_internal_scan_sees_every_form():
 def test_library_has_one_chirp_entry_point(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _chirp_internals(tree) == [], path.name
+
+
+# One place that runs threads: `regularization.run_sweep` and its helper.
+# Importing `threading`, `_thread` or `concurrent` (any submodule, any
+# alias, or by name through `__import__` / `importlib.import_module`)
+# anywhere else in the library is a second one.
+THREAD_MODULES = {"threading", "_thread", "concurrent"}
+THREAD_OWNERS = {"regularization.py"}
+
+
+def _thread_imports(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            names = [node.args[0].value]
+        else:
+            continue
+        hit = sorted({str(n).split(".")[0] for n in names} & THREAD_MODULES)
+        if hit:
+            found.append(f"line {node.lineno}: {hit}")
+    return found
+
+
+def test_thread_import_scan_sees_every_form():
+    code = ("import threading\nimport concurrent.futures as cf\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "from concurrent import futures\nimport os, _thread\n"
+            "from threading import Thread as T\n"
+            "m = __import__('threading')\n"
+            "n = importlib.import_module('concurrent.futures')\n")
+    assert len(_thread_imports(ast.parse(code))) == 8
+    assert _thread_imports(ast.parse(
+        "import os\nfrom . import threads\nfrom .threading import x\n"
+        "import threadpoolctl\nn = importlib.import_module('json')\n"
+        "threading = 1\nx = os.sched_getaffinity(0)\n")) == []
+    owner = (ROOT / "src" / "deconv" / "regularization.py").read_text(
+        encoding="utf-8")
+    assert len(_thread_imports(ast.parse(owner))) == 1
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY
+                                  if p.name not in THREAD_OWNERS],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_runs_threads_in_one_place(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _thread_imports(tree) == [], path.name

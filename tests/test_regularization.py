@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +160,22 @@ def test_tikhonov_filter_am_gm_bound():
     assert f.values[j] == want
 
 
+@pytest.mark.parametrize("size", [1001, 20001])
+def test_tikhonov_filter_rounds_in_one_order(size):
+    # conj(p) * g, then the division: the order numpy picks for a large
+    # `g * conj(p)`, at every size; a complex product under FMA is not
+    # bitwise commutative
+    rng = np.random.default_rng(size)
+    g, p = (rng.normal(size=size) + 1j * rng.normal(size=size)
+            for _ in range(2))
+    delta = 0.037
+    f = tikhonov_filter(TransformSamples(0.01, g), TransformSamples(0.01, p),
+                        delta)
+    want = np.divide(np.multiply(np.conj(p), g),
+                     p.real ** 2 + p.imag ** 2 + delta)
+    assert f.values.tobytes() == want.tobytes()
+
+
 def test_tikhonov_filter_validation():
     g = TransformSamples(0.2, np.ones(11, dtype=np.complex128))
     for other in (TransformSamples(0.4, np.ones(11, dtype=np.complex128)),
@@ -252,6 +272,12 @@ SWEEPS = [("small_instance", [1e-4, 1e-6, 1e-8]),
            list(load_config(str(CONFIGS / "indicator.json")).eps_list))]
 
 
+def cpus(monkeypatch, count):
+    """Make run_sweep see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
 @pytest.mark.parametrize("name, eps_list", SWEEPS)
 def test_each_sweep_row_transforms_the_kernel_once(request, monkeypatch, name,
                                                    eps_list):
@@ -261,26 +287,40 @@ def test_each_sweep_row_transforms_the_kernel_once(request, monkeypatch, name,
     transform = regularization.fourier_grid
 
     def counting_solve(*args):
-        calls.append(("radius", args[0]))
+        calls.append((threading.get_ident(), "radius", args[0]))
         return solve(*args)
 
     def counting_transform(signal, *args):
         if signal is instance.kernel:
-            calls.append(("kernel", args))
+            calls.append((threading.get_ident(), "kernel", args))
         return transform(signal, *args)
 
     monkeypatch.setattr(regularization, "solve_frequency_radius",
                         counting_solve)
     monkeypatch.setattr(regularization, "fourier_grid", counting_transform)
-    result = run_sweep(instance, eps_list)
-    assert result.failures == ()
-    # row by row in eps order: the radius, then the kernel on that row's grid
-    want = []
-    for eps, row in zip(eps_list, result.records, strict=True):
-        want += [("radius", eps),
-                 ("kernel", (instance.grids.freq_step,
-                             instance.grids.half_count(row.r_eps)))]
-    assert calls == want
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        calls.clear()
+        result = run_sweep(instance, eps_list)
+        assert result.failures == ()
+        # per row: the radius, then the kernel on that row's grid
+        rows = {eps: [("radius", eps),
+                      ("kernel", (instance.grids.freq_step,
+                                  instance.grids.half_count(row.r_eps)))]
+                for eps, row in zip(eps_list, result.records, strict=True)}
+        if count == 1:
+            # one thread takes every row, last first
+            assert calls == [(threading.get_ident(), *call)
+                             for eps in eps_list[::-1] for call in rows[eps]]
+            continue
+        # two threads: each runs whole rows, one after another
+        done = []
+        for ident in {c[0] for c in calls}:
+            mine = [c[1:] for c in calls if c[0] == ident]
+            for k in range(0, len(mine), 2):
+                assert mine[k:k + 2] == rows[mine[k][1]]
+                done.append(mine[k][1])
+        assert sorted(done, reverse=True) == list(eps_list)
 
 
 def test_bump_instance_radius_is_not_monotone(bump_instance):
@@ -292,20 +332,21 @@ def test_bump_instance_radius_is_not_monotone(bump_instance):
 @pytest.mark.parametrize("name, eps_list", SWEEPS)
 def test_sweep_rows_equal_single_runs(request, monkeypatch, name, eps_list):
     instance = request.getfixturevalue(name)
-    solutions = []
+    solutions = {}
     solve = regularization.deconvolve
 
-    def recording(*args):
-        solutions.append(solve(*args))
-        return solutions[-1]
+    def recording(g_eps, phi_eps, plan, *args):
+        # rows may run on two threads: key each solution by its row's eps
+        solutions[plan.eps] = solve(g_eps, phi_eps, plan, *args)
+        return solutions[plan.eps]
 
     monkeypatch.setattr(regularization, "deconvolve", recording)
     result = run_sweep(instance, eps_list)
     assert result.failures == ()
-    rows = solutions[:]
-    assert len(rows) == len(eps_list)
-    for idx, (eps, row, f_eps) in enumerate(zip(eps_list, result.records,
-                                                rows)):
+    assert sorted(solutions, reverse=True) == list(eps_list)
+    for idx, (eps, row) in enumerate(zip(eps_list, result.records,
+                                         strict=True)):
+        f_eps = solutions[eps]
         single = run_single(instance, eps, seed=instance.base_seed + idx)
         want = SweepRecord(eps, single.plan.s_eps, single.plan.delta,
                            single.plan.r_eps, single.achieved_error,
@@ -315,6 +356,109 @@ def test_sweep_rows_equal_single_runs(request, monkeypatch, name, eps_list):
         assert ([x.hex() for x in dataclasses.astuple(row)]
                 == [x.hex() for x in dataclasses.astuple(want)])
         assert f_eps.values.tobytes() == single.f_eps.values.tobytes()
+
+
+def hexed(value):
+    """Floats as float.hex, recursively through tuples and dataclasses."""
+    if dataclasses.is_dataclass(value):
+        return hexed(dataclasses.astuple(value))
+    if isinstance(value, tuple):
+        return tuple(hexed(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_sweep_result_does_not_depend_on_the_threads(monkeypatch,
+                                                     shipped_indicator):
+    eps_list = load_config(str(CONFIGS / "indicator.json")).eps_list
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        results.append(run_sweep(shipped_indicator, eps_list))
+    for field in dataclasses.fields(results[0]):
+        assert (hexed(getattr(results[0], field.name))
+                == hexed(getattr(results[1], field.name))), field.name
+
+
+def two_sided_rows(monkeypatch, before_row):
+    """Make run_sweep see two CPUs and call before_row(eps, on_helper)
+    ahead of each row.  Each thread's first row waits for the other's, so
+    the helper always starts at the first eps and the caller at the last."""
+    cpus(monkeypatch, 2)
+    meet, met = threading.Barrier(2, timeout=30.0), set()
+    original = regularization.run_single
+
+    def split(instance, eps, seed=None, noise_free=False):
+        if threading.get_ident() not in met:
+            met.add(threading.get_ident())
+            meet.wait()
+        before_row(eps,
+                   threading.current_thread() is not threading.main_thread())
+        return original(instance, eps, seed, noise_free)
+
+    monkeypatch.setattr(regularization, "run_single", split)
+
+
+def test_a_failed_helper_row_lands_at_its_eps(monkeypatch, small_instance):
+    eps_list = [1e-4, 1e-5, 1e-6, 1e-7]
+    failed = []
+
+    def fail_on_helper(eps, on_helper):
+        if on_helper:
+            failed.append(eps)
+            raise ComputationError(f"injected at {eps!r}",
+                                   module="regularization", operation="test")
+
+    two_sided_rows(monkeypatch, fail_on_helper)
+    result = run_sweep(small_instance, eps_list)
+    assert failed[0] == eps_list[0] and eps_list[-1] not in failed
+    assert result.failures == tuple((eps, f"injected at {eps!r}")
+                                    for eps in eps_list if eps in failed)
+    assert [r.eps for r in result.records] == [e for e in eps_list
+                                               if e not in failed]
+
+
+@pytest.mark.parametrize("side", ["helper", "caller"])
+def test_other_errors_propagate_after_the_helper_ends(monkeypatch,
+                                                      small_instance, side):
+    before = threading.active_count()
+
+    def break_one_side(eps, on_helper):
+        if on_helper == (side == "helper"):
+            raise RuntimeError(f"{side} failed at {eps!r}")
+
+    two_sided_rows(monkeypatch, break_one_side)
+    with pytest.raises(RuntimeError, match=f"{side} failed"):
+        run_sweep(small_instance, [1e-4, 1e-5, 1e-6])
+    assert threading.active_count() == before
+
+
+def test_every_row_is_taken_once_under_contention(monkeypatch,
+                                                  small_instance):
+    # rows that sleep 10 us, many of them and a short switch interval keep
+    # both threads at the queue: a row lost or taken twice shows in the
+    # seeds the rows ran with
+    cpus(monkeypatch, 2)
+    eps_list = [10.0 ** (-k / 40.0) for k in range(1, 401)]
+    taken = []
+
+    def free_row(instance, eps, seed=None, noise_free=False):
+        taken.append(seed)
+        time.sleep(1e-5)
+        raise ComputationError("free", module="regularization",
+                               operation="test")
+
+    monkeypatch.setattr(regularization, "run_single", free_row)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            taken.clear()
+            result = run_sweep(small_instance, eps_list)
+            assert sorted(taken) == [small_instance.base_seed + i
+                                     for i in range(len(eps_list))]
+            assert [eps for eps, _ in result.failures] == eps_list
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
