@@ -26,7 +26,7 @@ from .entire_diagnostics import (growth_profile, supported_in_unit_interval,
 from .errors import (AcceptanceGateError, ComputationError, ConfigError,
                      ValidationError)
 from .fileio import atomic_write_text, write_csv
-from .grid_signal import fourier_at, write_signal_csv
+from .grid_signal import HEAP_POLICY, fourier_at, write_signal_csv
 from .kernels import default_profile_grid
 from .regularization import (ErrorDecomposition, RegularizationPlan,
                              plan_radius, run_single, run_sweep)
@@ -85,6 +85,7 @@ class _Manifest:
         data = {
             "command": self.command,
             "config": config_echo(self.config),
+            "heap_policy": HEAP_POLICY,
             "outputs": self.outputs,
             "versions": {
                 "deconv": __version__,

@@ -450,7 +450,8 @@ def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
             raised.append(exc)
 
     helper = threading.Thread(target=drain, args=(0,), daemon=True)
-    if len(os.sched_getaffinity(0)) > 1:
+    if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) > 1:  # no affinity API on macOS, Windows
         helper.start()
     try:
         drain(-1)

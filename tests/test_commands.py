@@ -14,6 +14,7 @@ from deconv.commands import (cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
                              cmd_sweep, cmd_zeros)
 from deconv.config import parse_config
 from deconv.errors import AcceptanceGateError, ConfigError
+from deconv.grid_signal import HEAP_POLICY
 
 
 def small_config(kernel=None, eps_list=None):
@@ -94,6 +95,16 @@ def test_deconvolve_outputs(tmp_path):
     dec = read_json(out, "decomposition.json")
     assert dec["achieved_sq_error"] <= dec["total_bound"] + 1e-6
     assert (out / "reconstruction.csv").is_file()
+
+
+def test_manifest_records_the_heap_policy(tmp_path):
+    out = tmp_path / "out"
+    cmd_deconvolve(parse_config(small_config()), str(out), eps=1e-6,
+                   noise_free=True)
+    policy = read_json(out, "manifest.json")["heap_policy"]
+    assert policy == HEAP_POLICY
+    assert policy in (None, {"mmap_threshold": 33554432,
+                             "trim_threshold": 67108864})
 
 
 def test_sweep_writes_everything_then_gates(tmp_path):

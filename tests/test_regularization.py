@@ -379,6 +379,32 @@ def test_sweep_result_does_not_depend_on_the_threads(monkeypatch,
                 == hexed(getattr(results[1], field.name))), field.name
 
 
+def test_a_sweep_runs_without_an_affinity_api(monkeypatch, shipped_indicator):
+    # macOS and Windows have no os.sched_getaffinity
+    eps_list = load_config(str(CONFIGS / "indicator.json")).eps_list
+    cpus(monkeypatch, 1)
+    want = run_sweep(shipped_indicator, eps_list)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    got = run_sweep(shipped_indicator, eps_list)
+    for field in dataclasses.fields(want):
+        assert (hexed(getattr(got, field.name))
+                == hexed(getattr(want, field.name))), field.name
+
+
+@pytest.mark.skipif(grid_signal.HEAP_POLICY is None,
+                    reason="libc has no mallopt or refused the heap policy")
+def test_a_repeated_row_reuses_the_heap():
+    # under glibc's dynamic thresholds the second row faulted 1,130 to
+    # 3,323 pages back in, by the heap's history; the first row's count
+    # depends on that history here too, so only the second is pinned
+    import resource  # not on Windows, where HEAP_POLICY is None
+    instance = shipped("gaussian")[1]
+    run_single(instance, 1e-6)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_single(instance, 1e-6)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
+
+
 def two_sided_rows(monkeypatch, before_row):
     """Make run_sweep see two CPUs and call before_row(eps, on_helper)
     ahead of each row.  Each thread's first row waits for the other's, so
