@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -248,7 +249,10 @@ def cmd_smallset(config: ExperimentConfig, out_dir: str,
     _, r_eps = plan_radius(eps, config.beta, config.q, profile)
     report = measure_small_set(lambda lam: fourier_at(kernel, lam),
                                eps ** config.beta, r_eps, r_eps / 2e4)
-    report = replace(report, eps=eps, bound=cartan_bound(config.q, r_eps))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the ceiling warns at r_eps <= 1
+        report = replace(report, eps=eps, bound=cartan_bound(config.q, r_eps))
+    manifest.notes.extend(str(w.message) for w in caught)
     manifest.stage("compute")
 
     _write_json(manifest.path("smallset_json", "smallset.json"),

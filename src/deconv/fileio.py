@@ -7,8 +7,8 @@ import os
 import numpy as np
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write `text` to `path` so readers never observe a partial file.
+def atomic_write_text(path: str, text: str | bytes) -> None:
+    """Write str or bytes `text` to `path`; readers never see a partial file.
 
     The file gets the mode a plain `open` would give it (0o666 less the
     umask): the temporary file is created with that mode and renamed.
@@ -17,7 +17,7 @@ def atomic_write_text(path: str, text: str) -> None:
     tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(6).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w" if isinstance(text, str) else "wb") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -40,7 +40,7 @@ def write_csv(path: str, header: str, columns) -> None:
                          "columns")
     text = bytearray((header + "\n").encode())
     _format_rows(columns, text)
-    atomic_write_text(path, text.decode())
+    atomic_write_text(path, text)
 
 
 # --- '%.17g' in numpy -----------------------------------------------------

@@ -404,39 +404,49 @@ def laplace_parts(signal: SampledSignal, zs) -> tuple[np.ndarray, np.ndarray]:
     even where the plain value would exceed the floating point range.
 
     The sum walks away from the grid end where Re(z)*t peaks, in blocks of
-    16 samples: a Horner recurrence in exp(-/+ z*spacing) inside each block
-    and a direct exp(z*t - log_scale) at each block start, so every factor
-    has modulus <= 1 and rounding compounds over at most 15 steps.  It is
-    elementwise (no BLAS), in chunks of about 2^20 block sums.
+    16 samples.  Each block sum is a polynomial in w = exp(-/+ z*spacing),
+    evaluated by baby and giant steps (Paterson & Stockmeyer 1973): one
+    table w^0 .. w^16 of successive products serves every block, and one
+    `np.einsum` contracts it with the blocks' coefficient rows (a real
+    signal contracts the table's float64 view: complex times real is two
+    real products).  A block starts at exp(z*t - log_scale), taken directly
+    every 8th block and as the previous start times w^16 in between.  Every
+    factor has modulus <= 1, so rounding compounds over at most 16 + 7
+    steps.  einsum keeps optimize=False, so numpy's C loops do the sums and
+    BLAS never does; chunks hold about 2^14 block sums.
     """
     z = np.asarray(zs, dtype=np.complex128).ravel()
     t = signal.grid()
     wf = trapezoid_weights(signal.size, signal.spacing) * signal.values
     log_scale = np.maximum(z.real * t[0], z.real * t[-1])
-    reduced = np.empty(z.size, dtype=np.complex128)
-    block = 16
+    reduced = np.empty_like(z)
+    block, giant = 16, 8
     blocks = -(-t.size // block)
-    coef = np.zeros(blocks * block, dtype=np.complex128)
-    chunk = max(1, (1 << 20) // blocks)
+    real = signal.is_real()
+    coef = np.zeros((blocks, block), dtype=np.float64 if real else z.dtype)
+    chunk = max(1, (1 << 14) // blocks)
     for rising, step in ((True, -signal.spacing), (False, signal.spacing)):
         # Re(z) >= 0 walks back from the last sample, Re(z) < 0 forward
         order = slice(None, None, -1 if rising else 1)
-        coef[:t.size] = wf[order]
-        rows = coef.reshape(blocks, block)
-        starts = t[order][::block]
+        coef.ravel()[:t.size] = (wf.real if real else wf)[order]
+        anchors = t[order][::block * giant, None]
         idx = np.flatnonzero((z.real >= 0.0) == rising)
         for lo in range(0, idx.size, chunk):
             sel = idx[lo:lo + chunk]
-            zc = z[sel, None]
-            w = np.exp(zc * step)
-            acc = np.zeros((sel.size, blocks), dtype=np.complex128)
-            for m in range(block - 1, -1, -1):
-                acc *= w
-                acc += rows[:, m]
-            acc *= np.exp(zc * starts - log_scale[sel, None])
-            reduced[sel] = np.sum(acc, axis=1)
-    shape = np.asarray(zs, dtype=np.complex128).shape
-    return log_scale.reshape(shape), reduced.reshape(shape)
+            power = np.empty((block + 1, sel.size), dtype=np.complex128)
+            power[0], power[1] = 1.0, np.exp(z[sel] * step)
+            for m in range(2, block + 1):
+                np.multiply(power[m - 1], power[1], out=power[m])
+            table = power[:block].view(np.float64) if real else power[:block]
+            sums = np.einsum("mk,bm->bk", table, coef).view(np.complex128)
+            starts = np.empty((anchors.size, giant, sel.size), np.complex128)
+            starts[:, 0] = np.exp(anchors * z[sel] - log_scale[sel])
+            for r in range(1, giant):
+                np.multiply(starts[:, r - 1], power[block], out=starts[:, r])
+            starts = starts.reshape(-1, sel.size)[:blocks]
+            starts *= sums
+            reduced[sel] = np.sum(starts, axis=0)
+    return log_scale.reshape(np.shape(zs)), reduced.reshape(np.shape(zs))
 
 
 def write_signal_csv(path: str, signal: SampledSignal) -> None:

@@ -288,7 +288,9 @@ def test_criterion_11_determinism(tmp_path):
     small = []
     for label in ("a", "b"):
         out = tmp_path / ("smallset_" + label)
-        with pytest.warns(RuntimeWarning):
-            cmd_smallset(config, str(out), eps=1e-6)
-        small.append((out / "smallset.json").read_bytes())
+        # the loose-ceiling warning at r_eps <= 1 lands in the notes
+        manifest = cmd_smallset(config, str(out), eps=1e-6)
+        manifest.pop("wall_clock_seconds")
+        small.append(((out / "smallset.json").read_bytes(), manifest))
     assert small[0] == small[1]
+    assert len(small[0][1]["notes"]) == 1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -135,13 +136,30 @@ def test_sweep_needs_four_levels(tmp_path):
 def test_smallset_outputs(tmp_path):
     cfg = parse_config(small_config())
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):  # cartan ceiling is loose at r <= 1
-        cmd_smallset(cfg, str(out), eps=1e-8)
+    manifest = cmd_smallset(cfg, str(out), eps=1e-8)
+    # cartan ceiling is loose at r <= 1, and the manifest says so
+    assert any("r_eps <= 1" in note for note in manifest["notes"])
     report = read_json(out, "smallset.json")
     assert report["eps"] == 1e-8
     assert report["interval_count"] == 0
     assert report["measure_estimate"] == 0.0
     assert report["bound"] > 1.0
+
+
+def test_smallset_records_the_cartan_warning_instead_of_raising_it(
+        tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_config())
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["smallset", "--config", cfg_path, "--out", str(out),
+                     "--eps", "1e-6"]) == 0
+    assert capsys.readouterr().err == ""
+    notes = read_json(out, "manifest.json")["notes"]
+    assert notes == ["cartan_bound called with r_eps <= 1: the ceiling "
+                     "exceeds 1 and is loose at this radius"]
+    with pytest.warns(RuntimeWarning, match="r_eps <= 1"):
+        commands.cartan_bound(1.0, read_json(out, "smallset.json")["r_eps"])
 
 
 def test_zeros_outputs_and_compactness_guard(tmp_path):
@@ -332,10 +350,8 @@ def test_reruns_are_byte_identical(tmp_path):
     cfg = parse_config(small_config())
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    with pytest.warns(RuntimeWarning):
-        cmd_smallset(cfg, str(out_a), eps=1e-6)
-    with pytest.warns(RuntimeWarning):
-        cmd_smallset(cfg, str(out_b), eps=1e-6)
+    cmd_smallset(cfg, str(out_a), eps=1e-6)
+    cmd_smallset(cfg, str(out_b), eps=1e-6)
     assert ((out_a / "smallset.json").read_bytes()
             == (out_b / "smallset.json").read_bytes())
 

@@ -472,23 +472,59 @@ def _direct_laplace(signal, zs):
     return log_scale, reduced, float(np.sum(np.abs(wf)))
 
 
-@pytest.mark.parametrize("n", [2, 15, 16, 17, 201])
+def _unaligned_copy(zs):
+    """zs in a strided view that starts one byte into its buffer."""
+    raw = np.zeros(2 * zs.nbytes + 1, dtype=np.uint8)
+    view = raw[1:].view(np.complex128)[::2]
+    view[:] = zs
+    assert not view.flags.aligned and not view.flags.contiguous
+    return view
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 201, 2001, 10641])
 @pytest.mark.parametrize("radius", [0.5, 5.0, 50.0, 300.0])
 def test_laplace_matches_direct_sums(n, radius):
-    # block lengths of 16 around the block edges, on circles and on both
-    # real half-axes
+    # block lengths of 16 around the block edges, runs of 8 blocks between
+    # direct block starts, and the gaussian kernel's 10641 samples, on
+    # circles and on both real half-axes, for complex and real signals
     rng = np.random.default_rng(n * 1000 + int(radius))
     zs = np.concatenate([
         radius * np.exp(2j * math.pi * np.arange(64) / 64),
         np.linspace(-radius, radius, 33).astype(np.complex128)])
-    for _ in range(5):
+    for draw in range(10):
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sig = SampledSignal(rng.uniform(-1.0, 1.0), rng.uniform(1e-3, 1e-2),
-                            rng.standard_normal(n)
-                            + 1j * rng.standard_normal(n))
+                            values.real if draw % 2 else values)
         log_scale, reduced = laplace_parts(sig, zs)
         want_scale, want, total = _direct_laplace(sig, zs)
         assert np.array_equal(log_scale, want_scale)
         assert np.max(np.abs(reduced - want)) <= 1e-13 * total
+        # the summation order does not depend on how the points are laid out
+        again_scale, again = laplace_parts(sig, _unaligned_copy(zs))
+        assert again_scale.tobytes() == log_scale.tobytes()
+        assert again.tobytes() == reduced.tobytes()
+
+
+def test_laplace_rounding_compounds_over_a_few_steps():
+    # one unit sample at a time on the gaussian kernel's length; with
+    # spacing 2^-7, t = 0 .. 83 and these z, every z*t is exact, so each
+    # exp below is the term to within an ulp.  A sample d <= 127 samples
+    # past its block run's direct start carries d times the error of w
+    # plus at most 16 + 7 rounded products: 152 eps bounds it, where one
+    # direct start for the whole walk would reach thousands of eps
+    n, h = 10641, 2.0 ** -7
+    zs = np.array([300j, -300j, complex(-2.0 ** -10, 300.0),
+                   complex(2.0 ** -10, -300.0), complex(-0.5, 37.0)])
+    t = h * np.arange(n)
+    w = trapezoid_weights(n, h)
+    worst = 0.0
+    for j in [*range(0, n, 29), n - 2, n - 1]:
+        values = np.zeros(n)
+        values[j] = 1.0
+        log_scale, reduced = laplace_parts(SampledSignal(0.0, h, values), zs)
+        want = w[j] * np.exp(zs * t[j] - log_scale)
+        worst = max(worst, np.max(np.abs(reduced - want) / np.abs(want)))
+    assert worst <= 152 * np.finfo(np.float64).eps
 
 
 @pytest.mark.parametrize("step", [0.005, 0.05])

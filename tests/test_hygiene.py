@@ -9,12 +9,15 @@ underscore are deliberate placeholders and are skipped.  A dataclass field of
 the library counts as read when some `.field` load outside its own class's
 `__post_init__` names it, in the library, the tests or the benchmark; the
 match is by attribute name alone, so a read of the same name on another
-class counts too.  The library may not use `@`, `dot`, `matmul` or
-`inner`: they reach BLAS, whose reductions round differently with the
-thread count, and outputs must not depend on it.  Nor may it memoize with
-`functools.lru_cache` or `functools.cache`: a memo that outlives one
-operation would speed up repeated calls in one process but not a one-shot
-CLI run, and would hold its arrays for the life of the process.  And only
+class counts too.  The library may not use `@`, `dot`, `matmul`, `inner`,
+`tensordot` or `einsum_path`, nor pass `einsum` an `optimize` other than a
+literal `False` (or a `**` mapping that could carry one): they reach BLAS,
+`einsum`'s optimized path through `tensordot`, and BLAS reductions round
+differently with the thread count; outputs must not depend on it.  Nor may
+it memoize with `functools.lru_cache` or `functools.cache`: a memo that
+outlives one operation would speed up repeated calls in one process but
+not a one-shot CLI run, and would hold its arrays for the life of the
+process.  And only
 `fileio.py` may hold a round-trip float format or call `np.savetxt`: the
 library has one CSV writer.  And only `tail_profile.bisect` may halve a
 bracket in a `while` loop: the library has one root finder.  And only
@@ -138,7 +141,17 @@ def test_every_dataclass_field_is_read():
     assert unread == [], unread
 
 
-BLAS_PRODUCTS = {"dot", "matmul", "inner"}
+BLAS_PRODUCTS = {"dot", "matmul", "inner", "tensordot", "einsum_path"}
+
+
+def _optimized_einsum(node: ast.AST) -> bool:
+    """An `einsum` call whose `optimize` is not literally False."""
+    func = getattr(node, "func", None)
+    if getattr(func, "attr", getattr(func, "id", None)) != "einsum":
+        return False
+    return any(kw.arg is None or (kw.arg == "optimize" and not (
+        isinstance(kw.value, ast.Constant) and kw.value.value is False))
+        for kw in node.keywords)
 
 
 def _matrix_products(tree: ast.Module) -> list:
@@ -152,15 +165,29 @@ def _matrix_products(tree: ast.Module) -> list:
         elif (isinstance(node, ast.ImportFrom)
               and any(a.name in BLAS_PRODUCTS for a in node.names)):
             found.append(f"line {node.lineno}: import")
+        elif isinstance(node, ast.Call) and _optimized_einsum(node):
+            found.append(f"line {node.lineno}: einsum(optimize=...)")
     return found
 
 
 def test_matrix_product_scan_sees_every_form():
     code = ("x = a @ b\nx @= b\ny = np.dot(a, b)\nz = a.dot(b)\n"
             "w = np.matmul(a, b)\nv = np.inner(a, b)\n"
-            "from numpy import inner\n")
-    assert len(_matrix_products(ast.parse(code))) == 7
-    assert _matrix_products(ast.parse("@decorator\ndef f(): pass\n")) == []
+            "from numpy import inner\n"
+            "u = np.tensordot(a, b, 1)\nfrom numpy import tensordot\n"
+            "p = np.einsum_path('ij,jk', a, b)\n"
+            "from numpy import einsum_path as ep\n"
+            "e = np.einsum('ij,jk', a, b, optimize=True)\n"
+            "f = np.einsum('ij,jk', a, b, optimize='greedy')\n"
+            "g = einsum('ij,jk', a, b, optimize=flag)\n"
+            "h = np.einsum('ij,jk', a, b, optimize=0)\n"
+            "k = np.einsum('ij,jk', a, b, **options)\n")
+    assert len(_matrix_products(ast.parse(code))) == 16
+    assert _matrix_products(ast.parse(
+        "@decorator\ndef f(): pass\n"
+        "e = np.einsum('ij,jk->ik', a, b)\n"
+        "f = np.einsum('m...,bm->b...', a, b, optimize=False)\n"
+        "g = einsum('ii', a, out=o)\ny = np.tensor(a)\n")) == []
 
 
 @pytest.mark.parametrize("path", LIBRARY,
