@@ -247,10 +247,10 @@ def cmd_smallset(config: ExperimentConfig, out_dir: str,
     eps = check_eps(config.eps_list[0] if eps is None else eps,
                     profile.l1_total, config.beta)
     _, r_eps = plan_radius(eps, config.beta, config.q, profile)
-    report = measure_small_set(lambda lam: fourier_at(kernel, lam),
-                               eps ** config.beta, r_eps, r_eps / 2e4)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # the ceiling warns at r_eps <= 1
+        warnings.simplefilter("always")  # short intervals; r_eps <= 1
+        report = measure_small_set(lambda lam: fourier_at(kernel, lam),
+                                   eps ** config.beta, r_eps, r_eps / 2e4)
         report = replace(report, eps=eps, bound=cartan_bound(config.q, r_eps))
     manifest.notes.extend(str(w.message) for w in caught)
     manifest.stage("compute")

@@ -266,26 +266,41 @@ def young_dual(profile: TailProfile, dual_grid) -> DualProfile:
 
     Saturated entries cannot contribute to the sup (they sit at -inf) and
     are excluded.  The sup is reached on the lower convex hull of the
-    finite nodes (a monotone chain); each sigma's vertex comes from a binary
+    finite nodes.  Each pruning round drops, in one array pass, every
+    interior vertex that does not turn left (collinear too) against its
+    current neighbours; dropped nodes lie on or above the new polyline, and
+    one with no such vertex is the hull.  A long near-flat stretch can need
+    a round per node, so after ceil(log2 n) rounds the monotone chain
+    finishes on the survivors.  Each sigma's vertex comes from a binary
     search on the hull's edge slopes (the linear-time Legendre transform,
-    Lucet 1997), and the max over it and its two neighbours rounds a slope
-    tie as a full scan would.
+    Lucet 1997); the max over it and its two neighbours rounds a slope tie
+    as a full scan would.
     """
     sigma = np.asarray(dual_grid, dtype=np.float64)
     _check_increasing(sigma, "dual_grid", "young_dual")
-    sf, pf = profile.finite_part()
-    s, p = sf.tolist(), pf.tolist()
-    hull = []
-    for j in range(len(s)):
-        # drop the last vertex while it does not turn left (collinear too)
-        while len(hull) >= 2 and ((s[hull[-1]] - s[hull[-2]]) * (p[j] - p[hull[-2]])
-                                  <= (p[hull[-1]] - p[hull[-2]]) * (s[j] - s[hull[-2]])):
-            hull.pop()
-        hull.append(j)
-    hs, hp = sf[hull], pf[hull]
-    vertex = np.searchsorted(np.diff(hp) / np.diff(hs), sigma)
-    near = np.clip(vertex[:, None] + np.arange(-1, 2), 0, hs.size - 1)
-    return DualProfile(sigma, np.max(sigma[:, None] * hs[near] - hp[near], axis=1))
+    s, p = profile.finite_part()
+    for _ in range((s.size - 1).bit_length()):
+        drop = ((s[1:-1] - s[:-2]) * (p[2:] - p[:-2])
+                <= (p[1:-1] - p[:-2]) * (s[2:] - s[:-2]))
+        if not drop.any():
+            break
+        keep = np.concatenate(([True], ~drop, [True]))
+        s, p = s[keep], p[keep]
+    else:  # the monotone chain (Andrew 1979) finishes on the survivors
+        xs, ys, chain = s.tolist(), p.tolist(), [0]
+        for j in range(1, len(xs)):
+            while len(chain) >= 2:
+                a, b = chain[-2], chain[-1]
+                if (xs[b] - xs[a]) * (ys[j] - ys[a]) > (ys[b] - ys[a]) * (xs[j] - xs[a]):
+                    break
+                chain.pop()
+            chain.append(j)
+        s, p = s[chain], p[chain]
+    vertex = np.searchsorted(np.diff(p) / np.diff(s), sigma)
+    dual = sigma * s[vertex] - p[vertex]
+    for near in (np.maximum(vertex - 1, 0), np.minimum(vertex + 1, s.size - 1)):
+        np.maximum(dual, sigma * s[near] - p[near], out=dual)
+    return DualProfile(sigma, dual)
 
 
 @dataclass(frozen=True)

@@ -132,3 +132,22 @@ def noise_wave_reference(seed, t):
         phi = 2.0 * math.pi * u[2 * k + 1]
         wave += a * np.cos((k + 1) * (2.0 / 64.0) * t + phi)
     return wave
+
+
+def monotone_chain_dual(s, p, sigma):
+    """p*(sigma) = max over the nodes of sigma*s - p(s), from the lower hull
+    by Andrew's monotone chain (s ascending; a vertex that does not turn
+    left, collinear included, is popped) and a search on its edge slopes,
+    taking the max over the found vertex and its two neighbours."""
+    s, p, sigma = (np.asarray(x, dtype=np.float64) for x in (s, p, sigma))
+    xs, ys = s.tolist(), p.tolist()
+    hull = []
+    for j in range(len(xs)):
+        while len(hull) >= 2 and ((xs[hull[-1]] - xs[hull[-2]]) * (ys[j] - ys[hull[-2]])
+                                  <= (ys[hull[-1]] - ys[hull[-2]]) * (xs[j] - xs[hull[-2]])):
+            hull.pop()
+        hull.append(j)
+    hs, hp = s[hull], p[hull]
+    vertex = np.searchsorted(np.diff(hp) / np.diff(hs), sigma)
+    near = np.clip(vertex[:, None] + np.arange(-1, 2), 0, hs.size - 1)
+    return np.max(sigma[:, None] * hs[near] - hp[near], axis=1)

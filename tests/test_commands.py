@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deconv.commands as commands
@@ -160,6 +161,32 @@ def test_smallset_records_the_cartan_warning_instead_of_raising_it(
                      "exceeds 1 and is loose at this radius"]
     with pytest.warns(RuntimeWarning, match="r_eps <= 1"):
         commands.cartan_bound(1.0, read_json(out, "smallset.json")["r_eps"])
+
+
+def test_smallset_records_the_short_interval_warning(tmp_path, capsys,
+                                                     monkeypatch):
+    # r_eps is 0.168 here, so the scan step is 8.4e-6; a notch 2.4e-5 wide
+    # at 0.1 is one sub-threshold interval shorter than four steps
+    real = commands.fourier_at
+
+    def notched(kernel, lam):
+        lam = np.asarray(lam)
+        return np.where(np.abs(lam - 0.1) < 1.2e-5, 0.0, real(kernel, lam))
+
+    monkeypatch.setattr(commands, "fourier_at", notched)
+    cfg_path = write_config(tmp_path, small_config())
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["smallset", "--config", cfg_path, "--out", str(out),
+                     "--eps", "1e-6"]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_json(out, "smallset.json")["interval_count"] == 1
+    assert read_json(out, "manifest.json")["notes"] == [
+        "1 sub-threshold interval(s) shorter than 4x the scan resolution: "
+        "decrease resolution to rule out missed structure",
+        "cartan_bound called with r_eps <= 1: the ceiling exceeds 1 and is "
+        "loose at this radius"]
 
 
 def test_zeros_outputs_and_compactness_guard(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import gauss_tail
+from _oracles import gauss_tail, monotone_chain_dual
+from deconv.commands import DUAL_GRID_MAX, DUAL_GRID_STEP
 from deconv.errors import ValidationError
 from deconv.tail_profile import (DualProfile, TailProfile, bisect,
                                  detect_superlinear, dual_growth_check,
@@ -116,6 +117,65 @@ def test_young_dual_matches_brute_force(kind, n, step, s0, seed):
     sf, pf = profile.finite_part()
     want = np.max(sigma[:, None] * sf[None, :] - pf[None, :], axis=1)
     # the hull drops collinear nodes, whose rounding may differ by an ulp
+    assert np.all(np.abs(got - want)
+                  <= 4.0 * np.spacing(np.maximum(1.0, np.abs(want))))
+
+
+def gap_profile(m, n, step=0.01, curvature=1.0, flat=1e-9):
+    """A convex head curvature*s^2 on m nodes, then a slightly convex,
+    nearly flat tail: pruning eats the elbow between them a few nodes per
+    round, so it needs far more than ceil(log2 n) rounds to converge."""
+    s = step * np.arange(n)
+    t = s[m:] - s[m - 1]
+    p = curvature * s * s
+    p[m:] = p[m - 1] + flat * t * t + 1e-12 * t
+    return TailProfile(s, p)
+
+
+def pruning_rounds(profile):
+    """Rounds that dropping every vertex that does not turn left, against
+    its current neighbours, takes to converge."""
+    s, p = profile.finite_part()
+    rounds = 0
+    while s.size > 2:
+        drop = ((s[1:-1] - s[:-2]) * (p[2:] - p[:-2])
+                <= (p[1:-1] - p[:-2]) * (s[2:] - s[:-2]))
+        if not drop.any():
+            break
+        keep = np.concatenate(([True], ~drop, [True]))
+        s, p, rounds = s[keep], p[keep], rounds + 1
+    return rounds
+
+
+def test_young_dual_is_the_monotone_chain(gaussian_profile, indicator_profile,
+                                          exp_profile):
+    sigma = np.arange(0.0, DUAL_GRID_MAX + 0.5 * DUAL_GRID_STEP,
+                      DUAL_GRID_STEP)
+    gaps = [gap_profile(m, 5300) for m in (500, 2000, 4000)]
+    # the gap profiles outrun the ceil(log2 n) = 13 rounds, so the chain
+    # finishes them; the shipped ones converge within the bound
+    assert [pruning_rounds(prof) for prof in gaps] == [4800, 3300, 2177]
+    for prof in (gaussian_profile, indicator_profile, exp_profile):
+        assert pruning_rounds(prof) <= (prof.finite_count - 1).bit_length()
+    for prof in (gaussian_profile, indicator_profile, exp_profile, *gaps):
+        got = young_dual(prof, sigma).dual_values
+        assert np.array_equal(got, monotone_chain_dual(*prof.finite_part(),
+                                                       sigma))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(4, 700), head=st.floats(0.02, 0.98),
+       step=st.sampled_from([0.01, 0.1, 1.0]),
+       curvature=st.floats(0.01, 10.0), flat=st.floats(0.0, 1e-3))
+def test_young_dual_matches_the_chain_on_gap_profiles(n, head, step,
+                                                      curvature, flat):
+    profile = gap_profile(max(2, int(head * n)), n, step, curvature, flat)
+    top = 2.0 * curvature * step * n
+    sigma = np.linspace(0.0, top, 257)
+    got = young_dual(profile, sigma).dual_values
+    sf, pf = profile.finite_part()
+    assert np.array_equal(got, monotone_chain_dual(sf, pf, sigma))
+    want = np.max(sigma[:, None] * sf[None, :] - pf[None, :], axis=1)
     assert np.all(np.abs(got - want)
                   <= 4.0 * np.spacing(np.maximum(1.0, np.abs(want))))
 
