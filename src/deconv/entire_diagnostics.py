@@ -10,7 +10,8 @@ and its zeros have linear density (sigma - mu)/pi along radii.  Everything
 here is evaluated in the log domain, so there is no overflow ceiling on the
 radii.  Zeros are counted by the argument principle on circles; a real
 kernel's transform is conjugate-symmetric, Phi(conj z) = conj Phi(z), so
-its contour sum is evaluated on the upper half-circle and mirrored.
+its contour sum runs over the upper half-circle, and over a quarter for a
+kernel symmetric about its centre c: Phi(z) = e^{2cz} conj Phi(-conj z).
 """
 
 from __future__ import annotations
@@ -125,16 +126,29 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
 def _winding_attempt(kernel: SampledSignal, r: float, n: int):
     """One argument-principle pass: (winding, max wrapped phase step).
 
-    The contour samples are r * exp(2 pi i k / n), k = 0 .. n-1.  A real
-    kernel has Phi(conj z) = conj Phi(z), so only k = 0 .. n//2 (the upper
-    half-circle) are summed and sample n-k is the conjugate mirror of
-    sample k; a complex kernel sums the whole circle.
+    The contour samples are z_k = r * exp(2 pi i k / n), k = 0 .. n-1.  A
+    real kernel has Phi(conj z) = conj Phi(z), so at even n the lower half
+    retraces the upper half's phase steps: the winding is twice the step
+    sum over k = 0 .. n/2, whose ends neighbour their mirror images.  A
+    palindrome centred at c also has Phi(z) = e^{2cz} conj Phi(-conj z) and
+    -conj z_k = z_{n/2-k}, so k = 0 .. n//4 are summed and the rest of the
+    half reflected.  Odd n mirrors the upper half into the lower; a complex
+    kernel sums the whole circle.
     """
     real = kernel.is_real()
-    theta = 2.0 * math.pi * np.arange(n // 2 + 1 if real else n) / n
-    zs = r * np.exp(1j * theta)
+    half = real and n % 2 == 0
+    quarter = half and np.array_equal(kernel.values, kernel.values[::-1])
+    count = n // 4 + 1 if quarter else n // 2 + 1 if real else n
+    zs = r * np.exp(2j * math.pi * np.arange(count) / n)
     log_scale, reduced = laplace_parts(kernel, zs)
-    if real:
+    if quarter:  # k = count .. n/2 from their reflections n/2-k
+        src = slice(n // 2 - count, None, -1)
+        c = 0.5 * (kernel.t_min + kernel.t_max)
+        reduced = np.concatenate(
+            [reduced, np.conj(reduced[src]) * np.exp(2j * c * zs.imag[src])])
+        log_scale = np.concatenate([log_scale,
+                                    log_scale[src] - 2.0 * c * zs.real[src]])
+    elif real and not half:
         lower = slice((n - 1) // 2, 0, -1)  # k = (n-1)//2 .. 1 -> n-k
         reduced = np.concatenate([reduced, np.conj(reduced[lower])])
         log_scale = np.concatenate([log_scale, log_scale[lower]])
@@ -145,24 +159,29 @@ def _winding_attempt(kernel: SampledSignal, r: float, n: int):
     # a sample sitting on a zero collapses relative to its neighbors; the
     # contour-wide max is useless here, |Phi| spans hundreds of e-folds
     # around one circle when r is large
-    neighbor = np.maximum(np.roll(log_abs, 1), np.roll(log_abs, -1))
-    if np.min(log_abs - neighbor) < math.log(_CONTOUR_ZERO_REL):
+    if half:  # samples 1 and n/2-1 mirror to the ends' outer neighbours
+        ring = np.concatenate([log_abs[1:2], log_abs, log_abs[-2:-1]])
+        after, before, laps = reduced[1:], reduced[:-1], 2.0
+    else:
+        ring = np.concatenate([log_abs[-1:], log_abs, log_abs[:1]])
+        after, before, laps = reduced, np.roll(reduced, 1), 1.0
+    if np.min(log_abs - np.maximum(ring[:-2], ring[2:])) < math.log(_CONTOUR_ZERO_REL):
         return None
-    ratio = reduced * np.conj(np.roll(reduced, 1))
-    steps = np.angle(ratio)  # wrapped increment from each sample's predecessor
-    return float(np.sum(steps) / (2.0 * math.pi)), float(np.max(np.abs(steps)))
+    steps = np.angle(after * np.conj(before))  # wrapped, from each predecessor
+    return (float(laps * np.sum(steps) / (2.0 * math.pi)),
+            float(np.max(np.abs(steps))))
 
 
 def count_zeros(kernel: SampledSignal, r: float, contour_points: int) -> int:
     """Zeros of the transform inside |z| <= r by contour phase tracking.
 
     The winding number of Phi around the circle equals the enclosed zero
-    count.  For a real kernel only the upper half-circle's samples are
-    summed and the lower half is their conjugate mirror.  A contour sample
-    landing on a near-zero (|Phi| under 1e-13 of the contour max) nudges the
-    radius outward by 0.37 * (2 pi / N) * r and retries; a wrapped phase
-    step above pi/2, or a winding off an integer by more than 0.02, retries
-    once at 4x the points and then fails hard.
+    count.  A real kernel's transform is evaluated on the upper half-circle,
+    a palindrome's on the first quadrant (see `_winding_attempt`).  A
+    contour sample landing on a near-zero (|Phi| under 1e-13 of the contour
+    max) nudges the radius outward by 0.37 * (2 pi / N) * r and retries; a
+    wrapped phase step above pi/2, or a winding off an integer by more than
+    0.02, retries once at 4x the points and then fails hard.
     """
     _require_compact(kernel, "count_zeros")
     if not (r > 0.0 and np.isfinite(r)):
@@ -231,7 +250,8 @@ def zero_density(kernel: SampledSignal, radii,
 
     Each radius gets ceil(points_per_radius * R) contour samples (floor 64
     per the phase-resolution requirement); a real kernel evaluates the
-    transform at the n//2 + 1 of them on the upper half-circle.
+    transform at the n//2 + 1 on the upper half-circle, a palindrome at
+    even n at the n//4 + 1 in the first quadrant.
     """
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:

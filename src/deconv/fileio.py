@@ -55,7 +55,7 @@ def write_csv(path: str, header: str, columns) -> None:
 # the nearest integer is exact unless the fraction is within 1e-9 of 1/2.
 # Those near-ties, nan, inf and the other magnitudes go through `%`.
 
-_BLOCK_ROWS = 1024
+_BLOCK_FIELDS = 3072
 _TIE_MARGIN = 1e-9
 _SPLITTER = 134217729.0            # 2**27 + 1, Veltkamp's constant
 
@@ -171,7 +171,7 @@ _HEAD = np.frombuffer(b"-0.0000.", dtype=np.uint64)[0]
 
 def _format_rows(columns, out: bytearray) -> None:
     """Append to `out` one CSV line per row of the equal-length 1-D
-    `columns`, formatted `_BLOCK_ROWS` rows at a time.
+    `columns`, formatted `_BLOCK_FIELDS // len(columns)` rows at a time.
 
     Each field of a block is laid out in one row of `_WIDTH` bytes:
 
@@ -181,24 +181,25 @@ def _format_rows(columns, out: bytearray) -> None:
         cols 40-43  'e', exponent sign and two exponent digits
         col 44      ',' or, after a row's last field, newline
 
-    and a byte mask from `_KEEP` selects what `'%.17g'` prints, so one
-    compaction lays out every field whatever its notation.
+    and a byte mask from `_KEEP` zeroes what `'%.17g'` does not print (the
+    `%` fallback pads with NULs); no printed byte is NUL, so deleting NULs
+    lays out every field at once.
     """
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
         raise ValueError("CSV columns must be 1-D and of one length")
     rows, width = cols[0].size, len(cols)
-    block_rows = min(rows, _BLOCK_ROWS)
+    per_block = max(1, _BLOCK_FIELDS // width)
+    block_rows = min(rows, per_block)
     buf = np.zeros((block_rows * width, _WIDTH), dtype=np.uint8)
     buf[:, 44] = np.tile(np.frombuffer(b"," * (width - 1) + b"\n",
                                        dtype=np.uint8), block_rows)
-    keep = np.empty(buf.shape, dtype=bool)
-    for lo in range(0, rows, _BLOCK_ROWS):
-        v = np.stack([c[lo:lo + _BLOCK_ROWS] for c in cols], axis=1).ravel()
-        out.extend(_format_fields(v, buf[:v.size], keep[:v.size]))
+    for lo in range(0, rows, per_block):
+        v = np.stack([c[lo:lo + per_block] for c in cols], axis=1).ravel()
+        out.extend(_format_fields(v, buf[:v.size]))
 
 
-def _format_fields(v, buf, keep):
+def _format_fields(v, buf):
     """The bytes of v's fields, each followed by its separator."""
     k, n, exact = _digits(v)
     high = n // 100000000
@@ -213,15 +214,15 @@ def _format_fields(v, buf, keep):
     for i, q in enumerate(quads):
         words[:, 1 + i] = _GROUPS.take(q)
         np.maximum(significant, _SIGNIFICANT[i].take(q), out=significant)
+    del high, low, top, quads  # freed before the mask, the largest temporary
     buf.view(np.uint32)[:, 10] = _EXPONENTS.take(k + 29)
     code = ((k + 29) * 17 + significant - 1) * 2 + np.signbit(v)
-    np.take(_KEEP, code, axis=0, out=keep)
+    buf *= _KEEP.take(code, axis=0)
 
     slow = np.flatnonzero(~exact)
     if slow.size:
         text = "".join(["%-24.17g" % x for x in v[slow].tolist()])
-        chars = np.frombuffer(text.encode(), dtype=np.uint8).reshape(-1, 24)
-        buf[slow, :24] = chars
-        keep[slow, :44] = False
-        keep[slow, :24] = chars != ord(" ")
-    return np.compress(keep.ravel(), buf.ravel())
+        buf[slow, :44] = 0
+        buf[slow, :24] = np.frombuffer(text.replace(" ", "\0").encode(),
+                                       dtype=np.uint8).reshape(-1, 24)
+    return buf.tobytes().translate(None, b"\0")

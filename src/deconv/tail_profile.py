@@ -123,7 +123,10 @@ class DualProfile:
         if np.any(np.diff(v) < -1e-9 * scale):
             raise ValidationError("conjugate must be nondecreasing",
                                   module="tail_profile", operation="DualProfile")
-        if slopes.size >= 2 and np.any(np.diff(slopes) < -1e-9 * scale):
+        # a slope is good to about 2 ulp of the largest value over its step
+        rounding = 2.0 * np.spacing(scale) / np.diff(s)
+        if slopes.size >= 2 and np.any(np.diff(slopes) < -(
+                1e-9 * scale + rounding[:-1] + rounding[1:])):
             raise ValidationError("conjugate must be convex",
                                   module="tail_profile", operation="DualProfile")
         s = s.copy(); s.setflags(write=False)

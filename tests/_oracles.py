@@ -2,8 +2,9 @@
 
 Everything here is computed independently of the library code: transforms
 from textbook formulas, tails from erfc, transform zeros from polynomial
-roots, and the random stream from a from-scratch reimplementation of the
-documented recurrence.
+roots, contour windings from direct sums at every contour sample, and the
+random stream from a from-scratch reimplementation of the documented
+recurrence.
 """
 
 import math
@@ -151,3 +152,17 @@ def monotone_chain_dual(s, p, sigma):
     vertex = np.searchsorted(np.diff(hp) / np.diff(hs), sigma)
     near = np.clip(vertex[:, None] + np.arange(-1, 2), 0, hs.size - 1)
     return np.max(sigma[:, None] * hs[near] - hp[near], axis=1)
+
+
+def full_circle_winding(kernel, r, n):
+    """Winding number and largest wrapped phase step of the trapezoid sum
+    of f(t) e^{zt} around all n samples z = r e^{2 pi i k/n}, each summed
+    directly (times the constant e^{-r max|t|}) with no symmetry used."""
+    t = kernel.t_min + kernel.spacing * np.arange(kernel.values.size)
+    c = np.asarray(kernel.values, dtype=np.complex128) * kernel.spacing
+    c[0] *= 0.5
+    c[-1] *= 0.5
+    z = r * np.exp(2j * math.pi * np.arange(n) / n)
+    sums = np.exp(np.outer(z, t) - r * np.max(np.abs(t))) @ c
+    steps = np.angle(sums * np.conj(np.roll(sums, 1)))
+    return np.sum(steps) / (2.0 * math.pi), np.max(np.abs(steps))

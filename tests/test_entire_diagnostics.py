@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import deconv.entire_diagnostics as ed
-from _oracles import trapezoid_laplace_zeros
+from _oracles import full_circle_winding, trapezoid_laplace_zeros
 from deconv.commands import ZERO_RADII
 from deconv.errors import (ComputationError, PhaseTrackingError,
                            ValidationError)
@@ -20,6 +20,18 @@ GROWTH_RADII = np.linspace(10.0, 400.0, 40)
 @pytest.fixture(scope="module")
 def chi38():
     return make_indicator(0.3, 0.8, 0.005)
+
+
+@pytest.fixture(scope="module")
+def triangle():
+    t = make_indicator(0.0, 1.0, 0.005).grid()
+    return SampledSignal(0.0, 0.005, 1.0 - np.abs(2.0 * t - 1.0))
+
+
+@pytest.fixture(scope="module")
+def step_kernel():
+    """1 on [0, 0.3), 0.5 on [0.3, 1]: real, but not symmetric about 1/2."""
+    return SampledSignal(0.0, 0.005, np.where(np.arange(201) < 60, 1.0, 0.5))
 
 
 def test_growth_of_unit_indicator(indicator_kernel):
@@ -137,7 +149,7 @@ def test_zero_report_validation():
        re=st.floats(-200.0, 200.0), im=st.floats(-200.0, 200.0))
 def test_laplace_parts_of_a_real_kernel_is_conjugate_symmetric(n, seed,
                                                                re, im):
-    # the half-circle mirror in _winding_attempt rests on this, bit for bit
+    # the half-circle in _winding_attempt rests on this, bit for bit
     rng = np.random.default_rng(seed)
     kernel = SampledSignal(0.0, 1.0 / (n - 1), rng.standard_normal(n))
     z = np.array([complex(re, im)])
@@ -147,20 +159,38 @@ def test_laplace_parts_of_a_real_kernel_is_conjugate_symmetric(n, seed,
     assert np.array_equal(mirror_scale, log_scale)
 
 
-def full_circle_winding(kernel, r, n):
-    """The argument-principle sum with every contour sample evaluated."""
-    theta = 2.0 * math.pi * np.arange(n) / n
-    _, reduced = laplace_parts(kernel, r * np.exp(1j * theta))
-    steps = np.angle(reduced * np.conj(np.roll(reduced, 1)))
-    return np.sum(steps) / (2.0 * math.pi), np.max(np.abs(steps))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(17, 257), seed=st.integers(0, 2 ** 32 - 1),
+       t_min=st.floats(-1.0, 1.0), re=st.floats(-200.0, 200.0),
+       im=st.floats(-200.0, 200.0))
+def test_laplace_parts_of_a_palindromic_kernel_reflects(n, seed, t_min,
+                                                        re, im):
+    # the quarter circle in _winding_attempt rests on this: with centre c,
+    # Phi(z) = e^{2cz} conj Phi(-conj z) for real samples symmetric about c
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal(n)
+    kernel = SampledSignal(t_min, 1.0 / (n - 1), half + half[::-1])
+    c = 0.5 * (kernel.t_min + kernel.t_max)
+    z = np.array([complex(re, im)])
+    log_scale, reduced = laplace_parts(kernel, z)
+    mirror_scale, mirror = laplace_parts(kernel, -np.conj(z))
+    shifted = mirror_scale + 2.0 * c * re
+    assert abs(log_scale[0] - shifted[0]) <= 1e-12 * max(1.0, abs(log_scale[0]))
+    reflected = (np.conj(mirror) * np.exp(2j * c * im)
+                 * np.exp(shifted - log_scale))
+    # relative to the sum of the moduli of the reduced sum's terms
+    t = kernel.grid()
+    size = kernel.spacing * np.sum(np.abs(kernel.values)
+                                   * np.exp(re * t - log_scale[0]))
+    assert abs(reduced[0] - reflected[0]) <= 1e-12 * size
 
 
 @pytest.mark.parametrize("r,n", [(r, int(math.ceil(64.0 * r)))
                                  for r in (20.0, 40.0, 60.0, 80.0, 100.0)]
                          + [(10.0, 641), (20.0, 1281)])
 def test_mirrored_winding_matches_the_full_circle(indicator_kernel, chi38,
-                                                  r, n):
-    for kernel in (indicator_kernel, chi38):
+                                                  triangle, step_kernel, r, n):
+    for kernel in (indicator_kernel, chi38, triangle, step_kernel):
         winding, max_step = ed._winding_attempt(kernel, r, n)
         want_winding, want_step = full_circle_winding(kernel, r, n)
         assert abs(winding - want_winding) <= 1e-9
@@ -198,14 +228,42 @@ def test_a_complex_kernel_counts_on_the_full_circle(contour_points):
     assert contour_points == points
 
 
-def test_a_real_kernel_sums_half_the_contour(indicator_kernel,
+def test_a_real_kernel_sums_half_the_contour(indicator_kernel, step_kernel,
                                              contour_points):
-    # sum of n//2 + 1 over n = 1280 .. 6400; the full circle is 19200
-    ed.zero_density(indicator_kernel, np.array(ZERO_RADII))
+    # n = 1280 .. 6400: the full circle is 19200 points, a real kernel's
+    # upper half sum n//2 + 1 and a palindromic kernel's quarter n//4 + 1
+    ed.zero_density(step_kernel, np.array(ZERO_RADII))
     assert sum(contour_points) == 9605
+    contour_points.clear()
+    ed.zero_density(indicator_kernel, np.array(ZERO_RADII))
+    assert sum(contour_points) == 4805
     contour_points.clear()
     # a zero pair 0.03 inside the circle, halfway between two samples:
     # the first pass steps past pi/2 and the retry takes 4x the points
     r, n = 2.0 * math.pi + 0.03, 406
     assert ed.count_zeros(indicator_kernel, r, n) == 2
-    assert contour_points == [n // 2 + 1, 4 * n // 2 + 1]
+    assert contour_points == [n // 4 + 1, 4 * n // 4 + 1]
+
+
+def test_an_asymmetric_real_kernel_counts_on_the_half_circle(step_kernel,
+                                                            contour_points):
+    radii = (20.0, 40.0, 60.0, 80.0, 100.0)
+    zeros = trapezoid_laplace_zeros(step_kernel.spacing, step_kernel.values,
+                                    101.0)
+    for r in radii:
+        assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
+    points = [int(math.ceil(64.0 * r)) for r in radii]
+    counts = [ed.count_zeros(step_kernel, r, n) for r, n in zip(radii, points)]
+    assert counts == [int(np.sum(np.abs(zeros) <= r)) for r in radii]
+    assert contour_points == [n // 2 + 1 for n in points]
+
+
+def test_only_an_even_palindrome_takes_the_quarter(indicator_kernel,
+                                                  contour_points):
+    values = np.array(indicator_kernel.values.real)
+    values[10] = 0.9  # one sample off the palindrome
+    broken = SampledSignal(0.0, indicator_kernel.spacing, values)
+    assert ed.count_zeros(broken, 20.0, 1280) == 6
+    assert ed.count_zeros(indicator_kernel, 20.0, 1281) == 6  # odd n
+    assert ed.count_zeros(indicator_kernel, 20.0, 1280) == 6
+    assert contour_points == [641, 641, 321]

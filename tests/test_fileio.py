@@ -102,11 +102,14 @@ def test_powers_of_ten_and_their_neighbours_match_percent_format():
     assert_same_fields(np.concatenate([values, -values, [0.0, -0.0]]))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(width=st.integers(1, 4), rows=st.sampled_from([1, 1023, 1024, 1025,
-                                                      2049]),
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.sampled_from([1, 2, 3, 4, 8]),
+       blocks=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_columns_across_block_boundaries(width, rows, seed):
+def test_columns_across_block_boundaries(width, blocks, seed):
+    # a block holds _BLOCK_FIELDS // width rows; width 8 is sweep.csv's
+    full, extra = blocks
+    rows = full * (fileio._BLOCK_FIELDS // width) + extra
     rng = np.random.default_rng(seed)
     columns = [rng.standard_normal(rows) * 10.0 ** rng.uniform(-35, 20, rows)
                for _ in range(width)]

@@ -270,6 +270,25 @@ def test_profile_validation():
         DualProfile(s, np.array([0.0, 1.0, 2.0])).value_at(2.5)
 
 
+def test_dual_profile_allows_slope_rounding_at_close_points():
+    # sigma 6.1 and 6.1 + 3e-8 sit on the sloped branch 0.1 sigma - 0.1:
+    # each slope there is good to about 2 ulp / 3e-8, beyond 1e-9
+    sigma = np.array([0.0, 6.1, 6.1 + 3e-8, 10.0])
+    dual = young_dual(TailProfile(np.array([0.0, 0.1]),
+                                  np.array([0.0, 0.1])), sigma)
+    assert np.allclose(dual.dual_values, np.maximum(0.0, 0.1 * sigma - 0.1),
+                       rtol=0.0, atol=1e-15)
+
+
+def test_dual_profile_rejects_a_dip_on_the_shipped_grid():
+    sigma = np.arange(0.0, DUAL_GRID_MAX + 0.5 * DUAL_GRID_STEP,
+                      DUAL_GRID_STEP)  # analyze-kernel's dual grid
+    values = np.maximum(0.0, 0.1 * sigma - 0.1)
+    values[3000] -= 1e-6  # on the straight branch: slopes step by -2e-4
+    with pytest.raises(ValidationError, match="convex"):
+        DualProfile(sigma, values)
+
+
 def test_bisect_halves_either_bracket_order():
     # edge of x >= 0.3; the true end may be given first or second
     a, b = bisect(lambda x: x >= 0.3, 0.0, 1.0, atol=1e-6)
