@@ -15,7 +15,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -251,12 +250,12 @@ def cmd_smallset(config: ExperimentConfig, out_dir: str,
         warnings.simplefilter("always")  # short intervals; r_eps <= 1
         report = measure_small_set(lambda lam: fourier_at(kernel, lam),
                                    eps ** config.beta, r_eps, r_eps / 2e4)
-        report = replace(report, eps=eps, bound=cartan_bound(config.q, r_eps))
+        bound = cartan_bound(config.q, r_eps)
     manifest.notes.extend(str(w.message) for w in caught)
     manifest.stage("compute")
 
     _write_json(manifest.path("smallset_json", "smallset.json"),
-                report.as_dict())
+                dict(report.as_dict(), eps=eps, bound=bound))
     manifest.stage("write")
     return manifest.write()
 

@@ -7,8 +7,8 @@ eps_list) are rejected here, before any computation starts.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError, ValidationError
@@ -52,7 +52,7 @@ def _typed_spec(raw, kind: str, allowed: dict) -> dict:
     if not isinstance(raw, dict) or "type" not in raw:
         raise _fail(f"{kind} must be an object with a 'type' field")
     typ = raw["type"]
-    if typ not in allowed:
+    if not isinstance(typ, str) or typ not in allowed:
         raise _fail(f"unknown {kind} type {typ!r}: expected one of "
                     f"{sorted(allowed)}")
     extra = set(raw) - {"type"} - allowed[typ]
@@ -61,19 +61,24 @@ def _typed_spec(raw, kind: str, allowed: dict) -> dict:
     missing = allowed[typ] - set(raw)
     if missing:
         raise _fail(f"{kind} type {typ!r} requires {sorted(missing)}")
+    if "path" in raw and not isinstance(raw["path"], str):
+        raise _fail(f"{kind}.path must be a string")
     return dict(raw)
 
 
 def _number(value, name: str) -> float:
-    """A JSON number as a float; true and false are not numbers here."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise _fail(f"{name} must be a number")
+    """A finite JSON number as a float; true and false are not numbers
+    here, and neither are the Infinity and NaN that Python's json reads
+    nor an integer too long for a float."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max):
+        raise _fail(f"{name} must be a finite number")
     return float(value)
 
 
 def _positive(value, name: str) -> float:
     v = _number(value, name)
-    if not (v > 0.0 and math.isfinite(v)):
+    if not v > 0.0:
         raise _fail(f"{name} must be positive and finite")
     return v
 
@@ -125,6 +130,9 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
                        for k in _GRID_KEYS))
     if grids.t_step >= grids.t_extent:
         raise _fail("grids.t_step must be smaller than grids.t_extent")
+    if not grids.freq_extent_factor > 1.0:
+        raise _fail("grids.freq_extent_factor must exceed 1: the frequency "
+                    "grid has to cover |lambda| <= r_eps")
 
     return ExperimentConfig(kernel, f0, eps_list, beta, q, seed, grids,
                             base_dir)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ComputationError, PhaseTrackingError, ValidationError
 from .grid_signal import SampledSignal, laplace_parts
 
-_CONTOUR_ZERO_REL = 1e-13   # |Phi| below this times the contour max => nudge
+_CONTOUR_ZERO_REL = 1e-13   # |Phi| under this times its larger neighbour => nudge
 _NUDGE_FACTOR = 0.37        # irrational-flavored step, avoids zero lattices
 _MAX_NUDGES = 8
 
@@ -126,18 +126,16 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
 def _winding_attempt(kernel: SampledSignal, r: float, n: int):
     """One argument-principle pass: (winding, max wrapped phase step).
 
-    The contour samples are z_k = r * exp(2 pi i k / n), k = 0 .. n-1.  A
-    real kernel has Phi(conj z) = conj Phi(z), so at even n the lower half
-    retraces the upper half's phase steps: the winding is twice the step
-    sum over k = 0 .. n/2, whose ends neighbour their mirror images.  A
-    palindrome centred at c also has Phi(z) = e^{2cz} conj Phi(-conj z) and
-    -conj z_k = z_{n/2-k}, so k = 0 .. n//4 are summed and the rest of the
-    half reflected.  Odd n mirrors the upper half into the lower; a complex
-    kernel sums the whole circle.
+    The contour samples are z_k = r * exp(2 pi i k / n), k = 0 .. n-1, with
+    n even.  A complex kernel sums the whole circle.  A real kernel has
+    Phi(conj z) = conj Phi(z), so the lower half retraces the upper half's
+    phase steps: the winding is twice the step sum over k = 0 .. n/2, whose
+    ends neighbour their mirror images.  A palindrome centred at c also has
+    Phi(z) = e^{2cz} conj Phi(-conj z) and -conj z_k = z_{n/2-k}, so
+    k = 0 .. n//4 are summed and the rest of the half reflected.
     """
     real = kernel.is_real()
-    half = real and n % 2 == 0
-    quarter = half and np.array_equal(kernel.values, kernel.values[::-1])
+    quarter = real and np.array_equal(kernel.values, kernel.values[::-1])
     count = n // 4 + 1 if quarter else n // 2 + 1 if real else n
     zs = r * np.exp(2j * math.pi * np.arange(count) / n)
     log_scale, reduced = laplace_parts(kernel, zs)
@@ -148,10 +146,6 @@ def _winding_attempt(kernel: SampledSignal, r: float, n: int):
             [reduced, np.conj(reduced[src]) * np.exp(2j * c * zs.imag[src])])
         log_scale = np.concatenate([log_scale,
                                     log_scale[src] - 2.0 * c * zs.real[src]])
-    elif real and not half:
-        lower = slice((n - 1) // 2, 0, -1)  # k = (n-1)//2 .. 1 -> n-k
-        reduced = np.concatenate([reduced, np.conj(reduced[lower])])
-        log_scale = np.concatenate([log_scale, log_scale[lower]])
     mag = np.abs(reduced)
     if np.min(mag) == 0.0:
         return None  # dead sample: treat as contour-on-zero, caller nudges
@@ -159,7 +153,7 @@ def _winding_attempt(kernel: SampledSignal, r: float, n: int):
     # a sample sitting on a zero collapses relative to its neighbors; the
     # contour-wide max is useless here, |Phi| spans hundreds of e-folds
     # around one circle when r is large
-    if half:  # samples 1 and n/2-1 mirror to the ends' outer neighbours
+    if real:  # samples 1 and n/2-1 mirror to the ends' outer neighbours
         ring = np.concatenate([log_abs[1:2], log_abs, log_abs[-2:-1]])
         after, before, laps = reduced[1:], reduced[:-1], 2.0
     else:
@@ -172,27 +166,26 @@ def _winding_attempt(kernel: SampledSignal, r: float, n: int):
             float(np.max(np.abs(steps))))
 
 
-def count_zeros(kernel: SampledSignal, r: float, contour_points: int) -> int:
+def count_zeros(kernel: SampledSignal, r: float) -> int:
     """Zeros of the transform inside |z| <= r by contour phase tracking.
 
     The winding number of Phi around the circle equals the enclosed zero
-    count.  A real kernel's transform is evaluated on the upper half-circle,
-    a palindrome's on the first quadrant (see `_winding_attempt`).  A
-    contour sample landing on a near-zero (|Phi| under 1e-13 of the contour
-    max) nudges the radius outward by 0.37 * (2 pi / N) * r and retries; a
-    wrapped phase step above pi/2, or a winding off an integer by more than
-    0.02, retries once at 4x the points and then fails hard.
+    count.  The circle gets n = 2 * ceil(32 r) samples, 64 per unit radius
+    rounded up to an even count; a real kernel's transform is evaluated on
+    the upper half-circle, a palindrome's on the first quadrant (see
+    `_winding_attempt`).  A contour sample landing on a near-zero (|Phi|
+    under 1e-13 of its larger neighbour) nudges the radius outward by
+    0.37 * (2 pi / n) * r and retries; a wrapped phase step above pi/2, or a
+    winding off an integer by more than 0.02, retries once at 4n points and
+    then fails hard.
     """
     _require_compact(kernel, "count_zeros")
     if not (r > 0.0 and np.isfinite(r)):
         raise ValidationError("r must be positive and finite",
                               module="entire_diagnostics", operation="count_zeros")
-    if contour_points < 64 * r:
-        raise ValidationError("need contour_points >= 64 * r to resolve "
-                              "the phase", module="entire_diagnostics",
-                              operation="count_zeros")
 
-    for points in (int(contour_points), 4 * int(contour_points)):
+    n = 2 * math.ceil(32.0 * r)
+    for points in (n, 4 * n):
         radius = r
         attempt = _winding_attempt(kernel, radius, points)
         nudges = 0
@@ -244,23 +237,18 @@ class ZeroCountReport:
         return math.pi * float(self.densities[-1])
 
 
-def zero_density(kernel: SampledSignal, radii,
-                 points_per_radius: int = 64) -> ZeroCountReport:
+def zero_density(kernel: SampledSignal, radii) -> ZeroCountReport:
     """n(R)/R table with d_hat = pi * final density.
 
-    Each radius gets ceil(points_per_radius * R) contour samples (floor 64
-    per the phase-resolution requirement); a real kernel evaluates the
-    transform at the n//2 + 1 on the upper half-circle, a palindrome at
-    even n at the n//4 + 1 in the first quadrant.
+    Each radius is counted by `count_zeros` on its n = 2 * ceil(32 R)
+    contour samples; a real kernel evaluates the transform at the n/2 + 1
+    on the upper half-circle, a palindrome at the n/4 + 1 in the first
+    quadrant.
     """
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:
         raise ValidationError("radii must be at least 2 increasing positives",
                               module="entire_diagnostics", operation="zero_density")
-    if points_per_radius < 64:
-        raise ValidationError("points_per_radius must be at least 64",
-                              module="entire_diagnostics", operation="zero_density")
-    counts = np.array([count_zeros(kernel, float(rr),
-                                   int(math.ceil(points_per_radius * rr)))
-                       for rr in r], dtype=np.int64)
+    counts = np.array([count_zeros(kernel, float(rr)) for rr in r],
+                      dtype=np.int64)
     return ZeroCountReport(r, counts)

@@ -454,7 +454,7 @@ def write_signal_csv(path: str, signal: SampledSignal) -> None:
     write_csv(path, "t,re,im", (signal.grid(), v.real, v.imag))
 
 
-def read_signal_csv(path: str, truncation_tail: float = 0.0) -> SampledSignal:
+def read_signal_csv(path: str) -> SampledSignal:
     with open(path, "r") as handle:
         if handle.readline().strip() != "t,re,im":
             raise ValidationError("expected header 't,re,im' in %s" % path,
@@ -472,4 +472,4 @@ def read_signal_csv(path: str, truncation_tail: float = 0.0) -> SampledSignal:
     # re + 1j * im would turn -0.0 into 0.0 and inf into nan parts
     values = np.empty(t.size, dtype=np.complex128)
     values.real, values.imag = data[:, 1], data[:, 2]
-    return SampledSignal(float(t[0]), float(d[0]), values, truncation_tail)
+    return SampledSignal(float(t[0]), float(d[0]), values)

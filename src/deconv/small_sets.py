@@ -27,15 +27,17 @@ from .tail_profile import DualProfile, bisect
 
 @dataclass(frozen=True)
 class SmallSetReport:
-    """Measured sub-threshold set: disjoint intervals inside [-r, r]."""
+    """Measured sub-threshold set: disjoint intervals inside [-r, r].
+
+    Only what the scan measured; the noise level behind the threshold and
+    the Cartan ceiling are the caller's to report alongside `as_dict`.
+    """
 
     threshold: float
     r: float
     measure_estimate: float
     interval_count: int
     intervals: tuple  # ((lo, hi), ...) with lo < hi
-    eps: float = math.nan       # noise level behind the threshold, if any
-    bound: float = math.nan     # r^{-q+1/2} when q is known
 
     def __post_init__(self):
         if self.measure_estimate < 0.0:
@@ -49,14 +51,10 @@ class SmallSetReport:
                                   module="small_sets", operation="SmallSetReport")
 
     def as_dict(self) -> dict:
-        def opt(x):
-            return None if math.isnan(x) else x
         return {
-            "eps": opt(self.eps),
             "threshold": self.threshold,
             "r_eps": self.r,
             "measure_estimate": self.measure_estimate,
-            "bound": opt(self.bound),
             "interval_count": self.interval_count,
             "intervals": [[lo, hi] for lo, hi in self.intervals],
         }

@@ -194,7 +194,7 @@ def test_criterion_07_growth_exponents():
 def test_criterion_08_zero_density(indicator_kernel):
     """n(100) = 30 on the exact 2 pi k lattice, density within 10% of 1/pi,
     winding within 0.02 of an integer at every tested radius."""
-    assert ed.count_zeros(indicator_kernel, 100.0, 6400) == 30
+    assert ed.count_zeros(indicator_kernel, 100.0) == 30
     density = 30.0 / 100.0
     assert abs(density - 1.0 / math.pi) <= 0.10 / math.pi
     for r in (20.0, 40.0, 60.0, 80.0, 100.0):
@@ -218,8 +218,7 @@ def test_criterion_08_counts_match_polynomial_roots(a, b, want):
     zeros = trapezoid_laplace_zeros(kernel.spacing, kernel.values, 101.0)
     roots = [int(np.sum(np.abs(zeros) <= r)) for r in radii]
     assert roots == want
-    assert [ed.count_zeros(kernel, r, int(math.ceil(64.0 * r)))
-            for r in radii] == roots
+    assert [ed.count_zeros(kernel, r) for r in radii] == roots
     for r in radii:
         assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
 

@@ -1,6 +1,7 @@
 """Command bodies and the CLI wrapper: files, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -291,6 +292,15 @@ def _f0_csv_not_uniform(data, folder):
     data["f0"] = {"type": "file", "path": "f0.csv"}
 
 
+def _narrow_frequency_grid(data, folder):
+    # a frequency grid half as wide as r_eps cannot cover |lambda| <= r_eps
+    data["grids"]["freq_extent_factor"] = 0.5
+
+
+def _infinite_indicator_end(data, folder):
+    data["kernel"] = {"type": "indicator", "a": 0.0, "b": math.inf}
+
+
 @pytest.mark.parametrize("edit,argv,operation", [
     (_off_lattice, ["deconvolve"], "build_kernel"),
     (_eps_above_mass, ["sweep"], "check_eps"),
@@ -298,6 +308,8 @@ def _f0_csv_not_uniform(data, folder):
     (None, ["smallset", "--eps", "1.5"], "check_eps"),
     (_kernel_csv_not_numeric, ["deconvolve"], "build_kernel"),
     (_f0_csv_not_uniform, ["deconvolve"], "build_instance"),
+    (_narrow_frequency_grid, ["deconvolve"], "load_config"),
+    (_infinite_indicator_end, ["zeros"], "load_config"),
 ])
 def test_cli_user_input_errors_exit_2(tmp_path, edit, argv, operation):
     data = small_config()

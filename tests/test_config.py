@@ -62,12 +62,46 @@ def test_valid_config_parses():
     (lambda d: d.update(f0={"type": "synth_smooth", "path": "x"}),
      "extra f0 param"),
     (lambda d: d.update(f0={"type": "mystery"}), "unknown f0 type"),
+    (lambda d: d["grids"].update(freq_extent_factor=1.0),
+     "frequency grid no wider than the radius"),
 ])
 def test_bad_configs_are_rejected(mutate, reason):
     data = good_config()
     mutate(data)
     with pytest.raises(ConfigError):
         parse_config(data)
+
+
+MALFORMED = (None, True, 0, -1, 0.5, 1.5, float("inf"), float("-inf"),
+             float("nan"), 10 ** 400, "x", [], [1], {}, {"type": []})
+# every field of good_config(), and the path of a file-type kernel and f0
+FIELDS = ([(key,) for key in good_config()]
+          + [(key, sub) for key in ("kernel", "f0", "grids")
+             for sub in good_config()[key]]
+          + [("eps_list", 0), ("eps_list", 1), ("kernel", "path"),
+             ("f0", "path")])
+
+
+@pytest.mark.parametrize("field", FIELDS,
+                         ids=[".".join(map(str, f)) for f in FIELDS])
+def test_malformed_values_raise_config_error(field, tmp_path):
+    # JSON admits Infinity and NaN, and any value in any field: whatever
+    # the file holds, a bad config exits as a config error
+    *outer, last = field
+    for value in MALFORMED:
+        data = good_config()
+        if last == "path":
+            data[outer[0]] = {"type": "file"}
+        target = data
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        try:
+            build_instance(parse_config(data, str(tmp_path)))
+        except ConfigError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{field} = {value!r} raised {exc!r}")
 
 
 def test_load_config_roundtrip(tmp_path):

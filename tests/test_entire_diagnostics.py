@@ -84,34 +84,35 @@ def test_growth_preconditions(gaussian_kernel, indicator_kernel):
 
 def test_zero_counts_on_the_lattice(indicator_kernel):
     # the sampled transform of chi_[0,1] vanishes exactly at 2 pi k
-    assert ed.count_zeros(indicator_kernel, 10.0, 640) == 2
-    assert ed.count_zeros(indicator_kernel, 100.0, 6400) == 30
+    assert ed.count_zeros(indicator_kernel, 10.0) == 2
+    assert ed.count_zeros(indicator_kernel, 100.0) == 30
 
 
-def test_contour_on_a_zero_gets_nudged(indicator_kernel):
-    r = 2.0 * math.pi  # passes exactly through the first zero pair
-    assert ed.count_zeros(indicator_kernel, r, 640) == 2
+def test_contour_on_a_zero_gets_nudged(indicator_kernel, contour_points):
+    # passes exactly through the first zero pair: of n = 2 * ceil(32 r) =
+    # 404 samples, sample 101 lies on 2 pi i, so one nudge is taken
+    r = 2.0 * math.pi
+    assert ed.count_zeros(indicator_kernel, r) == 2
+    assert contour_points == [404 // 4 + 1] * 2
 
 
 def test_count_zeros_preconditions(indicator_kernel, gaussian_kernel):
     with pytest.raises(ValidationError):
-        ed.count_zeros(indicator_kernel, 100.0, 640)  # under 64 per unit r
+        ed.count_zeros(indicator_kernel, 0.0)
     with pytest.raises(ValidationError):
-        ed.count_zeros(indicator_kernel, 0.0, 640)
-    with pytest.raises(ValidationError):
-        ed.count_zeros(gaussian_kernel, 10.0, 640)
+        ed.count_zeros(gaussian_kernel, 10.0)
 
 
 def test_phase_tracking_failure_surfaces(indicator_kernel, monkeypatch):
     monkeypatch.setattr(ed, "_winding_attempt", lambda k, r, n: (0.5, 2.0))
     with pytest.raises(PhaseTrackingError):
-        ed.count_zeros(indicator_kernel, 10.0, 640)
+        ed.count_zeros(indicator_kernel, 10.0)
 
 
 def test_nudge_budget_is_finite(indicator_kernel, monkeypatch):
     monkeypatch.setattr(ed, "_winding_attempt", lambda k, r, n: None)
     with pytest.raises(ComputationError):
-        ed.count_zeros(indicator_kernel, 10.0, 640)
+        ed.count_zeros(indicator_kernel, 10.0)
 
 
 def test_zero_density_of_unit_indicator(indicator_kernel):
@@ -133,9 +134,6 @@ def test_zero_density_of_shifted_indicator(chi38):
 def test_zero_density_preconditions(indicator_kernel):
     with pytest.raises(ValidationError):
         ed.zero_density(indicator_kernel, np.array([10.0]))
-    with pytest.raises(ValidationError):
-        ed.zero_density(indicator_kernel, np.array([10.0, 20.0]),
-                        points_per_radius=32)
 
 
 def test_zero_report_validation():
@@ -187,7 +185,7 @@ def test_laplace_parts_of_a_palindromic_kernel_reflects(n, seed, t_min,
 
 @pytest.mark.parametrize("r,n", [(r, int(math.ceil(64.0 * r)))
                                  for r in (20.0, 40.0, 60.0, 80.0, 100.0)]
-                         + [(10.0, 641), (20.0, 1281)])
+                         + [(10.01, 642), (20.01, 1282)])
 def test_mirrored_winding_matches_the_full_circle(indicator_kernel, chi38,
                                                   triangle, step_kernel, r, n):
     for kernel in (indicator_kernel, chi38, triangle, step_kernel):
@@ -223,7 +221,7 @@ def test_a_complex_kernel_counts_on_the_full_circle(contour_points):
     for r in radii:
         assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
     points = [int(math.ceil(64.0 * r)) for r in radii]
-    counts = [ed.count_zeros(kernel, r, n) for r, n in zip(radii, points)]
+    counts = [ed.count_zeros(kernel, r) for r in radii]
     assert counts == [int(np.sum(np.abs(zeros) <= r)) for r in radii]
     assert contour_points == points
 
@@ -241,7 +239,7 @@ def test_a_real_kernel_sums_half_the_contour(indicator_kernel, step_kernel,
     # a zero pair 0.03 inside the circle, halfway between two samples:
     # the first pass steps past pi/2 and the retry takes 4x the points
     r, n = 2.0 * math.pi + 0.03, 406
-    assert ed.count_zeros(indicator_kernel, r, n) == 2
+    assert ed.count_zeros(indicator_kernel, r) == 2
     assert contour_points == [n // 4 + 1, 4 * n // 4 + 1]
 
 
@@ -253,17 +251,18 @@ def test_an_asymmetric_real_kernel_counts_on_the_half_circle(step_kernel,
     for r in radii:
         assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
     points = [int(math.ceil(64.0 * r)) for r in radii]
-    counts = [ed.count_zeros(step_kernel, r, n) for r, n in zip(radii, points)]
+    counts = [ed.count_zeros(step_kernel, r) for r in radii]
     assert counts == [int(np.sum(np.abs(zeros) <= r)) for r in radii]
     assert contour_points == [n // 2 + 1 for n in points]
 
 
-def test_only_an_even_palindrome_takes_the_quarter(indicator_kernel,
-                                                  contour_points):
+def test_only_a_palindrome_takes_the_quarter(indicator_kernel,
+                                             contour_points):
     values = np.array(indicator_kernel.values.real)
     values[10] = 0.9  # one sample off the palindrome
     broken = SampledSignal(0.0, indicator_kernel.spacing, values)
-    assert ed.count_zeros(broken, 20.0, 1280) == 6
-    assert ed.count_zeros(indicator_kernel, 20.0, 1281) == 6  # odd n
-    assert ed.count_zeros(indicator_kernel, 20.0, 1280) == 6
-    assert contour_points == [641, 641, 321]
+    assert ed.count_zeros(broken, 20.0) == 6
+    # ceil(64 r) = 1281 is odd: the contour rounds up to 1282 points
+    assert ed.count_zeros(indicator_kernel, 20.01) == 6
+    assert ed.count_zeros(indicator_kernel, 20.0) == 6
+    assert contour_points == [641, 321, 321]

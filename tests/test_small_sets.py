@@ -153,7 +153,7 @@ def test_report_validation_and_serialization():
     with pytest.raises(ValidationError):
         SmallSetReport(0.1, 1.0, 0.5, 2, ((0.0, 0.5),))
     d = SmallSetReport(0.1, 1.0, 0.5, 1, ((0.0, 0.5),)).as_dict()
-    assert d["eps"] is None and d["bound"] is None
+    assert "eps" not in d and "bound" not in d
     assert d["intervals"] == [[0.0, 0.5]]
 
 
