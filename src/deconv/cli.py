@@ -4,10 +4,10 @@ Thread caps must land in the environment before numpy first loads, so this
 module imports nothing numerical at top level; everything heavy is pulled
 in inside main() after the caps are set.
 
-Exit codes: 0 success, 2 configuration/validation error or OSError (such
-as an --out path that is a file), 3 computation failure, 4 sweep
-acceptance-gate failure, 5 any other unexpected exception (a bug or an
-exhausted resource).  Every nonzero exit prints one line to stderr and
+Exit codes: 0 success, 2 configuration error (an oversized frequency grid
+included) or OSError, 3 computation failure or failed internal check, 4
+sweep acceptance-gate failure, 5 any other unexpected exception (a bug or
+an exhausted resource).  Every nonzero exit prints one line to stderr and
 writes error.json when the output directory is writable.
 """
 

@@ -59,10 +59,13 @@ def _write_json(path: str, obj) -> None:
                       + "\n")
 
 
-class _Manifest:
-    """Collects outputs and stage timings; written last."""
+class _Manifest(warnings.catch_warnings):
+    """Collects outputs, stage timings and notes; written last, inside its
+    `with` block.  Every warning raised in the block, on any thread,
+    becomes a note instead of a line on stderr."""
 
     def __init__(self, command: str, config: ExperimentConfig, out_dir: str):
+        super().__init__(record=True)
         self.command = command
         self.config = config
         self.out_dir = out_dir
@@ -71,6 +74,11 @@ class _Manifest:
         self.notes = []
         self._t0 = time.perf_counter()
         os.makedirs(out_dir, exist_ok=True)
+
+    def __enter__(self):
+        self._caught = super().__enter__()
+        warnings.simplefilter("always")
+        return self
 
     def stage(self, name: str) -> None:
         now = time.perf_counter()
@@ -94,6 +102,7 @@ class _Manifest:
             },
             "wall_clock_seconds": self.timings,
         }
+        self.notes.extend(str(w.message) for w in self._caught)
         if self.notes:
             data["notes"] = self.notes
         _write_json(os.path.join(self.out_dir, "manifest.json"), data)
@@ -138,55 +147,55 @@ def _write_zero_reports(zeros, manifest: _Manifest) -> None:
 def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
     """Tail profile, Young dual, superlinearity verdict; growth and zero
     reports when the kernel is compactly supported inside [0, 1]."""
-    manifest = _Manifest("analyze-kernel", config, out_dir)
-    kernel = build_kernel(config)
-    profile = tail_mass_profile(kernel, default_profile_grid(kernel))
-    dual = young_dual(profile,
-                      np.arange(0.0, DUAL_GRID_MAX + 0.5 * DUAL_GRID_STEP,
-                                DUAL_GRID_STEP))
-    detector = detect_superlinear(profile)
-    zeros = (_zero_reports(kernel) if supported_in_unit_interval(kernel)
-             else None)
-    manifest.stage("compute")
+    with _Manifest("analyze-kernel", config, out_dir) as manifest:
+        kernel = build_kernel(config)
+        profile = tail_mass_profile(kernel, default_profile_grid(kernel))
+        dual = young_dual(profile,
+                          np.arange(0.0, DUAL_GRID_MAX + 0.5 * DUAL_GRID_STEP,
+                                    DUAL_GRID_STEP))
+        detector = detect_superlinear(profile)
+        zeros = (_zero_reports(kernel) if supported_in_unit_interval(kernel)
+                 else None)
+        manifest.stage("compute")
 
-    write_csv(manifest.path("profile_csv", "profile.csv"), "s,p",
-              (profile.s_grid, profile.p_values))
-    write_csv(manifest.path("dual_csv", "dual.csv"), "s,pstar",
-              (dual.s_grid, dual.dual_values))
-    _write_json(manifest.path("detector_json", "detector.json"),
-                {"superlinear": detector.verdict,
-                 "decade_ratio": detector.decade_ratio,
-                 "strictly_increasing": detector.strictly_increasing})
-    if zeros is None:
-        manifest.notes.append("growth/zero reports skipped: kernel support "
-                              "is not inside [0, 1]")
-    else:
-        _write_zero_reports(zeros, manifest)
-    manifest.stage("write")
-    return manifest.write()
+        write_csv(manifest.path("profile_csv", "profile.csv"), "s,p",
+                  (profile.s_grid, profile.p_values))
+        write_csv(manifest.path("dual_csv", "dual.csv"), "s,pstar",
+                  (dual.s_grid, dual.dual_values))
+        _write_json(manifest.path("detector_json", "detector.json"),
+                    {"superlinear": detector.verdict,
+                     "decade_ratio": detector.decade_ratio,
+                     "strictly_increasing": detector.strictly_increasing})
+        if zeros is None:
+            manifest.notes.append("growth/zero reports skipped: kernel "
+                                  "support is not inside [0, 1]")
+        else:
+            _write_zero_reports(zeros, manifest)
+        manifest.stage("write")
+        return manifest.write()
 
 
 def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
                    noise_free: bool = False) -> dict:
     """One reconstruction at a single eps (default: first of eps_list)."""
-    manifest = _Manifest("deconvolve", config, out_dir)
-    instance = build_instance(config)
-    eps = check_eps(config.eps_list[0] if eps is None else eps,
-                    instance.profile.l1_total, config.beta)
-    result = run_single(instance, eps, seed=config.seed,
-                        noise_free=noise_free)
-    manifest.stage("compute")
+    with _Manifest("deconvolve", config, out_dir) as manifest:
+        instance = build_instance(config)
+        eps = check_eps(config.eps_list[0] if eps is None else eps,
+                        instance.profile.l1_total, config.beta)
+        result = run_single(instance, eps, seed=config.seed,
+                            noise_free=noise_free)
+        manifest.stage("compute")
 
-    plan = _plan_dict(result.plan)
-    plan["noise_free"] = noise_free
-    plan["achieved_error"] = result.achieved_error
-    _write_json(manifest.path("plan_json", "plan.json"), plan)
-    write_signal_csv(manifest.path("reconstruction_csv", "reconstruction.csv"),
-                     result.f_eps)
-    _write_json(manifest.path("decomposition_json", "decomposition.json"),
-                _decomposition_dict(result.decomposition))
-    manifest.stage("write")
-    return manifest.write()
+        plan = _plan_dict(result.plan)
+        plan["noise_free"] = noise_free
+        plan["achieved_error"] = result.achieved_error
+        _write_json(manifest.path("plan_json", "plan.json"), plan)
+        write_signal_csv(manifest.path("reconstruction_csv",
+                                       "reconstruction.csv"), result.f_eps)
+        _write_json(manifest.path("decomposition_json", "decomposition.json"),
+                    _decomposition_dict(result.decomposition))
+        manifest.stage("write")
+        return manifest.write()
 
 
 SWEEP_HEADER = "eps,s_eps,delta,r_eps,achieved_error,bound,rate_ref,c3_row"
@@ -201,75 +210,73 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str) -> dict:
     if len(config.eps_list) < 4:
         raise ConfigError("sweep needs an eps_list of at least 4 levels",
                           module="commands", operation="cmd_sweep")
-    manifest = _Manifest("sweep", config, out_dir)
-    instance = build_instance(config)
-    sweep = run_sweep(instance, config.eps_list)
-    manifest.stage("compute")
+    with _Manifest("sweep", config, out_dir) as manifest:
+        instance = build_instance(config)
+        sweep = run_sweep(instance, config.eps_list)
+        manifest.stage("compute")
 
-    rows = [(r.eps, r.s_eps, r.delta, r.r_eps, r.achieved_error, r.bound,
-             r.rate_ref, r.c3_row) for r in sweep.records]
-    write_csv(manifest.path("sweep_csv", "sweep.csv"), SWEEP_HEADER,
-              np.array(rows, dtype=np.float64).reshape(len(rows), 8).T)
-    gates = {
-        "stability_ok": sweep.c3_stability <= 10.0,
-        "inversions_ok": sweep.inversions <= 1,
-        "bounds_ok": sweep.bound_violations == 0,
-        "asymptotic_radius_ok": abs(sweep.logr_over_loglog - 1.0) <= 0.15,
-        "valid": not sweep.invalid,
-    }
-    summary = {
-        "c3_fit": sweep.c3_fit,
-        "c3_stability": sweep.c3_stability,
-        "logR_over_loglog": sweep.logr_over_loglog,
-        "inversions": sweep.inversions,
-        "bound_violations": sweep.bound_violations,
-        "invalid": sweep.invalid,
-        "failures": [{"eps": e, "reason": r} for e, r in sweep.failures],
-        "gates": gates,
-    }
-    _write_json(manifest.path("summary_json", "summary.json"), summary)
-    manifest.stage("write")
-    manifest.write()
-    failed = sorted(name for name, ok in gates.items() if not ok)
-    if failed:
-        raise AcceptanceGateError(f"sweep gates failed: {', '.join(failed)}",
-                                  module="commands", operation="cmd_sweep")
-    return summary
+        rows = [(r.eps, r.s_eps, r.delta, r.r_eps, r.achieved_error, r.bound,
+                 r.rate_ref, r.c3_row) for r in sweep.records]
+        write_csv(manifest.path("sweep_csv", "sweep.csv"), SWEEP_HEADER,
+                  np.array(rows, dtype=np.float64).reshape(len(rows), 8).T)
+        gates = {
+            "stability_ok": sweep.c3_stability <= 10.0,
+            "inversions_ok": sweep.inversions <= 1,
+            "bounds_ok": sweep.bound_violations == 0,
+            "asymptotic_radius_ok": abs(sweep.logr_over_loglog - 1.0) <= 0.15,
+            "valid": not sweep.invalid,
+        }
+        summary = {
+            "c3_fit": sweep.c3_fit,
+            "c3_stability": sweep.c3_stability,
+            "logR_over_loglog": sweep.logr_over_loglog,
+            "inversions": sweep.inversions,
+            "bound_violations": sweep.bound_violations,
+            "invalid": sweep.invalid,
+            "failures": [{"eps": e, "reason": r} for e, r in sweep.failures],
+            "gates": gates,
+        }
+        _write_json(manifest.path("summary_json", "summary.json"), summary)
+        manifest.stage("write")
+        manifest.write()
+        failed = sorted(name for name, ok in gates.items() if not ok)
+        if failed:
+            raise AcceptanceGateError(
+                f"sweep gates failed: {', '.join(failed)}",
+                module="commands", operation="cmd_sweep")
+        return summary
 
 
 def cmd_smallset(config: ExperimentConfig, out_dir: str,
                  eps: float = None) -> dict:
     """Measure the sub-threshold frequency set at one eps."""
-    manifest = _Manifest("smallset", config, out_dir)
-    kernel = build_kernel(config)
-    profile = tail_mass_profile(kernel, default_profile_grid(kernel))
-    eps = check_eps(config.eps_list[0] if eps is None else eps,
-                    profile.l1_total, config.beta)
-    _, r_eps = plan_radius(eps, config.beta, config.q, profile)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # short intervals; r_eps <= 1
+    with _Manifest("smallset", config, out_dir) as manifest:
+        kernel = build_kernel(config)
+        profile = tail_mass_profile(kernel, default_profile_grid(kernel))
+        eps = check_eps(config.eps_list[0] if eps is None else eps,
+                        profile.l1_total, config.beta)
+        _, r_eps = plan_radius(eps, config.beta, config.q, profile)
         report = measure_small_set(lambda lam: fourier_at(kernel, lam),
                                    eps ** config.beta, r_eps, r_eps / 2e4)
         bound = cartan_bound(config.q, r_eps)
-    manifest.notes.extend(str(w.message) for w in caught)
-    manifest.stage("compute")
+        manifest.stage("compute")
 
-    _write_json(manifest.path("smallset_json", "smallset.json"),
-                dict(report.as_dict(), eps=eps, bound=bound))
-    manifest.stage("write")
-    return manifest.write()
+        _write_json(manifest.path("smallset_json", "smallset.json"),
+                    dict(report.as_dict(), eps=eps, bound=bound))
+        manifest.stage("write")
+        return manifest.write()
 
 
 def cmd_zeros(config: ExperimentConfig, out_dir: str) -> dict:
     """Zero-count table; compact-support kernels only."""
-    manifest = _Manifest("zeros", config, out_dir)
-    kernel = build_kernel(config)
-    if kernel.truncation_tail != 0.0:
-        raise ConfigError("zeros requires a compact-support kernel: the "
-                          "transform is entire only then",
-                          module="commands", operation="cmd_zeros")
-    zeros = _zero_reports(kernel)
-    manifest.stage("compute")
-    _write_zero_reports(zeros, manifest)
-    manifest.stage("write")
-    return manifest.write()
+    with _Manifest("zeros", config, out_dir) as manifest:
+        kernel = build_kernel(config)
+        if kernel.truncation_tail != 0.0:
+            raise ConfigError("zeros requires a compact-support kernel: the "
+                              "transform is entire only then",
+                              module="commands", operation="cmd_zeros")
+        zeros = _zero_reports(kernel)
+        manifest.stage("compute")
+        _write_zero_reports(zeros, manifest)
+        manifest.stage("write")
+        return manifest.write()

@@ -12,9 +12,8 @@ points are uniform too, the sum over the samples is a chirp-z transform
 O((N+M) log(N+M)) for N samples and M points, at the least FFT length
 2^a 3^b 5^c that holds the lags -D..D, 2D+1 = N+M-1 or N+M (36000, not
 65536, for 35108).  For a real signal and points symmetric about 0 it runs
-over the nonnegative half only and mirrors the rest.  Any other set of
-points, such as a batch of bisection probes, and any one or two points are
-summed directly.
+over the nonnegative half only and mirrors the rest.  Any other points,
+such as bisection probes or one or two points, go to `laplace_parts`.
 
 A chirp-z transform is a setup that depends only on the grids (two chirps
 and a chirp spectrum, from one exp per lag) and one forward and one
@@ -66,6 +65,9 @@ try:
     HEAP_POLICY = _pin_heap_policy(ctypes.CDLL(None))
 except (OSError, TypeError):  # no C library to load by name (Windows)
     HEAP_POLICY = None
+
+
+_CHIRP_LIMIT = 1 << 26  # n + m of a chirp-z transform; see _chirp_setup
 
 
 # A values array its maker hands over and drops: a record keeps it read-only
@@ -225,10 +227,10 @@ def _chirp_setup(x0: float, dx: float, m: int, sign: float, t_min: float,
     long exp is Q[j] = exp(i*c*j^2), j = 0..D: the spectrum is conj(Q)
     mirrored onto -D..D, so it serves the transposed sums too, and the
     chirps are linear phases times Q[|a|] and Q[|b|].  j^2 is an exact
-    float64 integer while n + m < 2^26, which is checked before anything
-    is allocated.
+    float64 integer while n + m < _CHIRP_LIMIT = 2^26, which is checked
+    before anything is allocated.
     """
-    if n + m >= 1 << 26:
+    if n + m >= _CHIRP_LIMIT:
         raise ValidationError("chirp-z transform needs n + m < 2^26",
                               module="grid_signal", operation="_chirp_sums")
     am, bn = (m - 1) // 2, (n - 1) // 2
@@ -308,46 +310,27 @@ def _mirror(upper: np.ndarray, count: int) -> np.ndarray:
     return np.concatenate([np.conj(upper[::-1][:count // 2]), upper])
 
 
-def _oscillatory_sums(points: np.ndarray, sign: float, t_min: float,
-                      spacing: float, weighted: np.ndarray,
-                      real: bool = False) -> np.ndarray:
-    """sum_j weighted[j] * exp(sign*1j*points*t_j) for t_j on the grid.
-
-    Three or more uniform points take the chirp-z transform, any others a
-    direct sum in chunks of about 2^20 phases (any two points fit a
-    progression, and two direct sums cost less than a chirp-z setup);
-    neither reaches BLAS, whose reductions round differently with the
-    thread count.  real=True states that the weights are real: a
-    progression centred on 0 (to its own 4-ulp tolerance) then sums only
-    its nonnegative half, from 0 or dx/2, and mirrors the rest.
-    """
-    pts = np.asarray(points, dtype=np.float64).ravel()
-    m = pts.size
-    grid = _progression(pts) if m > 2 else None
-    if grid is not None:
-        x0, dx = grid
-        reach = max(abs(float(pts[0])), abs(float(pts[-1])))
-        if real and abs(x0 + dx * (0.5 * (m - 1))) <= 4.0 * np.spacing(reach):
-            upper = _chirp_sums(0.0 if m % 2 else 0.5 * dx, dx, (m + 1) // 2,
-                                sign, t_min, spacing, weighted)
-            return _mirror(upper, m)
-        return _chirp_sums(x0, dx, m, sign, t_min, spacing, weighted)
-    t = t_min + spacing * np.arange(weighted.size)
-    out = np.empty(m, dtype=np.complex128)
-    rows = max(1, (1 << 20) // t.size)
-    for start in range(0, m, rows):
-        phase = np.outer(pts[start:start + rows], sign * t)
-        out[start:start + rows] = np.sum(np.exp(1j * phase) * weighted, axis=1)
-    return out
-
-
 def fourier_at(signal: SampledSignal, lambdas) -> np.ndarray:
-    """Transform integral f(t)*exp(-i*lambda*t) dt at arbitrary frequencies."""
+    """Transform integral f(t)*exp(-i*lambda*t) dt at arbitrary frequencies.
+
+    Three or more uniform points take the chirp-z transform, over only the
+    nonnegative half and mirrored for a real signal and points centred on
+    0 (to the progression's own 4-ulp tolerance); any others take
+    `laplace_parts` at z = -i*lambda, whose log_scale is 0 there.
+    """
     lam = np.asarray(lambdas, dtype=np.float64)
-    w = trapezoid_weights(signal.size, signal.spacing)
-    res = _oscillatory_sums(lam.ravel(), -1.0, signal.t_min, signal.spacing,
-                            w * signal.values, signal.is_real())
-    return res.reshape(lam.shape)
+    pts, m = lam.ravel(), lam.size
+    grid = _progression(pts) if m > 2 else None
+    if grid is None:
+        return laplace_parts(signal, -1j * lam)[1]
+    (x0, dx), reach = grid, max(abs(float(pts[0])), abs(float(pts[-1])))
+    rest = (-1.0, signal.t_min, signal.spacing,
+            trapezoid_weights(signal.size, signal.spacing) * signal.values)
+    if (signal.is_real()
+            and abs(x0 + dx * (0.5 * (m - 1))) <= 4.0 * np.spacing(reach)):
+        return _mirror(_chirp_sums(0.0 if m % 2 else 0.5 * dx, dx,
+                                   (m + 1) // 2, *rest), m).reshape(lam.shape)
+    return _chirp_sums(x0, dx, m, *rest).reshape(lam.shape)
 
 
 def _symmetric_grid(spacing: float, half_count: int) -> np.ndarray:
@@ -358,19 +341,15 @@ def _symmetric_grid(spacing: float, half_count: int) -> np.ndarray:
 
 def fourier_grid(signal: SampledSignal, freq_spacing: float,
                  half_count: int) -> TransformSamples:
-    """Transform on the symmetric grid freq_spacing * (-half_count .. half_count).
-
-    For a real signal only the nonnegative half is summed; the negative half
-    is the complex conjugate mirror.
-    """
+    """Transform on the symmetric grid freq_spacing * (-half_count ..
+    half_count); for a real signal only the nonnegative half is summed and
+    the negative half is its conjugate mirror."""
     if not (freq_spacing > 0.0 and half_count >= 1):
         raise ValidationError("need freq_spacing > 0 and half_count >= 1",
                               module="grid_signal", operation="fourier_grid")
     freqs = _symmetric_grid(freq_spacing, half_count)
-    if signal.is_real():
-        vals = _mirror(fourier_at(signal, freqs[half_count:]), freqs.size)
-    else:
-        vals = fourier_at(signal, freqs)
+    vals = (_mirror(fourier_at(signal, freqs[half_count:]), freqs.size)
+            if signal.is_real() else fourier_at(signal, freqs))
     return TransformSamples(freq_spacing, _Fresh(vals))
 
 
@@ -413,7 +392,9 @@ def laplace_parts(signal: SampledSignal, zs) -> tuple[np.ndarray, np.ndarray]:
     every 8th block and as the previous start times w^16 in between.  Every
     factor has modulus <= 1, so rounding compounds over at most 16 + 7
     steps.  einsum keeps optimize=False, so numpy's C loops do the sums and
-    BLAS never does; chunks hold about 2^14 block sums.
+    BLAS never does; chunks hold about 2^14 block sums.  A lone point runs
+    as a pair, as numpy rounds one-column products and sums differently:
+    a point's value never depends on the other points passed.
     """
     z = np.asarray(zs, dtype=np.complex128).ravel()
     t = signal.grid()
@@ -433,6 +414,7 @@ def laplace_parts(signal: SampledSignal, zs) -> tuple[np.ndarray, np.ndarray]:
         idx = np.flatnonzero((z.real >= 0.0) == rising)
         for lo in range(0, idx.size, chunk):
             sel = idx[lo:lo + chunk]
+            sel = sel.repeat(2) if sel.size == 1 else sel
             power = np.empty((block + 1, sel.size), dtype=np.complex128)
             power[0], power[1] = 1.0, np.exp(z[sel] * step)
             for m in range(2, block + 1):

@@ -27,10 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ComputationError, NoRootError, SaturationError, ValidationError
-from .grid_signal import (SampledSignal, TransformSamples, _Fresh, _row_scope,
-                          fourier_grid, inverse_fourier, l2_norm,
-                          trapezoid_weights)
+from .errors import (ComputationError, ConfigError, NoRootError,
+                     SaturationError, ValidationError)
+from .grid_signal import (_CHIRP_LIMIT, SampledSignal, TransformSamples,
+                          _Fresh, _row_scope, fourier_grid, inverse_fourier,
+                          l2_norm, trapezoid_weights)
 from .noise import inject_noise
 from .tail_profile import TailProfile, bisect, tail_cutoff
 
@@ -291,7 +292,7 @@ def smooth_spectrum(lambdas, q: float) -> np.ndarray:
 @dataclass(frozen=True)
 class GridSpec:
     """A run's grids: time [-t_extent, t_extent] at t_step; frequency
-    freq_step * (-h .. h), h = ceil(freq_extent_factor * R_eps / freq_step)."""
+    freq_step * (-h .. h), h = ceil(freq_extent_factor*R_eps/freq_step) <= 2^62."""
 
     t_extent: float
     t_step: float
@@ -299,7 +300,8 @@ class GridSpec:
     freq_step: float
 
     def half_count(self, r_eps: float) -> int:
-        return int(math.ceil(self.freq_extent_factor * r_eps / self.freq_step))
+        h = self.freq_extent_factor * r_eps / self.freq_step
+        return int(math.ceil(min(h, 2.0 ** 62)))  # an infinite h included
 
 
 @dataclass(frozen=True)
@@ -345,17 +347,25 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
     """
     s_eps, r_eps = plan_radius(eps, instance.beta, instance.q,
                                instance.profile)
-    phi0 = instance.kernel
+    phi0, f0_signal = instance.kernel, instance.f0_signal
     step, half = instance.grids.freq_step, instance.grids.half_count(r_eps)
+    t_min, t_step, t_count = instance.time_grid()
+    # the row's largest chirp-z transform, refused before any grid exists
+    samples = max(phi0.size, t_count, 0 if f0_signal is None else f0_signal.size)
+    if samples + 2 * half + 1 >= _CHIRP_LIMIT:
+        raise ConfigError(
+            f"{2 * half + 1} frequencies at eps {eps:g} and {samples} samples"
+            " pass the chirp-z limit n + m < 2^26: raise grids.freq_step or "
+            "lower grids.freq_extent_factor",
+            module="regularization", operation="run_single")
     phi0_hat = fourier_grid(phi0, step, half)
-    if instance.f0_signal is None:
+    if f0_signal is None:
         f0_hat = TransformSamples(step, _Fresh(smooth_spectrum(
             phi0_hat.frequencies, instance.q)))
     else:
-        f0_hat = fourier_grid(instance.f0_signal, step, half)
+        f0_hat = fourier_grid(f0_signal, step, half)
 
-    f0_real = instance.f0_signal is None or instance.f0_signal.is_real()
-    t_min, t_step, t_count = instance.time_grid()
+    f0_real = f0_signal is None or f0_signal.is_real()
     f0 = inverse_fourier(f0_hat, t_min, t_step, t_count, real=f0_real)
     g0 = inverse_fourier(TransformSamples(step, _Fresh(f0_hat.values
                                                        * phi0_hat.values)),

@@ -1,10 +1,10 @@
 """Closed-form reference values used across the test modules.
 
 Everything here is computed independently of the library code: transforms
-from textbook formulas, tails from erfc, transform zeros from polynomial
-roots, contour windings from direct sums at every contour sample, and the
-random stream from a from-scratch reimplementation of the documented
-recurrence.
+from textbook formulas, trapezoid sums at any points directly, tails from
+erfc, transform zeros from polynomial roots, contour windings from direct
+sums at every contour sample, and the random stream from a from-scratch
+reimplementation of the documented recurrence.
 """
 
 import math
@@ -34,6 +34,15 @@ def two_sided_exp_hat(lam, rate=1.0):
     """Transform of e^{-rate|t|}: 2 rate / (rate^2 + lam^2)."""
     lam = np.asarray(lam, dtype=np.float64)
     return (2.0 * rate / (rate * rate + lam * lam)).astype(np.complex128)
+
+
+def direct_sums(points, sign, t_min, spacing, weighted):
+    """sum_j weighted[j] e^{i sign x t_j} at each point x, with
+    t_j = t_min + spacing*j: one complex exp per point and sample."""
+    t = t_min + spacing * np.arange(np.size(weighted))
+    pts = np.asarray(points, dtype=np.float64)
+    return np.array([np.sum(weighted * np.exp(1j * (x * (sign * t))))
+                     for x in pts.ravel()]).reshape(pts.shape)
 
 
 def gauss_tail(s, scale=1.0):

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import deconv.commands as commands
+import deconv.regularization as regularization
 from deconv.cli import _THREAD_VARS, main
 from deconv.commands import (cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
                              cmd_sweep, cmd_zeros)
@@ -188,6 +191,93 @@ def test_smallset_records_the_short_interval_warning(tmp_path, capsys,
         "decrease resolution to rule out missed structure",
         "cartan_bound called with r_eps <= 1: the ceiling exceeds 1 and is "
         "loose at this radius"]
+
+
+def _warning_first(fn, message):
+    """fn, warning `message` as a RuntimeWarning before each call."""
+    def warned(*args, **kwargs):
+        warnings.warn(message, RuntimeWarning)
+        return fn(*args, **kwargs)
+    return warned
+
+
+@pytest.mark.parametrize("command, name", [
+    ("analyze-kernel", "detect_superlinear"), ("deconvolve", "run_single"),
+    ("zeros", "zero_density")])
+def test_commands_note_warnings_instead_of_printing_them(
+        tmp_path, capsys, monkeypatch, command, name):
+    monkeypatch.setattr(commands, name,
+                        _warning_first(getattr(commands, name), name))
+    data = small_config()
+    data["grids"]["t_step"] = 0.005  # the detector's two decades of s
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_json(out, "manifest.json")["notes"] == [name]
+
+
+def test_sweep_notes_the_warnings_of_rows_on_both_threads(tmp_path, capsys,
+                                                          monkeypatch):
+    # with two CPUs the caller's first row waits until the helper thread
+    # has taken a row, so both threads warn
+    two = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1) > 1
+    helper_started, real = threading.Event(), regularization.run_single
+
+    def warned(instance, eps, seed=None, noise_free=False):
+        helper = threading.current_thread() is not threading.main_thread()
+        if helper:
+            helper_started.set()
+        elif two:
+            helper_started.wait(timeout=60.0)
+        warnings.warn(f"row {eps:g} on the {'helper' if helper else 'caller'}",
+                      RuntimeWarning)
+        return real(instance, eps, seed, noise_free)
+
+    monkeypatch.setattr(regularization, "run_single", warned)
+    data = small_config()
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.count("\n") == 1  # the gate line only
+    notes = read_json(out, "manifest.json")["notes"]
+    assert (sorted(note.split(" on ")[0] for note in notes)
+            == sorted(f"row {eps:g}" for eps in data["eps_list"]))
+    assert any(note.endswith("helper") for note in notes) == two
+
+
+@pytest.mark.parametrize("command, freq_step", [
+    ("deconvolve", 1e-7), ("sweep", 1e-7), ("deconvolve", 1e-320)])
+def test_cli_refuses_an_oversized_grid_before_allocating_it(
+        tmp_path, capsys, command, freq_step):
+    # at freq_step 1e-7 the first gaussian row asks for 855,532,803
+    # frequencies, 6.4 GiB for the grid alone, and at 1e-320 the count
+    # overflows to inf; the refusal is size arithmetic, so the run's
+    # traced peak stays below 32 MiB
+    config = Path(__file__).resolve().parents[1] / "configs" / "gaussian.json"
+    data = json.loads(config.read_text())
+    data["grids"]["freq_step"] = freq_step
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", cfg_path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 32 << 20
+    err = read_json(out, "error.json")
+    assert (err["error"], err["module"], err["operation"]) == (
+        "ConfigError", "regularization", "run_single")
+    assert "grids.freq_step" in err["message"]
+    assert "grids.freq_extent_factor" in err["message"]
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_zeros_outputs_and_compactness_guard(tmp_path):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import gauss_hat, indicator_hat, two_sided_exp_hat
+from _oracles import direct_sums, gauss_hat, indicator_hat, two_sided_exp_hat
 from deconv import grid_signal
 from deconv.errors import ValidationError
 from deconv.grid_signal import (SampledSignal, TransformSamples, _Fresh,
                                 _chirp_apply,
                                 _chirp_setup, _chirp_sums,
-                                _oscillatory_sums, _pin_heap_policy,
+                                _pin_heap_policy,
                                 _progression,
                                 _smooth_length, _symmetric_grid, fourier_at,
                                 fourier_grid,
@@ -145,11 +145,10 @@ def test_chirp_matches_direct_sums(n, m, x0, dx, t_min, h, sign, seed):
     w = h * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     pts = x0 + dx * np.arange(m)
     assert _progression(pts) is not None
-    # reversed, the same points are no progression and are summed directly
+    # reversed, the same points are no progression
     assert _progression(pts[::-1]) is None
-    # called directly: _oscillatory_sums sums two points directly too
     fast = _chirp_sums(*_progression(pts), m, sign, t_min, h, w)
-    slow = _oscillatory_sums(pts[::-1], sign, t_min, h, w)[::-1]
+    slow = direct_sums(pts, sign, t_min, h, w)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.sum(np.abs(w))
 
 
@@ -158,22 +157,56 @@ def test_chirp_matches_direct_sums_at_pipeline_sizes(gaussian_kernel):
     # forward half grid of a gaussian run at eps = 1e-6: 12001 samples on
     # the time grid, 12541 nonnegative frequencies
     t_min, h, n = -30.0, 0.005, 12001
-    w = h * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    data = SampledSignal(t_min, h, rng.standard_normal(n)
+                         + 1j * rng.standard_normal(n))
     lam = 0.004 * np.arange(12541)
     # the 4x-finer frequency grid of criterion 1, on the kernel itself
-    wk = (trapezoid_weights(gaussian_kernel.size, gaussian_kernel.spacing)
-          * gaussian_kernel.values)
     lam4 = 0.001 * np.arange(-50160, 50161)
-    for pts, t0, step, weights, picks in (
-            (lam, t_min, h, w, 512),
-            (lam4, gaussian_kernel.t_min, gaussian_kernel.spacing, wk, 64)):
-        fast = _oscillatory_sums(pts, -1.0, t0, step, weights)
-        # a sorted random subset is no progression: the direct sums
+    for signal, pts, picks in ((data, lam, 512), (gaussian_kernel, lam4, 64)):
+        t0, step = signal.t_min, signal.spacing
+        weights = trapezoid_weights(signal.size, step) * signal.values
+        fast = _chirp_sums(*_progression(pts), pts.size, -1.0, t0, step,
+                           weights)
+        # a sorted random subset is no progression: fourier_at sends it
+        # to laplace_parts
         idx = np.sort(rng.choice(pts.size, picks, replace=False))
         assert _progression(pts[idx]) is None
-        slow = _oscillatory_sums(pts[idx], -1.0, t0, step, weights)
-        assert (np.max(np.abs(fast[idx] - slow))
-                <= 1e-12 * np.sum(np.abs(weights)))
+        slow = direct_sums(pts[idx], -1.0, t0, step, weights)
+        total = np.sum(np.abs(weights))
+        assert np.max(np.abs(fast[idx] - slow)) <= 1e-12 * total
+        assert (np.max(np.abs(fourier_at(signal, pts[idx]) - slow))
+                <= 1e-13 * total)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(count=st.sampled_from([1, 2, 10, 100]), n=st.integers(2, 3000),
+       t_min=st.floats(-20.0, 20.0), h=st.floats(1e-3, 0.1),
+       reach=st.floats(0.0, 3.0),
+       kind=st.sampled_from(["real", "complex", "palindromic"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fourier_at_arbitrary_points_matches_direct_sums(count, n, t_min, h,
+                                                         reach, kind, seed):
+    # up to 3 radians per sample step and 400 over the grid: the rounding
+    # of lambda*t in either sum is about eps*|lambda*t| of sum|w|, and at
+    # 1838 radians it alone passed 1e-13.  Both signs of lambda (z =
+    # -i*lambda has real part +0.0 either way, so every point walks from
+    # the last sample), real, complex and palindromic samples
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n)
+    if kind == "complex":
+        values = values + 1j * rng.standard_normal(n)
+    elif kind == "palindromic":
+        values = values + values[::-1]
+    signal = SampledSignal(t_min, h, values)
+    t_reach = max(abs(t_min), abs(signal.t_max))
+    lam = min(reach / h, 400.0 / t_reach) * rng.uniform(-1.0, 1.0, count)
+    lam[0] = -abs(lam[0])
+    assert count < 3 or _progression(lam) is None
+    w = trapezoid_weights(n, h) * signal.values
+    got = fourier_at(signal, lam)
+    assert got.shape == lam.shape
+    assert (np.max(np.abs(got - direct_sums(lam, -1.0, t_min, h, w)))
+            <= 1e-13 * np.sum(np.abs(w)))
 
 
 def _counting_setups(monkeypatch) -> list:
@@ -215,19 +248,27 @@ def test_a_real_symmetric_scan_sums_half_the_grid(gaussian_kernel,
     assert built == [count]
 
 
-def test_two_points_are_summed_directly(gaussian_kernel, monkeypatch):
-    # any two points fit a progression, and two direct sums cost less than
-    # a chirp-z setup of the kernel's length; the rows of a direct batch
-    # equal the one-point sums bit for bit
+def test_one_or_two_points_take_laplace_parts(gaussian_kernel, monkeypatch):
+    # any two points fit a progression, but only three or more take the
+    # chirp-z transform; the rows of a batch equal the one-point calls bit
+    # for bit, also past laplace_parts' chunk of 24 points on this kernel,
+    # where the 25th point is a chunk of its own
     built = _counting_setups(monkeypatch)
     pair = np.array([-1.3, 1.3])
     batch = np.array([-2.5, -1.3, 0.2, 1.3, 7.0])
+    chunked = np.sort(np.random.default_rng(2).uniform(-20.0, 20.0, 25))
     assert _progression(pair) is not None and _progression(batch) is None
-    for pts in (pair, batch):
-        together = fourier_at(gaussian_kernel, pts)
-        alone = [fourier_at(gaussian_kernel, pts[i:i + 1])[0]
-                 for i in range(pts.size)]
+    assert _progression(chunked) is None
+    k = gaussian_kernel
+    w = trapezoid_weights(k.size, k.spacing) * k.values
+    for pts in (pair, batch, chunked):
+        together = fourier_at(k, pts)
+        alone = [fourier_at(k, pts[i:i + 1])[0] for i in range(pts.size)]
         assert np.array_equal(together, alone)
+        assert np.array_equal(together, laplace_parts(k, -1j * pts)[1])
+        assert (np.max(np.abs(together
+                              - direct_sums(pts, -1.0, k.t_min, k.spacing, w)))
+                <= 1e-13 * np.sum(np.abs(w)))
     assert built == []
 
 

@@ -24,7 +24,9 @@ bracket in a `while` loop: the library has one root finder.  And only
 `grid_signal` may name `_chirp_setup` or `_chirp_apply`: the library has
 one chirp-z entry point, `_chirp_sums`.  And only `regularization` may
 import `threading` or `concurrent`: the sweep's helper thread is the
-library's one place that runs work concurrently.
+library's one place that runs work concurrently.  And the library may not
+take numpy's `outer` product: a phase table of points times samples is a
+direct sum beside `fourier_at`'s two evaluators.
 """
 
 import ast
@@ -425,3 +427,60 @@ def test_thread_import_scan_sees_every_form():
 def test_library_runs_threads_in_one_place(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _thread_imports(tree) == [], path.name
+
+
+# One arbitrary-point evaluator: `fourier_at` sends every point set that is
+# no progression to `laplace_parts`.  numpy's `outer` (`np.outer`,
+# `numpy.outer`, `np.linalg.outer`, any alias, or imported by name) builds
+# the points-by-samples phase table of the direct O(N*M) sum it replaced;
+# a ufunc's `.outer`, such as `np.multiply.outer`, is not numpy's.
+NUMPY_OUTER_MODULES = {"numpy", "numpy.linalg"}
+
+
+def _dotted(node: ast.AST) -> str:
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _numpy_outers(tree: ast.Module) -> list:
+    aliases = {"np": "numpy", "numpy": "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update({a.asname or a.name: a.name for a in node.names
+                            if a.name in NUMPY_OUTER_MODULES})
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "outer":
+            head, _, rest = _dotted(node.value).partition(".")
+            module = ".".join(filter(None, (aliases.get(head), rest)))
+            if module in NUMPY_OUTER_MODULES:
+                found.append(f"line {node.lineno}: {module}.outer")
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module in NUMPY_OUTER_MODULES
+              and any(a.name == "outer" for a in node.names)):
+            found.append(f"line {node.lineno}: import")
+    return found
+
+
+def test_numpy_outer_scan_sees_every_form():
+    code = ("p = np.outer(x, t)\nq = numpy.outer(x, t)\n"
+            "from numpy import outer\nfrom numpy import outer as o\n"
+            "import numpy as xp\nr = xp.outer(x, t)\n"
+            "s = np.linalg.outer(x, t)\nfrom numpy.linalg import outer\n"
+            "import numpy.linalg as la\nu = la.outer(x, t)\n")
+    assert len(_numpy_outers(ast.parse(code))) == 8
+    assert _numpy_outers(ast.parse(
+        "p = np.multiply.outer(a, b)\nq = np.add.outer(a, b)\n"
+        "r = x.outer\nfrom numpy import outer_sum\nouter = 1\n"
+        "from numpy import multiply\nu = multiply.outer(a, b)\n")) == []
+    parent_loop = ("for start in range(0, m, rows):\n"
+                   "    phase = np.outer(pts[start:start + rows], sign * t)\n")
+    assert _numpy_outers(ast.parse(parent_loop)) == ["line 2: numpy.outer"]
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_has_one_arbitrary_point_evaluator(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _numpy_outers(tree) == [], path.name

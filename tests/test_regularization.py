@@ -13,8 +13,8 @@ import pytest
 
 from deconv import grid_signal
 from deconv.config import build_instance, load_config
-from deconv.errors import (ComputationError, NoRootError, SaturationError,
-                           ValidationError)
+from deconv.errors import (ComputationError, ConfigError, NoRootError,
+                           SaturationError, ValidationError)
 from deconv.grid_signal import SampledSignal, TransformSamples, _symmetric_grid
 from deconv.kernels import default_profile_grid
 import deconv.regularization as regularization
@@ -232,6 +232,20 @@ def test_run_single_solves_the_radius_once(small_instance, monkeypatch):
     res = run_single(small_instance, 1e-6, noise_free=True)
     assert len(calls) == 1
     assert res.plan.r_eps == original(*calls[0])
+
+
+def test_run_single_refuses_a_grid_at_the_chirp_limit(small_instance,
+                                                     monkeypatch):
+    # the full frequency grid against the longest signal, here the 2001
+    # time samples, at the limit is refused and one below it runs
+    _, r_eps = plan_radius(1e-6, 0.2, 1.0, small_instance.profile)
+    size = (small_instance.time_grid()[2]
+            + 2 * small_instance.grids.half_count(r_eps) + 1)
+    monkeypatch.setattr(regularization, "_CHIRP_LIMIT", size)
+    with pytest.raises(ConfigError, match="grids.freq_step"):
+        run_single(small_instance, 1e-6)
+    monkeypatch.setattr(regularization, "_CHIRP_LIMIT", size + 1)
+    run_single(small_instance, 1e-6)
 
 
 def test_run_sweep_on_two_levels(small_instance):
