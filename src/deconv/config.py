@@ -122,6 +122,10 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     seed = data["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise _fail("seed must be a nonnegative integer")
+    if seed + len(eps_list) - 1 >= 1 << 64:
+        # sweep row i draws from seed + i, and the noise stream keeps only
+        # the low 64 bits: a larger seed would alias a smaller one
+        raise _fail("seed + len(eps_list) - 1 must be below 2^64")
 
     grids_raw = data["grids"]
     if not isinstance(grids_raw, dict) or set(grids_raw) != set(_GRID_KEYS):

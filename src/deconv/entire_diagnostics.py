@@ -8,10 +8,9 @@ the support edges,
 
 and its zeros have linear density (sigma - mu)/pi along radii.  Everything
 here is evaluated in the log domain, so there is no overflow ceiling on the
-radii.  Zeros are counted by the argument principle on circles; a real
-kernel's transform is conjugate-symmetric, Phi(conj z) = conj Phi(z), so
-its contour sum runs over the upper half-circle, and over a quarter for a
-kernel symmetric about its centre c: Phi(z) = e^{2cz} conj Phi(-conj z).
+radii.  Zeros are counted by the argument principle on circles whose every
+phase step is proved from a bound on the derivative (Delves & Lyness 1967;
+Ying & Katz 1988); see `count_zeros`.
 """
 
 from __future__ import annotations
@@ -22,18 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, PhaseTrackingError, ValidationError
-from .grid_signal import SampledSignal, laplace_parts
-
-_CONTOUR_ZERO_REL = 1e-13   # |Phi| under this times its larger neighbour => nudge
-_NUDGE_FACTOR = 0.37        # irrational-flavored step, avoids zero lattices
-_MAX_NUDGES = 8
-
-
-def _require_compact(kernel: SampledSignal, operation: str) -> None:
-    if kernel.truncation_tail != 0.0:
-        raise ValidationError("kernel carries off-grid mass: transform is "
-                              "not entire-evaluable from these samples",
-                              module="entire_diagnostics", operation=operation)
+from .grid_signal import SampledSignal, _laplace_error, laplace_parts
 
 
 def supported_in_unit_interval(kernel: SampledSignal) -> bool:
@@ -44,16 +32,6 @@ def supported_in_unit_interval(kernel: SampledSignal) -> bool:
     support = t[np.abs(kernel.values) > 0.0]
     return bool(support.size > 0 and support[0] >= -1e-9
                 and support[-1] <= 1.0 + 1e-9)
-
-
-def _log_abs_transform(kernel: SampledSignal, zs: np.ndarray) -> np.ndarray:
-    """log |Phi(z)| per sample, with -inf where the reduced sum underflows."""
-    log_scale, reduced = laplace_parts(kernel, zs)
-    mag = np.abs(reduced)
-    out = np.full(zs.shape, -np.inf)
-    ok = mag > 0.0
-    out[ok] = log_scale[ok] + np.log(mag[ok])
-    return out
 
 
 @dataclass(frozen=True)
@@ -103,10 +81,11 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
         raise ValidationError("radii must be at least 3 increasing positives",
                               module="entire_diagnostics", operation="growth_profile")
 
-    log_pos = _log_abs_transform(kernel, r.astype(np.complex128))
-    log_neg = _log_abs_transform(kernel, (-r).astype(np.complex128))
-    ratio_pos = log_pos / r
-    ratio_neg = log_neg / r
+    log_scale, reduced = laplace_parts(kernel, np.concatenate([r, -r]) + 0j)
+    with np.errstate(divide="ignore"):  # -inf where the reduced sum is 0
+        log_abs = log_scale + np.log(np.abs(reduced))
+    ratio_pos = log_abs[:r.size] / r
+    ratio_neg = log_abs[r.size:] / r
     tail = slice(2 * r.size // 3, r.size)
 
     def tail_max(ratios, which):
@@ -123,95 +102,103 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
     return GrowthEstimate(r, ratio_pos, ratio_neg, sigma_hat, mu_hat)
 
 
-def _winding_attempt(kernel: SampledSignal, r: float, n: int):
-    """One argument-principle pass: (winding, max wrapped phase step).
+_TURNS = np.array([1.0, 1j, -1.0, -1j])  # i^k: exact quarter turns
+_MAX_PIECES = 1024  # per arc and round: bounds a round's memory, not the count
 
-    The contour samples are z_k = r * exp(2 pi i k / n), k = 0 .. n-1, with
-    n even.  A complex kernel sums the whole circle.  A real kernel has
-    Phi(conj z) = conj Phi(z), so the lower half retraces the upper half's
-    phase steps: the winding is twice the step sum over k = 0 .. n/2, whose
-    ends neighbour their mirror images.  A palindrome centred at c also has
-    Phi(z) = e^{2cz} conj Phi(-conj z) and -conj z_k = z_{n/2-k}, so
-    k = 0 .. n//4 are summed and the rest of the half reflected.
+
+def _certified_counts(kernel: SampledSignal, radii: np.ndarray) -> np.ndarray:
+    """`count_zeros` at every radius at once.
+
+    Each quadrant starts as one arc.  A round cuts every failing arc of
+    every radius into ceil(F) pieces, F = r dtheta B / (max |Psi| - E_a -
+    E_b) (2 to _MAX_PIECES), with one `laplace_parts` call for the new
+    samples and one, on |f| |t - c|, for their S.  An arc failing with
+    max |Psi| <= 2 (E_a + E_b) raises; cuts at least halve r dtheta B, so
+    rounds end.  |Psi|, E and S agree at mirror points (a real kernel's
+    Psi(conj z) = conj Psi(z), a palindrome's also Psi(-conj z) =
+    conj Psi(z)), so the upper half-circle or the first quadrant stands
+    for the whole circle, its steps counted 2 or 4 times.
     """
+    if kernel.truncation_tail != 0.0:
+        raise ValidationError("kernel carries off-grid mass: transform is "
+                              "not entire-evaluable from these samples",
+                              module="entire_diagnostics", operation="count_zeros")
     real = kernel.is_real()
     quarter = real and np.array_equal(kernel.values, kernel.values[::-1])
-    count = n // 4 + 1 if quarter else n // 2 + 1 if real else n
-    zs = r * np.exp(2j * math.pi * np.arange(count) / n)
-    log_scale, reduced = laplace_parts(kernel, zs)
-    if quarter:  # k = count .. n/2 from their reflections n/2-k
-        src = slice(n // 2 - count, None, -1)
-        c = 0.5 * (kernel.t_min + kernel.t_max)
-        reduced = np.concatenate(
-            [reduced, np.conj(reduced[src]) * np.exp(2j * c * zs.imag[src])])
-        log_scale = np.concatenate([log_scale,
-                                    log_scale[src] - 2.0 * c * zs.real[src]])
-    mag = np.abs(reduced)
-    if np.min(mag) == 0.0:
-        return None  # dead sample: treat as contour-on-zero, caller nudges
-    log_abs = log_scale + np.log(mag)
-    # a sample sitting on a zero collapses relative to its neighbors; the
-    # contour-wide max is useless here, |Phi| spans hundreds of e-folds
-    # around one circle when r is large
-    if real:  # samples 1 and n/2-1 mirror to the ends' outer neighbours
-        ring = np.concatenate([log_abs[1:2], log_abs, log_abs[-2:-1]])
-        after, before, laps = reduced[1:], reduced[:-1], 2.0
-    else:
-        ring = np.concatenate([log_abs[-1:], log_abs, log_abs[:1]])
-        after, before, laps = reduced, np.roll(reduced, 1), 1.0
-    if np.min(log_abs - np.maximum(ring[:-2], ring[2:])) < math.log(_CONTOUR_ZERO_REL):
-        return None
-    steps = np.angle(after * np.conj(before))  # wrapped, from each predecessor
-    return (float(laps * np.sum(steps) / (2.0 * math.pi)),
-            float(np.max(np.abs(steps))))
+    laps = 4 if quarter else 2 if real else 1
+    c = 0.5 * (kernel.t_min + kernel.t_max)
+    t = kernel.grid()
+    # |t - c| raised past its own rounding, so that S stays an upper bound
+    arm = np.abs(t - c) + 2.0 ** -50 * np.max(np.abs(t))
+    slope = SampledSignal(kernel.t_min, kernel.spacing, np.abs(kernel.values) * arm)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a sample on a zero
+        def sample(rid, q):  # q counts quadrants; z is exact on the axes
+            turns = np.floor(q)
+            z = (radii[rid] * np.exp(0.5j * math.pi * (q - turns))
+                 * _TURNS[turns.astype(np.int64) % 4])
+            log_scale, reduced = laplace_parts(kernel, z)
+            _, slope_sum = laplace_parts(slope, z.real + 0j)  # same log_scale
+            shift = log_scale - c * z.real
+            return (rid, q, z, reduced, shift + np.log(np.abs(reduced)),
+                    shift + np.log(_laplace_error(kernel, z)), shift
+                    + np.log(slope_sum.real + _laplace_error(slope, z.real)))
+
+        cols = sample(np.repeat(np.arange(radii.size), 4 // laps + 1),
+                      np.tile(np.arange(4 // laps + 1.0), radii.size))
+        while True:
+            rid, q, z, reduced, log_abs, log_e, log_slope = cols
+            a = np.flatnonzero(rid[1:] == rid[:-1])
+            b = a + 1
+            dq = q[b] - q[a]
+            log_drift = (np.log(0.5 * math.pi * radii[rid[a]] * dq)
+                         + np.maximum(log_slope[a], log_slope[b]))
+            log_errs = np.logaddexp(log_e[a], log_e[b])
+            top = np.maximum(log_abs[a], log_abs[b])
+            fail = np.flatnonzero(np.logaddexp(log_drift, log_errs) >= top)
+            if fail.size == 0:
+                break
+            stuck = fail[top[fail] <= log_errs[fail] + math.log(2.0)]
+            if stuck.size:
+                k = a[stuck[0]]
+                raise PhaseTrackingError(f"|z| = {radii[rid[k]]} passes within "
+                                         f"rounding of a zero near {z[k]:.6g}",
+                                         module="entire_diagnostics",
+                                         operation="count_zeros")
+            over = np.exp(log_drift[fail] - top[fail]
+                          - np.log1p(-np.exp(log_errs[fail] - top[fail])))
+            cuts = np.clip(np.ceil(over), 2, _MAX_PIECES).astype(np.int64) - 1
+            first = np.repeat(a[fail], cuts)
+            nth = np.arange(first.size) - np.repeat(np.cumsum(cuts) - cuts - 1, cuts)
+            new = sample(rid[first], q[first]
+                         + nth * np.repeat(dq[fail] / (cuts + 1), cuts))
+            order = np.lexsort((np.concatenate([q, new[1]]),
+                                np.concatenate([rid, new[0]])))
+            cols = [np.concatenate(pair)[order] for pair in zip(cols, new)]
+
+    steps = np.angle(reduced[b] * np.conj(reduced[a])
+                     * np.exp(-1j * c * (z[b].imag - z[a].imag)))
+    winding = laps * np.bincount(rid[a], steps, radii.size) / (2.0 * math.pi)
+    return np.rint(winding).astype(np.int64)
 
 
 def count_zeros(kernel: SampledSignal, r: float) -> int:
-    """Zeros of the transform inside |z| <= r by contour phase tracking.
+    """Zeros of the transform inside |z| <= r, every phase step proved.
 
-    The winding number of Phi around the circle equals the enclosed zero
-    count.  The circle gets n = 2 * ceil(32 r) samples, 64 per unit radius
-    rounded up to an even count; a real kernel's transform is evaluated on
-    the upper half-circle, a palindrome's on the first quadrant (see
-    `_winding_attempt`).  A contour sample landing on a near-zero (|Phi|
-    under 1e-13 of its larger neighbour) nudges the radius outward by
-    0.37 * (2 pi / n) * r and retries; a wrapped phase step above pi/2, or a
-    winding off an integer by more than 0.02, retries once at 4n points and
-    then fails hard.
+    Psi(z) = e^{-cz} Phi(z), c the grid's centre, shares Phi's zeros.  On an
+    arc of angle dtheta, |Psi'| <= B = max(S(Re z_a), S(Re z_b)), as
+    S(x) = sum_j w_j |f_j| |t_j - c| e^{x (t_j - c)} is convex and Re z is
+    monotone between the axes.  An arc with r dtheta B + E_a + E_b <
+    max |Psi| at its ends, E e^{-cx} times the rounding bound `laplace_parts`
+    states, lies with its ends' true and computed values in a disc about
+    the larger computed end that misses 0.  So the steps' rounding cancels
+    between neighbours, and once every arc passes they sum to the winding:
+    the count is exact if `laplace_parts` keeps that bound.  A contour
+    within that rounding of a zero raises PhaseTrackingError instead.
     """
-    _require_compact(kernel, "count_zeros")
     if not (r > 0.0 and np.isfinite(r)):
         raise ValidationError("r must be positive and finite",
                               module="entire_diagnostics", operation="count_zeros")
-
-    n = 2 * math.ceil(32.0 * r)
-    for points in (n, 4 * n):
-        radius = r
-        attempt = _winding_attempt(kernel, radius, points)
-        nudges = 0
-        while attempt is None:
-            nudges += 1
-            if nudges > _MAX_NUDGES:
-                raise ComputationError("contour keeps landing on zeros after "
-                                       f"{_MAX_NUDGES} radius nudges",
-                                       module="entire_diagnostics",
-                                       operation="count_zeros")
-            radius += _NUDGE_FACTOR * (2.0 * math.pi / points) * r
-            attempt = _winding_attempt(kernel, radius, points)
-        winding, max_step = attempt
-        nearest = round(winding)
-        if max_step <= math.pi / 2.0 and abs(winding - nearest) <= 0.02:
-            if nearest < 0:
-                raise ComputationError("negative winding for an entire "
-                                       "function: evaluation is unreliable",
-                                       module="entire_diagnostics",
-                                       operation="count_zeros")
-            return int(nearest)
-
-    raise PhaseTrackingError(
-        f"phase tracking failed at radius {r}: step {max_step:.3f} rad, "
-        f"winding {winding:.4f} (4x refinement exhausted)",
-        module="entire_diagnostics", operation="count_zeros")
+    return int(_certified_counts(kernel, np.array([float(r)]))[0])
 
 
 @dataclass(frozen=True)
@@ -238,17 +225,13 @@ class ZeroCountReport:
 
 
 def zero_density(kernel: SampledSignal, radii) -> ZeroCountReport:
-    """n(R)/R table with d_hat = pi * final density.
-
-    Each radius is counted by `count_zeros` on its n = 2 * ceil(32 R)
-    contour samples; a real kernel evaluates the transform at the n/2 + 1
-    on the upper half-circle, a palindrome at the n/4 + 1 in the first
-    quadrant.
+    """n(R)/R table with d_hat = pi * final density.  All radii are counted
+    together, every arc passing the test of `count_zeros`, r dtheta B +
+    E_a + E_b < max |Psi| with E the rounding bound `laplace_parts` states:
+    each count is exact under that bound, or the call raises.
     """
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:
         raise ValidationError("radii must be at least 2 increasing positives",
                               module="entire_diagnostics", operation="zero_density")
-    counts = np.array([count_zeros(kernel, float(rr)) for rr in r],
-                      dtype=np.int64)
-    return ZeroCountReport(r, counts)
+    return ZeroCountReport(r, _certified_counts(kernel, r))

@@ -33,7 +33,7 @@ class SaturationError(ComputationError):
 
 
 class PhaseTrackingError(ComputationError):
-    """Contour phase increments too coarse to count zeros reliably."""
+    """A contour passes within rounding of a zero: no certified count."""
 
 
 class ValidationError(DeconvError):

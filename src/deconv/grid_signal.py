@@ -395,6 +395,11 @@ def laplace_parts(signal: SampledSignal, zs) -> tuple[np.ndarray, np.ndarray]:
     BLAS never does; chunks hold about 2^14 block sums.  A lone point runs
     as a pair, as numpy rounds one-column products and sums differently:
     a point's value never depends on the other points passed.
+
+    Rounding: |reduced - exact| <= 2^-44 (N + 8 + |z| (max|t| + spacing))
+    * sum_j |w_j f_j| over N samples on the exact grid (`_laplace_error`):
+    twice or more the 2^-53 (1400 + 6|z| max|t| + 180|z| spacing + N/11)
+    from a term's <= 127 products of w, its start and the two summations.
     """
     z = np.asarray(zs, dtype=np.complex128).ravel()
     t = signal.grid()
@@ -429,6 +434,13 @@ def laplace_parts(signal: SampledSignal, zs) -> tuple[np.ndarray, np.ndarray]:
             starts *= sums
             reduced[sel] = np.sum(starts, axis=0)
     return log_scale.reshape(np.shape(zs)), reduced.reshape(np.shape(zs))
+
+
+def _laplace_error(signal: SampledSignal, zs) -> np.ndarray:
+    """The rounding bound laplace_parts' docstring states, at each point."""
+    reach = max(abs(signal.t_min), abs(signal.t_max)) + signal.spacing
+    return (2.0 ** -44 * (signal.size + 8 + np.abs(zs) * reach)
+            * l1_norm(signal))
 
 
 def write_signal_csv(path: str, signal: SampledSignal) -> None:

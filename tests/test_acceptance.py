@@ -193,17 +193,14 @@ def test_criterion_07_growth_exponents():
 
 def test_criterion_08_zero_density(indicator_kernel):
     """n(100) = 30 on the exact 2 pi k lattice, density within 10% of 1/pi,
-    winding within 0.02 of an integer at every tested radius."""
+    and the certified count 2 floor(r / 2 pi) at every tested radius."""
     assert ed.count_zeros(indicator_kernel, 100.0) == 30
     density = 30.0 / 100.0
     assert abs(density - 1.0 / math.pi) <= 0.10 / math.pi
-    for r in (20.0, 40.0, 60.0, 80.0, 100.0):
-        attempt = ed._winding_attempt(indicator_kernel, r,
-                                      int(math.ceil(64.0 * r)))
-        assert attempt is not None
-        winding, _ = attempt
-        assert abs(winding - round(winding)) <= 0.02
-        assert round(winding) == 2 * math.floor(r / (2.0 * math.pi))
+    radii = np.array([20.0, 40.0, 60.0, 80.0, 100.0])
+    report = ed.zero_density(indicator_kernel, radii)
+    assert report.counts.tolist() == [2 * math.floor(r / (2.0 * math.pi))
+                                      for r in radii]
 
 
 @pytest.mark.parametrize("a,b,want", [

@@ -25,6 +25,8 @@ def good_config():
 
 
 def test_valid_config_parses():
+    # the largest seed whose rows (seed, seed + 1) all fit in 64 bits
+    assert parse_config(dict(good_config(), seed=2 ** 64 - 2)).seed == 2 ** 64 - 2
     cfg = parse_config(good_config())
     assert cfg.kernel["type"] == "indicator"
     assert cfg.eps_list == (1e-4, 1e-6)
@@ -44,6 +46,9 @@ def test_valid_config_parses():
     (lambda d: d.update(seed=-1), "negative seed"),
     (lambda d: d.update(seed=True), "bool seed"),
     (lambda d: d.update(seed=1.5), "float seed"),
+    (lambda d: d.update(seed=2 ** 64), "seed aliasing seed 0"),
+    (lambda d: d.update(seed=2 ** 70), "seed far past 64 bits"),
+    (lambda d: d.update(seed=2 ** 64 - 1), "last row's seed past 64 bits"),
     (lambda d: d.update(extra_key=1), "unknown top key"),
     (lambda d: d.pop("q"), "missing key"),
     (lambda d: d["grids"].pop("t_step"), "missing grid key"),

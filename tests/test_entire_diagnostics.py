@@ -1,17 +1,18 @@
-"""Growth exponents, winding-number zero counts, zero density."""
+"""Growth exponents, certified zero counts, zero density."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import deconv.entire_diagnostics as ed
-from _oracles import full_circle_winding, trapezoid_laplace_zeros
+from _oracles import (direct_sums, full_circle_winding,
+                      trapezoid_laplace_zeros)
 from deconv.commands import ZERO_RADII
-from deconv.errors import (ComputationError, PhaseTrackingError,
-                           ValidationError)
-from deconv.grid_signal import SampledSignal, laplace_parts
+from deconv.errors import PhaseTrackingError, ValidationError
+from deconv.grid_signal import SampledSignal, _laplace_error, laplace_parts
 from deconv.kernels import make_indicator
 
 GROWTH_RADII = np.linspace(10.0, 400.0, 40)
@@ -88,12 +89,32 @@ def test_zero_counts_on_the_lattice(indicator_kernel):
     assert ed.count_zeros(indicator_kernel, 100.0) == 30
 
 
-def test_contour_on_a_zero_gets_nudged(indicator_kernel, contour_points):
-    # passes exactly through the first zero pair: of n = 2 * ceil(32 r) =
-    # 404 samples, sample 101 lies on 2 pi i, so one nudge is taken
-    r = 2.0 * math.pi
-    assert ed.count_zeros(indicator_kernel, r) == 2
-    assert contour_points == [404 // 4 + 1] * 2
+# pi to 21 digits, enough to place the float radii below against 2 pi k
+PI_BELOW, PI_ABOVE = (Fraction("3.14159265358979323846"),
+                      Fraction("3.14159265358979323847"))
+
+
+def _lattice_count(kernel, r):
+    """Zeros inside |z| <= r of the sampled unit indicator, exactly: they
+    sit at 2 pi i m / (n h), m != 0, for n + 1 samples at step h."""
+    turns = Fraction(r) * (kernel.size - 1) * Fraction(kernel.spacing) / 2
+    below, above = turns / PI_ABOVE, turns / PI_BELOW
+    assert math.floor(below) == math.floor(above), "radius too close to call"
+    return 2 * math.floor(below)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("offset", [-1e-9, 0.0, 1e-9])
+def test_a_contour_near_a_zero_is_counted_right_or_raises(indicator_kernel,
+                                                          k, offset):
+    # the circle passes 1e-9 from, or through, the zero pair at +/- 2 pi k i
+    r = 2.0 * math.pi * k + offset
+    try:
+        count = ed.count_zeros(indicator_kernel, r)
+    except PhaseTrackingError:
+        assert offset == 0.0  # 1e-9 clears the rounding bound by far
+        return
+    assert count == _lattice_count(indicator_kernel, r)
 
 
 def test_count_zeros_preconditions(indicator_kernel, gaussian_kernel):
@@ -104,15 +125,21 @@ def test_count_zeros_preconditions(indicator_kernel, gaussian_kernel):
 
 
 def test_phase_tracking_failure_surfaces(indicator_kernel, monkeypatch):
-    monkeypatch.setattr(ed, "_winding_attempt", lambda k, r, n: (0.5, 2.0))
+    # a rounding bound above every sample: no arc can be certified
+    monkeypatch.setattr(ed, "_laplace_error", lambda signal, zs: np.full(
+        np.shape(zs), 1e300))
     with pytest.raises(PhaseTrackingError):
         ed.count_zeros(indicator_kernel, 10.0)
 
 
-def test_nudge_budget_is_finite(indicator_kernel, monkeypatch):
-    monkeypatch.setattr(ed, "_winding_attempt", lambda k, r, n: None)
-    with pytest.raises(ComputationError):
-        ed.count_zeros(indicator_kernel, 10.0)
+def test_refinement_ends_on_a_vanishing_transform():
+    # |Phi| = 0 everywhere: every arc fails, and the cuts stop once they
+    # are within rounding instead of refining forever
+    zero = SampledSignal(0.0, 0.01, np.zeros(101))
+    with pytest.raises(PhaseTrackingError):
+        ed.count_zeros(zero, 10.0)
+    with pytest.raises(PhaseTrackingError):
+        ed.zero_density(zero, np.array([5.0, 10.0]))
 
 
 def test_zero_density_of_unit_indicator(indicator_kernel):
@@ -188,30 +215,42 @@ def test_laplace_parts_of_a_palindromic_kernel_reflects(n, seed, t_min,
                          + [(10.01, 642), (20.01, 1282)])
 def test_mirrored_winding_matches_the_full_circle(indicator_kernel, chi38,
                                                   triangle, step_kernel, r, n):
+    # the half and quarter contours stand for the whole circle, which the
+    # oracle sums directly at n points with no symmetry used
     for kernel in (indicator_kernel, chi38, triangle, step_kernel):
-        winding, max_step = ed._winding_attempt(kernel, r, n)
         want_winding, want_step = full_circle_winding(kernel, r, n)
-        assert abs(winding - want_winding) <= 1e-9
-        assert abs(max_step - want_step) <= 1e-9
+        assert want_step <= math.pi / 4.0
+        assert abs(want_winding - round(want_winding)) <= 1e-9
+        assert ed.count_zeros(kernel, r) == round(want_winding)
 
 
 @pytest.fixture
 def contour_points(monkeypatch):
-    """Sizes of the point sets the zero counter hands to laplace_parts."""
-    sizes = []
+    """The (signal, points) pairs the zero counter hands to laplace_parts."""
+    calls = []
     original = ed.laplace_parts
 
-    def counting(kernel, zs):
-        sizes.append(np.size(zs))
-        return original(kernel, zs)
+    def counting(signal, zs):
+        calls.append((signal, np.asarray(zs)))
+        return original(signal, zs)
 
     monkeypatch.setattr(ed, "laplace_parts", counting)
-    return sizes
+    return calls
+
+
+def _sampled(calls, kernel):
+    """The transform's sample points, one array per round; every round
+    also makes one call on |f| |t - c| at the same points' Re z."""
+    assert len(calls) % 2 == 0
+    assert all(a[0] is kernel and b[0] is not kernel
+               and np.array_equal(b[1], a[1].real)
+               for a, b in zip(calls[::2], calls[1::2]))
+    return [zs for _signal, zs in calls[::2]]
 
 
 def test_a_complex_kernel_counts_on_the_full_circle(contour_points):
     # Phi(z) is the unit indicator's transform at z + 2i: no conjugate
-    # symmetry, so the lower half-circle has to be summed
+    # symmetry, so the lower half-circle has to be sampled
     base = make_indicator(0.0, 1.0, 0.005)
     kernel = SampledSignal(base.t_min, base.spacing,
                            base.values * np.exp(2j * base.grid()))
@@ -220,27 +259,35 @@ def test_a_complex_kernel_counts_on_the_full_circle(contour_points):
     zeros = trapezoid_laplace_zeros(kernel.spacing, kernel.values, 101.0)
     for r in radii:
         assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
-    points = [int(math.ceil(64.0 * r)) for r in radii]
     counts = [ed.count_zeros(kernel, r) for r in radii]
     assert counts == [int(np.sum(np.abs(zeros) <= r)) for r in radii]
-    assert contour_points == points
+    points = np.concatenate(_sampled(contour_points, kernel))
+    assert np.min(points.imag) < 0.0 and np.min(points.real) < 0.0
+    contour_points.clear()
+    report = ed.zero_density(kernel, np.array(radii))
+    assert report.counts.tolist() == counts
+    rounds = _sampled(contour_points, kernel)
+    assert (len(rounds), sum(zs.size for zs in rounds)) == (5, 3607)
 
 
 def test_a_real_kernel_sums_half_the_contour(indicator_kernel, step_kernel,
                                              contour_points):
-    # n = 1280 .. 6400: the full circle is 19200 points, a real kernel's
-    # upper half sum n//2 + 1 and a palindromic kernel's quarter n//4 + 1
-    ed.zero_density(step_kernel, np.array(ZERO_RADII))
-    assert sum(contour_points) == 9605
+    # all radii refine in lockstep: one call for each round's new samples
+    # of every circle, against one per circle of 2 * ceil(32 r) points
+    # before (9605 on the step kernel's upper halves, 4805 on the
+    # indicator's quarters)
+    assert ed.zero_density(step_kernel,
+                           np.array(ZERO_RADII)).counts.tolist() == [
+        6, 12, 18, 24, 30]
+    rounds = _sampled(contour_points, step_kernel)
+    assert (len(rounds), sum(zs.size for zs in rounds)) == (5, 1746)
     contour_points.clear()
     ed.zero_density(indicator_kernel, np.array(ZERO_RADII))
-    assert sum(contour_points) == 4805
+    rounds = _sampled(contour_points, indicator_kernel)
+    assert (len(rounds), sum(zs.size for zs in rounds)) == (5, 893)
     contour_points.clear()
-    # a zero pair 0.03 inside the circle, halfway between two samples:
-    # the first pass steps past pi/2 and the retry takes 4x the points
-    r, n = 2.0 * math.pi + 0.03, 406
-    assert ed.count_zeros(indicator_kernel, r) == 2
-    assert contour_points == [n // 4 + 1, 4 * n // 4 + 1]
+    # a zero pair 0.03 inside the circle is certified there too
+    assert ed.count_zeros(indicator_kernel, 2.0 * math.pi + 0.03) == 2
 
 
 def test_an_asymmetric_real_kernel_counts_on_the_half_circle(step_kernel,
@@ -250,10 +297,11 @@ def test_an_asymmetric_real_kernel_counts_on_the_half_circle(step_kernel,
                                     101.0)
     for r in radii:
         assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
-    points = [int(math.ceil(64.0 * r)) for r in radii]
     counts = [ed.count_zeros(step_kernel, r) for r in radii]
     assert counts == [int(np.sum(np.abs(zeros) <= r)) for r in radii]
-    assert contour_points == [n // 2 + 1 for n in points]
+    points = np.concatenate(_sampled(contour_points, step_kernel))
+    assert np.min(points.imag) == 0.0 and np.min(points.real) < 0.0
+    assert set(np.round(np.abs(points), 9)) == set(radii)
 
 
 def test_only_a_palindrome_takes_the_quarter(indicator_kernel,
@@ -262,7 +310,58 @@ def test_only_a_palindrome_takes_the_quarter(indicator_kernel,
     values[10] = 0.9  # one sample off the palindrome
     broken = SampledSignal(0.0, indicator_kernel.spacing, values)
     assert ed.count_zeros(broken, 20.0) == 6
-    # ceil(64 r) = 1281 is odd: the contour rounds up to 1282 points
+    points = np.concatenate(_sampled(contour_points, broken))
+    assert np.min(points.imag) == 0.0 and np.min(points.real) == -20.0
+    contour_points.clear()
     assert ed.count_zeros(indicator_kernel, 20.01) == 6
     assert ed.count_zeros(indicator_kernel, 20.0) == 6
-    assert contour_points == [641, 321, 321]
+    points = np.concatenate(_sampled(contour_points, indicator_kernel))
+    assert np.min(points.imag) == 0.0 and np.min(points.real) == 0.0
+    # the quadrant's ends lie exactly on the axes
+    assert {20.0, 20.0j, 20.01, 20.01j} <= set(points.tolist())
+
+
+@pytest.mark.parametrize("kind", ["real", "palindrome", "complex"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(9, 41), seed=st.integers(0, 2 ** 32 - 1),
+       picks=st.lists(st.floats(2.0, 60.0), min_size=2, max_size=4))
+def test_zero_density_matches_polynomial_roots(kind, n, seed, picks):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n)
+    if kind == "palindrome":
+        values = values + values[::-1]
+    elif kind == "complex":
+        values = values + 1j * rng.standard_normal(n)
+    kernel = SampledSignal(0.0, 1.0 / (n - 1), values)
+    zeros = np.abs(trapezoid_laplace_zeros(kernel.spacing, kernel.values,
+                                           61.0))
+    # every circle at least 0.05 from every root
+    radii = np.unique([r for r in picks
+                       if zeros.size == 0 or np.min(np.abs(zeros - r)) >= 0.05])
+    assume(radii.size >= 2)
+    report = ed.zero_density(kernel, radii)
+    assert report.counts.tolist() == [int(np.sum(zeros <= r)) for r in radii]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 400), seed=st.integers(0, 2 ** 32 - 1),
+       real=st.booleans(), t_min=st.floats(-1.0, 1.0),
+       re=st.floats(-400.0, 400.0), im=st.floats(-400.0, 400.0))
+def test_laplace_parts_keeps_its_stated_rounding_bound(n, seed, real, t_min,
+                                                      re, im):
+    # the certified zero counts assume this bound; the oracle sums each
+    # term e^{re t - log_scale} e^{i im t} directly, and its own rounding
+    # is orders of magnitude below the half of the bound left to it
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n)
+    if not real:
+        values = values + 1j * rng.standard_normal(n)
+    kernel = SampledSignal(t_min, rng.uniform(0.5, 2.0) / (n - 1), values)
+    z = np.array([complex(re, im)])
+    log_scale, reduced = laplace_parts(kernel, z)
+    t = kernel.grid()
+    weights = np.full(n, kernel.spacing)
+    weights[[0, -1]] *= 0.5
+    want = direct_sums([im], 1.0, kernel.t_min, kernel.spacing,
+                       weights * values * np.exp(re * t - log_scale[0]))
+    assert abs(reduced[0] - want[0]) <= 0.5 * _laplace_error(kernel, z)[0]
