@@ -1,11 +1,11 @@
 """Command line entry point.
 
-Thread caps must land in the environment before numpy first loads, so this
-module imports nothing numerical at top level; everything heavy is pulled
-in inside main() after the caps are set.
+This module imports nothing numerical at top level: the command bodies,
+and numpy with them, load inside main() once the arguments parse, so
+`--help` and argument errors never load numpy.
 
-Exit codes: 0 success, 2 configuration error (an oversized frequency grid
-included) or OSError, 3 computation failure or failed internal check, 4
+Exit codes: 0 success, 2 configuration error (a grid or kernel too large to
+sample included) or OSError, 3 computation failure or failed internal check, 4
 sweep acceptance-gate failure, 5 any other unexpected exception (a bug or
 an exhausted resource).  Every nonzero exit prints one line to stderr and
 writes error.json when the output directory is writable.
@@ -17,16 +17,6 @@ import argparse
 import json
 import os
 import sys
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("DECONV_THREADS", "").strip()
-    if cap:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = _build_parser().parse_args(argv)
 
     from .commands import (cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
@@ -70,23 +59,15 @@ def main(argv=None) -> int:
     from .errors import AcceptanceGateError, ConfigError, DeconvError
     from .fileio import atomic_write_text
 
-    def run() -> int:
-        config = load_config(args.config)
-        if args.command == "analyze-kernel":
-            cmd_analyze_kernel(config, args.out)
-        elif args.command == "deconvolve":
-            cmd_deconvolve(config, args.out, eps=args.eps,
-                           noise_free=args.noise_free)
-        elif args.command == "sweep":
-            cmd_sweep(config, args.out)
-        elif args.command == "smallset":
-            cmd_smallset(config, args.out, eps=args.eps)
-        else:
-            cmd_zeros(config, args.out)
-        return 0
-
+    body = {"analyze-kernel": cmd_analyze_kernel, "deconvolve": cmd_deconvolve,
+            "sweep": cmd_sweep, "smallset": cmd_smallset,
+            "zeros": cmd_zeros}[args.command]
+    # --eps and --noise-free, where the command takes them
+    options = {k: v for k, v in vars(args).items()
+               if k in ("eps", "noise_free")}
     try:
-        return run()
+        body(load_config(args.config), args.out, **options)
+        return 0
     except Exception as exc:
         if isinstance(exc, (ConfigError, OSError)):
             code = 2

@@ -4,11 +4,13 @@ Every command writes its files atomically into the output directory and
 finishes with a manifest.json naming them.  All numeric CSV fields use 17
 significant digits, so identical (config, seed) pairs reproduce identical
 bytes; the manifest's wall_clock_seconds block is the one intentionally
-non-reproducible record.
+non-reproducible record.  As each command starts, its manifest pins the heap
+policy (see _pin_heap_policy) and records it; importing the library does not.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -26,7 +28,7 @@ from .entire_diagnostics import (growth_profile, supported_in_unit_interval,
 from .errors import (AcceptanceGateError, ComputationError, ConfigError,
                      ValidationError)
 from .fileio import atomic_write_text, write_csv
-from .grid_signal import HEAP_POLICY, fourier_at, write_signal_csv
+from .grid_signal import fourier_at, write_signal_csv
 from .kernels import default_profile_grid
 from .regularization import (ErrorDecomposition, RegularizationPlan,
                              plan_radius, run_single, run_sweep)
@@ -38,6 +40,8 @@ DUAL_GRID_MAX = 64.0
 ZERO_RADII = (20.0, 40.0, 60.0, 80.0, 100.0)
 GROWTH_RADII_COUNT = 40
 GROWTH_RADII_MAX = 400.0
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's, from glibc's malloc.h
 
 
 def _clean(obj):
@@ -59,10 +63,35 @@ def _write_json(path: str, obj) -> None:
                       + "\n")
 
 
+def _pin_heap_policy(libc):
+    """Pin libc's mmap threshold at glibc's dynamic ceiling and the trim
+    threshold at twice it, so the scratch numpy's FFT frees on every call
+    stays for the next transform; the values applied, or None where libc
+    has no mallopt or refuses either value.  No arithmetic depends on it."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mmap = 32 << 20  # glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
+    if not (mallopt(_M_MMAP_THRESHOLD, mmap)
+            and mallopt(_M_TRIM_THRESHOLD, 2 * mmap)):
+        return None
+    return {"mmap_threshold": mmap, "trim_threshold": 2 * mmap}
+
+
+# The process's C library.  Loading it at import sets nothing, and each
+# command then pays for its two mallopt calls only, not for a dlopen.
+try:
+    _LIBC = ctypes.CDLL(None)
+except (OSError, TypeError):  # no C library to load by name (Windows)
+    _LIBC = None
+
+
 class _Manifest(warnings.catch_warnings):
     """Collects outputs, stage timings and notes; written last, inside its
     `with` block.  Every warning raised in the block, on any thread,
-    becomes a note instead of a line on stderr."""
+    becomes a note instead of a line on stderr.  Entering the block applies
+    the heap policy anew, which takes microseconds."""
 
     def __init__(self, command: str, config: ExperimentConfig, out_dir: str):
         super().__init__(record=True)
@@ -76,6 +105,7 @@ class _Manifest(warnings.catch_warnings):
         os.makedirs(out_dir, exist_ok=True)
 
     def __enter__(self):
+        self._heap_policy = _pin_heap_policy(_LIBC)
         self._caught = super().__enter__()
         warnings.simplefilter("always")
         return self
@@ -93,7 +123,7 @@ class _Manifest(warnings.catch_warnings):
         data = {
             "command": self.command,
             "config": config_echo(self.config),
-            "heap_policy": HEAP_POLICY,
+            "heap_policy": self._heap_policy,
             "outputs": self.outputs,
             "versions": {
                 "deconv": __version__,

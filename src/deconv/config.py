@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError, ValidationError
-from .grid_signal import SampledSignal, read_signal_csv
+from .grid_signal import _CHIRP_LIMIT, SampledSignal, read_signal_csv
 from .kernels import (default_profile_grid, make_gaussian, make_indicator,
                       make_two_sided_exp)
 from .regularization import GridSpec, SweepInstance
@@ -134,6 +134,9 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
                        for k in _GRID_KEYS))
     if grids.t_step >= grids.t_extent:
         raise _fail("grids.t_step must be smaller than grids.t_extent")
+    if not 2.0 * (grids.t_extent / grids.t_step) + 1.0 < _CHIRP_LIMIT:
+        raise _fail("grids.t_extent / grids.t_step asks for a time grid of "
+                    "2^26 samples or more, the chirp-z limit")
     if not grids.freq_extent_factor > 1.0:
         raise _fail("grids.freq_extent_factor must exceed 1: the frequency "
                     "grid has to cover |lambda| <= r_eps")

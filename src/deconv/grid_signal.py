@@ -24,11 +24,6 @@ phi_eps share the kernel's, the f0, g0 and f_eps inverses share one, and
 the forward transform of g_eps runs on that inverse's adjoint.  Outside a
 scope every transform builds its own setup.  A thread starts with an
 empty context, so each thread's rows run in their own scope.
-
-numpy's FFT frees scratch of about the transform length on every call.  At
-import this module pins glibc's mmap threshold at its dynamic rule's ceiling
-and the trim threshold at twice it, so the next transform reuses those
-pages instead of faulting them back in.  No arithmetic depends on it.
 """
 
 from __future__ import annotations
@@ -36,36 +31,12 @@ from __future__ import annotations
 import collections
 import contextlib
 import contextvars
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .fileio import write_csv
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's, from glibc's malloc.h
-
-
-def _pin_heap_policy(libc):
-    """Pin libc's mmap and trim thresholds; the values applied, or None
-    where libc has no mallopt or refuses either value."""
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is None:
-        return None
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mmap = 32 << 20  # glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
-    if not (mallopt(_M_MMAP_THRESHOLD, mmap)
-            and mallopt(_M_TRIM_THRESHOLD, 2 * mmap)):
-        return None
-    return {"mmap_threshold": mmap, "trim_threshold": 2 * mmap}
-
-
-try:
-    HEAP_POLICY = _pin_heap_policy(ctypes.CDLL(None))
-except (OSError, TypeError):  # no C library to load by name (Windows)
-    HEAP_POLICY = None
-
 
 _CHIRP_LIMIT = 1 << 26  # n + m of a chirp-z transform; see _chirp_setup
 

@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -15,12 +17,11 @@ import pytest
 
 import deconv.commands as commands
 import deconv.regularization as regularization
-from deconv.cli import _THREAD_VARS, main
+from deconv.cli import main
 from deconv.commands import (cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
                              cmd_sweep, cmd_zeros)
 from deconv.config import parse_config
 from deconv.errors import AcceptanceGateError, ConfigError
-from deconv.grid_signal import HEAP_POLICY
 
 
 def small_config(kernel=None, eps_list=None):
@@ -108,9 +109,62 @@ def test_manifest_records_the_heap_policy(tmp_path):
     cmd_deconvolve(parse_config(small_config()), str(out), eps=1e-6,
                    noise_free=True)
     policy = read_json(out, "manifest.json")["heap_policy"]
-    assert policy == HEAP_POLICY
+    assert policy == commands._pin_heap_policy(commands._LIBC)
     assert policy in (None, {"mmap_threshold": 33554432,
                              "trim_threshold": 67108864})
+
+
+def test_the_heap_policy_is_glibcs_ceiling():
+    calls = []
+    libc = types.SimpleNamespace(
+        mallopt=lambda param, value: calls.append((param, value)) or 1)
+    want = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
+    assert commands._pin_heap_policy(libc) == want
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert commands._pin_heap_policy(commands._LIBC) in (None, want)
+
+
+@pytest.mark.parametrize("libc", [
+    None,  # no C library to load by name
+    types.SimpleNamespace(),  # no mallopt (macOS, Windows)
+    types.SimpleNamespace(mallopt=lambda param, value: 0),  # refused (musl)
+], ids=["no-libc", "no-mallopt", "refused"])
+def test_the_heap_policy_is_not_applied_without_mallopt(libc):
+    assert commands._pin_heap_policy(libc) is None
+
+
+def test_only_a_command_sets_the_heap_policy(tmp_path):
+    # with ctypes.CDLL replaced by a recorder, importing every module of
+    # the library calls no mallopt; one command then pins both thresholds
+    code = textwrap.dedent("""
+        import ctypes, importlib, json, pkgutil, sys, types
+        calls = []
+        def mallopt(param, value):
+            calls.append([param, value])
+            return 1
+        ctypes.CDLL = lambda *args, **kwargs: types.SimpleNamespace(
+            mallopt=mallopt)
+        import deconv
+        for module in pkgutil.iter_modules(deconv.__path__):
+            importlib.import_module("deconv." + module.name)
+        imported = list(calls)
+        from deconv.commands import cmd_analyze_kernel
+        from deconv.config import parse_config
+        manifest = cmd_analyze_kernel(parse_config(json.loads(sys.argv[1])),
+                                      sys.argv[2])
+        print(json.dumps([imported, calls[len(imported):],
+                          manifest["heap_policy"]]))
+    """)
+    config = small_config(kernel={"type": "two_sided_exp", "rate": 1.0})
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(config),
+                           str(tmp_path / "out")], env=_src_env(),
+                          check=True, capture_output=True, text=True,
+                          timeout=120)
+    imported, command, policy = json.loads(done.stdout)
+    assert imported == []
+    assert command == [[-3, 32 << 20], [-1, 64 << 20]]
+    assert policy == {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
 
 
 def test_sweep_writes_everything_then_gates(tmp_path):
@@ -391,6 +445,12 @@ def _infinite_indicator_end(data, folder):
     data["kernel"] = {"type": "indicator", "a": 0.0, "b": math.inf}
 
 
+def _subnormal_time_step(data, folder):
+    # 10 / 1e-320 overflows to inf: neither the kernel nor the time grid
+    # can be sampled, and no int() or allocation may see the count
+    data["grids"]["t_step"] = 1e-320
+
+
 @pytest.mark.parametrize("edit,argv,operation", [
     (_off_lattice, ["deconvolve"], "build_kernel"),
     (_eps_above_mass, ["sweep"], "check_eps"),
@@ -400,6 +460,8 @@ def _infinite_indicator_end(data, folder):
     (_f0_csv_not_uniform, ["deconvolve"], "build_instance"),
     (_narrow_frequency_grid, ["deconvolve"], "load_config"),
     (_infinite_indicator_end, ["zeros"], "load_config"),
+    (_subnormal_time_step, ["deconvolve"], "load_config"),
+    (_subnormal_time_step, ["analyze-kernel"], "load_config"),
 ])
 def test_cli_user_input_errors_exit_2(tmp_path, edit, argv, operation):
     data = small_config()
@@ -501,18 +563,19 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def _src_env(threads=None):
-    """The environment for a subprocess importing deconv from this checkout."""
+    """The environment for a subprocess importing deconv from this checkout,
+    with BLAS capped at `threads` threads when that is given."""
     root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env = dict(os.environ)
     if threads is not None:
-        env["DECONV_THREADS"] = threads
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return env
 
 
 def _same_outputs_across_thread_counts(tmp_path, argv, code=0):
-    """Run the CLI under DECONV_THREADS=1 and 2 and compare every output
+    """Run the CLI with BLAS on 1 and on 2 threads and compare every output
     file byte for byte, the manifests apart from their wall-clock timings;
     returns the file names."""
     config = Path(__file__).resolve().parents[1] / "configs"

@@ -78,7 +78,8 @@ def test_bad_configs_are_rejected(mutate, reason):
 
 
 MALFORMED = (None, True, 0, -1, 0.5, 1.5, float("inf"), float("-inf"),
-             float("nan"), 10 ** 400, "x", [], [1], {}, {"type": []})
+             float("nan"), 10 ** 400, "x", [], [1], {}, {"type": []},
+             1e-320, 1e12)  # past the chirp-z limit as t_step, b, t_extent
 # every field of good_config(), and the path of a file-type kernel and f0
 FIELDS = ([(key,) for key in good_config()]
           + [(key, sub) for key in ("kernel", "f0", "grids")

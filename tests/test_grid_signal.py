@@ -1,5 +1,4 @@
 import math
-import types
 import warnings
 
 import numpy as np
@@ -12,7 +11,6 @@ from deconv.errors import ValidationError
 from deconv.grid_signal import (SampledSignal, TransformSamples, _Fresh,
                                 _chirp_apply,
                                 _chirp_setup, _chirp_sums,
-                                _pin_heap_policy,
                                 _progression,
                                 _smooth_length, _symmetric_grid, fourier_at,
                                 fourier_grid,
@@ -652,23 +650,3 @@ def test_fresh_values_are_kept_uncopied_unless_a_view():
         TransformSamples(0.1, _Fresh(np.zeros(4)))
     with pytest.raises(ValidationError):
         TransformSamples(0.0, _Fresh(np.zeros(3)))
-
-
-def test_the_heap_policy_is_glibcs_ceiling():
-    calls = []
-    libc = types.SimpleNamespace(
-        mallopt=lambda param, value: calls.append((param, value)) or 1)
-    want = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
-    assert _pin_heap_policy(libc) == want
-    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
-    assert grid_signal.HEAP_POLICY in (None, want)
-
-
-@pytest.mark.parametrize("libc", [
-    None,  # no C library to load by name
-    types.SimpleNamespace(),  # no mallopt (macOS, Windows)
-    types.SimpleNamespace(mallopt=lambda param, value: 0),  # refused (musl)
-], ids=["no-libc", "no-mallopt", "refused"])
-def test_the_heap_policy_is_not_applied_without_mallopt(libc):
-    assert _pin_heap_policy(libc) is None

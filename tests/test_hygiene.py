@@ -1,5 +1,5 @@
 """Source hygiene: no imported name left unused, no function local or record
-field left unread.
+field left unread, and a numpy floor the library runs on.
 
 A static scan with `ast` over the library and the test modules.  An import
 counts as used when its bound name is read anywhere in the module (or listed
@@ -24,7 +24,9 @@ bracket in a `while` loop: the library has one root finder.  And only
 `grid_signal` may name `_chirp_setup` or `_chirp_apply`: the library has
 one chirp-z entry point, `_chirp_sums`.  And only `regularization` may
 import `threading` or `concurrent`: the sweep's helper thread is the
-library's one place that runs work concurrently.  And the library may not
+library's one place that runs work concurrently.  And only `commands` may
+import `ctypes` or name `mallopt`: a command's manifest is the one place
+that sets the heap policy.  And the library may not
 take numpy's `outer` product: a phase table of points times samples is a
 direct sum beside `fourier_at`'s two evaluators.
 """
@@ -384,7 +386,7 @@ THREAD_MODULES = {"threading", "_thread", "concurrent"}
 THREAD_OWNERS = {"regularization.py"}
 
 
-def _thread_imports(tree: ast.Module) -> list:
+def _module_imports(tree: ast.Module, modules=THREAD_MODULES) -> list:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -398,7 +400,7 @@ def _thread_imports(tree: ast.Module) -> list:
             names = [node.args[0].value]
         else:
             continue
-        hit = sorted({str(n).split(".")[0] for n in names} & THREAD_MODULES)
+        hit = sorted({str(n).split(".")[0] for n in names} & modules)
         if hit:
             found.append(f"line {node.lineno}: {hit}")
     return found
@@ -411,14 +413,14 @@ def test_thread_import_scan_sees_every_form():
             "from threading import Thread as T\n"
             "m = __import__('threading')\n"
             "n = importlib.import_module('concurrent.futures')\n")
-    assert len(_thread_imports(ast.parse(code))) == 8
-    assert _thread_imports(ast.parse(
+    assert len(_module_imports(ast.parse(code))) == 8
+    assert _module_imports(ast.parse(
         "import os\nfrom . import threads\nfrom .threading import x\n"
         "import threadpoolctl\nn = importlib.import_module('json')\n"
         "threading = 1\nx = os.sched_getaffinity(0)\n")) == []
     owner = (ROOT / "src" / "deconv" / "regularization.py").read_text(
         encoding="utf-8")
-    assert len(_thread_imports(ast.parse(owner))) == 1
+    assert len(_module_imports(ast.parse(owner))) == 1
 
 
 @pytest.mark.parametrize("path", [p for p in LIBRARY
@@ -426,7 +428,27 @@ def test_thread_import_scan_sees_every_form():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_library_runs_threads_in_one_place(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _thread_imports(tree) == [], path.name
+    assert _module_imports(tree) == [], path.name
+
+
+# One place that changes process state: a command's manifest pins the heap
+# policy through `ctypes`, so importing the library changes nothing.
+@pytest.mark.parametrize("path", [p for p in LIBRARY
+                                  if p.name != "commands.py"],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_loads_ctypes_in_one_place(path):
+    text = path.read_text(encoding="utf-8")
+    assert _module_imports(ast.parse(text), {"ctypes"}) == [], path.name
+    assert "mallopt" not in text, path.name
+
+
+def test_numpy_floor_has_the_fft_out_argument():
+    # grid_signal passes out= to np.fft.fft and np.fft.ifft, which numpy
+    # added in 2.0.0; read as text, since tomllib needs Python 3.11
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=([0-9.]+)"', text)
+    assert floor, "pyproject.toml declares no numpy floor"
+    assert tuple(int(v) for v in floor[1].split(".")) >= (2, 0), floor[0]
 
 
 # One arbitrary-point evaluator: `fourier_at` sends every point set that is

@@ -66,6 +66,23 @@ def test_factories_reject_bad_parameters():
         make_two_sided_exp(-1.0, 0.005)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_indicator(0.0, 1e12, 0.01),
+    lambda: make_indicator(-1e308, 1e308, 1.0),  # b - a overflows to inf
+    lambda: make_indicator(0.0, 1.0, 1e-320),
+    lambda: make_gaussian(1e12, 0.01),
+    lambda: make_gaussian(1.0, 1e-320),
+    lambda: make_two_sided_exp(1e-320, 0.01),
+], ids=["wide-indicator", "inf-span", "subnormal-step", "wide-gaussian",
+        "gaussian-subnormal-step", "slow-exp"])
+def test_factories_refuse_counts_past_the_chirp_limit(make):
+    # refused from the float count, before int() or numpy sees it: these
+    # asked for 1e14 samples or more, some for an infinite count, and
+    # raised MemoryError or OverflowError
+    with pytest.raises(ValidationError, match="chirp-z limit"):
+        make()
+
+
 def test_default_profile_grid_spans_the_kernel(gaussian_kernel,
                                                indicator_kernel):
     for k in (gaussian_kernel, indicator_kernel):

@@ -17,6 +17,7 @@ from deconv.errors import (ComputationError, ConfigError, NoRootError,
                            SaturationError, ValidationError)
 from deconv.grid_signal import SampledSignal, TransformSamples, _symmetric_grid
 from deconv.kernels import default_profile_grid
+import deconv.commands as commands
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
                                    GridSpec, RegularizationPlan, SweepInstance,
@@ -405,13 +406,15 @@ def test_a_sweep_runs_without_an_affinity_api(monkeypatch, shipped_indicator):
                 == hexed(getattr(want, field.name))), field.name
 
 
-@pytest.mark.skipif(grid_signal.HEAP_POLICY is None,
-                    reason="libc has no mallopt or refused the heap policy")
 def test_a_repeated_row_reuses_the_heap():
-    # under glibc's dynamic thresholds the second row faulted 1,130 to
-    # 3,323 pages back in, by the heap's history; the first row's count
-    # depends on that history here too, so only the second is pinned
-    import resource  # not on Windows, where HEAP_POLICY is None
+    # run_single runs outside any command here, so the test applies the
+    # heap policy a command would; under glibc's dynamic thresholds the
+    # second row faulted 1,130 to 3,323 pages back in, by the heap's
+    # history; the first row's count depends on that history here too, so
+    # only the second is pinned
+    if commands._pin_heap_policy(commands._LIBC) is None:
+        pytest.skip("libc has no mallopt or refused the heap policy")
+    import resource  # not on Windows, where the policy is None
     instance = shipped("gaussian")[1]
     run_single(instance, 1e-6)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
