@@ -5,9 +5,10 @@ and numpy with them, load inside main() once the arguments parse, so
 `--help` and argument errors never load numpy.
 
 Exit codes: 0 success, 2 configuration error (a grid or kernel too large to
-sample included) or OSError, 3 computation failure or failed internal check, 4
-sweep acceptance-gate failure, 5 any other unexpected exception (a bug or
-an exhausted resource).  Every nonzero exit prints one line to stderr and
+sample, or a frequency grid past the sampling's alias edge, included) or
+OSError, 3 computation failure or failed internal check, 4 sweep
+acceptance-gate failure, 5 any other unexpected exception (a bug or an
+exhausted resource).  Every nonzero exit prints one line to stderr and
 writes error.json when the output directory is writable.
 """
 

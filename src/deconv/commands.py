@@ -33,11 +33,13 @@ from .kernels import default_profile_grid
 from .regularization import (ErrorDecomposition, RegularizationPlan,
                              plan_radius, run_single, run_sweep)
 from .small_sets import cartan_bound, measure_small_set
-from .tail_profile import detect_superlinear, tail_mass_profile, young_dual
+from .tail_profile import (detect_superlinear, growth_check, tail_mass_profile,
+                           young_dual)
 
 DUAL_GRID_STEP = 0.01
 DUAL_GRID_MAX = 64.0
 ZERO_RADII = (20.0, 40.0, 60.0, 80.0, 100.0)
+GROWTH_CHECK_S = (20.0, 40.0)  # criterion 5's points
 GROWTH_RADII_COUNT = 40
 GROWTH_RADII_MAX = 400.0
 
@@ -174,16 +176,45 @@ def _write_zero_reports(zeros, manifest: _Manifest) -> None:
                  "d_hat": report.d_hat, "predicted_d": sigma_hat - mu_hat})
 
 
+def _detector(manifest: _Manifest, kernel, profile, dual) -> dict:
+    """The superlinearity verdict and the growth-dual identities at
+    GROWTH_CHECK_S; a part the profile cannot support is null, and a note
+    says why."""
+    report = dict.fromkeys(("superlinear", "decade_ratio",
+                            "strictly_increasing", "growth"))
+    try:
+        verdict = detect_superlinear(profile)
+    except ValidationError as exc:
+        manifest.notes.append(f"superlinearity verdict not measured: {exc}")
+    else:
+        report.update(superlinear=verdict.verdict,
+                      decade_ratio=verdict.decade_ratio,
+                      strictly_increasing=verdict.strictly_increasing)
+    try:
+        check = growth_check(kernel, profile, dual, GROWTH_CHECK_S)
+    except ValidationError as exc:
+        manifest.notes.append(f"growth check not measured: {exc}")
+    else:
+        report["growth"] = {
+            "s": check.s.tolist(), "dual_ratio": check.dual_ratio.tolist(),
+            "shifted_ratio": check.shifted_ratio.tolist(),
+            "moment_gap": check.moment_gap.tolist(),
+            "divergent": check.divergent.tolist(),
+            "truncation_dominated": check.truncation_dominated.tolist()}
+    return report
+
+
 def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
-    """Tail profile, Young dual, superlinearity verdict; growth and zero
-    reports when the kernel is compactly supported inside [0, 1]."""
+    """Tail profile, Young dual, superlinearity verdict and the growth-dual
+    identities; zero reports when the kernel is compactly supported inside
+    [0, 1]."""
     with _Manifest("analyze-kernel", config, out_dir) as manifest:
         kernel = build_kernel(config)
         profile = tail_mass_profile(kernel, default_profile_grid(kernel))
         dual = young_dual(profile,
                           np.arange(0.0, DUAL_GRID_MAX + 0.5 * DUAL_GRID_STEP,
                                     DUAL_GRID_STEP))
-        detector = detect_superlinear(profile)
+        detector = _detector(manifest, kernel, profile, dual)
         zeros = (_zero_reports(kernel) if supported_in_unit_interval(kernel)
                  else None)
         manifest.stage("compute")
@@ -192,10 +223,7 @@ def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
                   (profile.s_grid, profile.p_values))
         write_csv(manifest.path("dual_csv", "dual.csv"), "s,pstar",
                   (dual.s_grid, dual.dual_values))
-        _write_json(manifest.path("detector_json", "detector.json"),
-                    {"superlinear": detector.verdict,
-                     "decade_ratio": detector.decade_ratio,
-                     "strictly_increasing": detector.strictly_increasing})
+        _write_json(manifest.path("detector_json", "detector.json"), detector)
         if zeros is None:
             manifest.notes.append("growth/zero reports skipped: kernel "
                                   "support is not inside [0, 1]")

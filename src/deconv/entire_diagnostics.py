@@ -41,7 +41,7 @@ class GrowthEstimate:
     sigma_hat is the max of log_ratio_pos over the last third of the radii,
     the declared finite-R stand-in for a limsup; mu_hat analogously from the
     negative axis.  Radii where the transform lands near a zero crossing
-    (underflow of the reduced sum) are flagged and excluded from the max.
+    (underflow of the reduced sum) read -inf and are excluded from the max.
     """
 
     radii: np.ndarray
@@ -55,14 +55,6 @@ class GrowthEstimate:
             raise ValidationError("growth exponents must be finite",
                                   module="entire_diagnostics",
                                   operation="GrowthEstimate")
-
-    @property
-    def excluded_pos(self) -> np.ndarray:
-        return ~np.isfinite(self.log_ratio_pos)
-
-    @property
-    def excluded_neg(self) -> np.ndarray:
-        return ~np.isfinite(self.log_ratio_neg)
 
 
 def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:

@@ -358,6 +358,13 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
             " pass the chirp-z limit n + m < 2^26: raise grids.freq_step or "
             "lower grids.freq_extent_factor",
             module="regularization", operation="run_single")
+    # past pi/h the coarsest sampling aliases: its transform repeats there
+    h = max(phi0.spacing, t_step, 0.0 if f0_signal is None else f0_signal.spacing)
+    if step * half > math.pi / h:
+        raise ConfigError(
+            f"frequency grid edge {step * half:g} at eps {eps:g} passes the "
+            f"alias edge pi/{h:g}: lower grids.freq_extent_factor or "
+            "grids.t_step", module="regularization", operation="run_single")
     phi0_hat = fourier_grid(phi0, step, half)
     if f0_signal is None:
         f0_hat = TransformSamples(step, _Fresh(smooth_spectrum(

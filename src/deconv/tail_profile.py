@@ -2,8 +2,10 @@
 
 For a kernel phi the profile is p(s) = -log of the absolute mass outside
 [-s, s].  Everything downstream of the kernel reads this one function: the
-noise cutoff, the frequency radius equation, the growth integrals and the
-Young dual all consume a TailProfile rather than the kernel itself.
+noise cutoff, the frequency radius equation, the growth integral G and the
+Young dual p* all consume a TailProfile rather than the kernel itself.
+growth_check sets log G against p* and G against the exponential moment H
+of the kernel's own samples: the abstract's terms p and p* side by side.
 
 Tail integrals are accumulated from the grid edges inward, never by
 subtracting from the total, so a tail of 1e-250 carries full relative
@@ -12,7 +14,6 @@ precision instead of dying at l1 * machine-epsilon.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .grid_signal import SampledSignal, l1_norm
 # mass, whichever is larger) are unmeasurable: p saturates to +inf there.
 SATURATION_FLOOR = 1e-300
 
-# dual_growth_check's second ratio divides by p*(s + KAPPA).
+# growth_check's shifted ratio divides by p*(s + KAPPA).
 KAPPA = 0.5
 
 
@@ -142,10 +143,6 @@ class DualProfile:
             raise ValidationError("requested point outside the conjugate grid",
                                   module="tail_profile", operation="DualProfile.value_at")
         return np.interp(s, self.s_grid, self.dual_values)
-
-
-def _trapz(y: np.ndarray, x: np.ndarray) -> float:
-    return float(0.5 * np.sum(np.diff(x) * (y[:-1] + y[1:])))
 
 
 def _clean_count(profile: TailProfile) -> int:
@@ -306,115 +303,73 @@ def young_dual(profile: TailProfile, dual_grid) -> DualProfile:
     return DualProfile(sigma, dual)
 
 
+def _log_trapz(expo: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log of the trapezoid integral of e^expo over x, row by row; each row
+    is shifted by its max, so the log never overflows.  Shifted exponents
+    below -700 are raised to it: exp takes a slow path for results near
+    or below the smallest normal double, and next to the row's e^0 = 1 no
+    term of 1e-304 or less moves the sum."""
+    m = np.max(expo, axis=1)
+    y = np.exp(np.maximum(expo - m[:, None], -700.0))
+    return m + np.log(0.5 * np.sum(np.diff(x) * (y[:, :-1] + y[:, 1:]), axis=1))
+
+
 @dataclass(frozen=True)
-class GrowthResult:
-    """One value of G(s) = integral_0^inf e^{t*s - p(t)} dt over the grid."""
+class GrowthCheck:
+    """The abstract's growth-dual identities at each s: log G(s) against
+    p*(s) and p*(s + KAPPA), and H(s) = ||phi||_1 + s G(s) for the exponential
+    moment H(s) = integral e^{|t| s} |phi(t)| dt."""
 
-    value: float
-    log_value: float
-    tail_divergent: bool
-    superlinear: bool
+    s: np.ndarray
+    log_g: np.ndarray
+    log_h: np.ndarray
+    pstar: np.ndarray
+    pstar_shifted: np.ndarray
+    l1: float
+    divergent: np.ndarray             # G's integrand rising at the last clean node
+    truncation_dominated: np.ndarray  # off-grid mass could outweigh H
+
+    @property
+    def dual_ratio(self) -> np.ndarray:
+        return self.log_g / self.pstar
+
+    @property
+    def shifted_ratio(self) -> np.ndarray:
+        return self.log_g / self.pstar_shifted
+
+    @property
+    def moment_gap(self) -> np.ndarray:
+        """(H - ||phi||_1 - s G) / H, from the logs so nothing overflows."""
+        return (1.0 - np.exp(np.log(self.l1) - self.log_h)
+                - self.s * np.exp(self.log_g - self.log_h))
 
 
-def _superlinear_ratio(profile: TailProfile) -> tuple[float, np.ndarray]:
-    """Ratio of p(s)/s across the last decade, plus p/s at three decades."""
-    sf = profile.finite_part()[0]
-    mask = sf > 0.0
-    if not np.any(mask):
-        raise ValidationError("profile has no positive s nodes",
-                              module="tail_profile", operation="detect_superlinear")
-    s_hi = float(sf[mask][-1])
-    if s_hi / 100.0 < float(sf[mask][0]):
-        raise ValidationError("grid must span two decades of s for the detector",
-                              module="tail_profile", operation="detect_superlinear")
-    probes = np.array([s_hi / 100.0, s_hi / 10.0, s_hi])
-    r = profile.p_at(probes) / probes
-    if r[1] > 0.0:
-        ratio = float(r[2] / r[1])
-    else:
-        ratio = np.inf if r[2] > 0.0 else 0.0
-    return ratio, r
-
-
-def growth_integral(profile: TailProfile, s: float) -> GrowthResult:
-    """Trapezoid value of G(s), max-shifted so the log never overflows."""
-    if s < 0.0:
-        raise ValidationError("s must be nonnegative",
-                              module="tail_profile", operation="growth_integral")
+def growth_check(kernel: SampledSignal, profile: TailProfile,
+                 pstar: DualProfile, s_list) -> GrowthCheck:
+    """G(s) over the profile's finite nodes, H(s) over the kernel's samples
+    and p* at every s of s_list, one array pass each."""
     sf, pf = profile.finite_part()
-    expo = s * sf - pf
-    m = float(np.max(expo))
-    reduced = _trapz(np.exp(expo - m), sf)
-    log_value = m + np.log(reduced)
-    with np.errstate(over="ignore"):
-        value = float(np.exp(log_value))
+    if sf.size < 2:
+        raise ValidationError("profile needs two finite nodes for G(s)",
+                              module="tail_profile", operation="growth_check")
+    s = np.asarray(s_list, dtype=np.float64)
+    pstar_s = pstar.value_at(s)
+    if s.ndim != 1 or not np.all(pstar_s > 0.0):
+        raise ValidationError("the ratios need a 1-d s_list with p*(s) > 0",
+                              module="tail_profile", operation="growth_check")
+    expo = s[:, None] * sf - pf
     k = _clean_count(profile)
-    tail_divergent = bool(expo[k - 1] > expo[k - 2])
-    try:
-        ratio, _ = _superlinear_ratio(profile)
-        superlinear = ratio >= 2.0
-    except ValidationError:
-        superlinear = False
-    if not superlinear:
-        warnings.warn("profile is not clearly superlinear; G(s) may diverge "
-                      "beyond the grid", RuntimeWarning, stacklevel=2)
-    return GrowthResult(value, float(log_value), tail_divergent, superlinear)
-
-
-@dataclass(frozen=True)
-class MomentResult:
-    """Exponential moment H(s) = integral e^{|t| s} |phi(t)| dt."""
-
-    value: float
-    truncation_dominated: bool
-
-
-def exponential_moment(kernel: SampledSignal, s: float) -> MomentResult:
-    if s < 0.0:
-        raise ValidationError("s must be nonnegative",
-                              module="tail_profile", operation="exponential_moment")
     t = kernel.grid()
-    a = np.abs(kernel.values)
-    with np.errstate(divide="ignore"):
-        expo = s * np.abs(t) + np.log(a)
-    m = float(np.max(expo))
-    reduced = _trapz(np.exp(expo - m), t)
-    log_value = m + np.log(reduced)
-    with np.errstate(over="ignore"):
-        value = float(np.exp(log_value))
+    with np.errstate(divide="ignore"):  # a zero sample or tail: log -inf
+        log_phi = np.log(np.abs(kernel.values))
+        log_tail = np.log(kernel.truncation_tail)
+    log_h = _log_trapz(s[:, None] * np.abs(t) + log_phi, t)
     edge = max(abs(kernel.t_min), abs(kernel.t_max))
-    # mass the grid never saw, amplified by the edge weight, versus the result
-    dominated = bool(kernel.truncation_tail > 0.0 and
-                     s * edge + np.log(kernel.truncation_tail)
-                     > np.log(1e-6) + log_value)
-    return MomentResult(value, dominated)
-
-
-@dataclass(frozen=True)
-class DualGrowthReport:
-    """log G(s) against p*(s), plainly and against p*(s + KAPPA)."""
-
-    ratios: np.ndarray
-    shifted_ratios: np.ndarray
-    any_divergent: bool
-
-
-def dual_growth_check(profile: TailProfile, pstar: DualProfile,
-                      s_list) -> DualGrowthReport:
-    s_vals = np.asarray(s_list, dtype=np.float64)
-    _check_increasing(s_vals, "s_list", "dual_growth_check")
-    logs = np.empty(s_vals.size)
-    divergent = False
-    for j, s in enumerate(s_vals):
-        res = growth_integral(profile, float(s))
-        logs[j] = res.log_value
-        divergent = divergent or res.tail_divergent
-    denom = pstar.value_at(s_vals)
-    denom_shifted = pstar.value_at(s_vals + KAPPA)
-    if np.any(denom <= 0.0):
-        raise ValidationError("p* must be positive on s_list for the ratio",
-                              module="tail_profile", operation="dual_growth_check")
-    return DualGrowthReport(logs / denom, logs / denom_shifted, divergent)
+    # the off-grid mass, amplified by the edge weight, against H
+    return GrowthCheck(s, _log_trapz(expo, sf), log_h, pstar_s,
+                       pstar.value_at(s + KAPPA), profile.l1_total,
+                       expo[:, k - 1] > expo[:, k - 2],
+                       s * edge + log_tail > np.log(1e-6) + log_h)
 
 
 @dataclass(frozen=True)
@@ -432,5 +387,19 @@ def detect_superlinear(profile: TailProfile) -> SuperlinearReport:
     verdict is rate(s_hi) >= 2 * rate(s_hi/10); both fixtures sit far from
     the boundary and the verdict is stable under grid refinement.
     """
-    ratio, r = _superlinear_ratio(profile)
+    sf = profile.finite_part()[0]
+    mask = sf > 0.0
+    if not np.any(mask):
+        raise ValidationError("profile has no positive s nodes",
+                              module="tail_profile", operation="detect_superlinear")
+    s_hi = float(sf[mask][-1])
+    if s_hi / 100.0 < float(sf[mask][0]):
+        raise ValidationError("grid must span two decades of s for the detector",
+                              module="tail_profile", operation="detect_superlinear")
+    probes = np.array([s_hi / 100.0, s_hi / 10.0, s_hi])
+    r = profile.p_at(probes) / probes
+    if r[1] > 0.0:
+        ratio = float(r[2] / r[1])
+    else:
+        ratio = np.inf if r[2] > 0.0 else 0.0
     return SuperlinearReport(bool(ratio >= 2.0), ratio, bool(r[0] < r[1] < r[2]))

@@ -26,8 +26,7 @@ from deconv.regularization import (error_decomposition, run_single,
                                    solve_frequency_radius, tikhonov_filter)
 from deconv.small_sets import cartan_bound, measure_small_set
 from deconv.tail_profile import (TailProfile, detect_superlinear,
-                                 dual_growth_check, exponential_moment,
-                                 growth_integral, tail_cutoff,
+                                 growth_check, tail_cutoff,
                                  tail_mass_profile, young_dual)
 
 from _oracles import (gauss_hat, indicator_hat, log_radius_root,
@@ -162,25 +161,24 @@ def test_criterion_04_small_set_bound(indicator_profile, indicator_kernel,
                                 oracle.measure_estimate, rel_tol=0.05)
 
 
-def test_criterion_05_dual_growth(gaussian_profile):
+def test_criterion_05_dual_growth(gaussian_kernel, gaussian_profile):
     """log G(s) tracks p*(s) within 10% at s = 20, tighter at s = 40; the
     kappa-shifted ratio stays at most 1.05."""
     dual = young_dual(gaussian_profile, np.arange(0.0, 64.001, 0.01))
-    report = dual_growth_check(gaussian_profile, dual,
-                               np.array([20.0, 40.0]))
-    assert 0.90 <= report.ratios[0] <= 1.10
-    assert abs(report.ratios[1] - 1.0) < abs(report.ratios[0] - 1.0)
-    assert np.all(report.shifted_ratios <= 1.05)
-    assert not report.any_divergent
+    check = growth_check(gaussian_kernel, gaussian_profile, dual,
+                         np.array([20.0, 40.0]))
+    assert 0.90 <= check.dual_ratio[0] <= 1.10
+    assert abs(check.dual_ratio[1] - 1.0) < abs(check.dual_ratio[0] - 1.0)
+    assert np.all(check.shifted_ratio <= 1.05)
+    assert not check.divergent.any()
 
 
 def test_criterion_06_moment_identity(gaussian_kernel, gaussian_profile):
     """H(s) = l1 + s G(s) within 1e-3 relative at s in {0.5, 1, 2, 5}."""
-    l1 = gaussian_profile.l1_total
-    for s in (0.5, 1.0, 2.0, 5.0):
-        h = exponential_moment(gaussian_kernel, s)
-        g = growth_integral(gaussian_profile, s)
-        assert abs(h.value - (l1 + s * g.value)) <= 1e-3 * h.value
+    dual = young_dual(gaussian_profile, np.arange(0.0, 64.001, 0.01))
+    check = growth_check(gaussian_kernel, gaussian_profile, dual,
+                         [0.5, 1.0, 2.0, 5.0])
+    assert np.all(np.abs(check.moment_gap) <= 1e-3)
 
 
 def test_criterion_07_growth_exponents():

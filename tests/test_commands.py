@@ -18,8 +18,9 @@ import pytest
 import deconv.commands as commands
 import deconv.regularization as regularization
 from deconv.cli import main
-from deconv.commands import (cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
-                             cmd_sweep, cmd_zeros)
+from deconv.commands import (GROWTH_CHECK_S, cmd_analyze_kernel,
+                             cmd_deconvolve, cmd_smallset, cmd_sweep,
+                             cmd_zeros)
 from deconv.config import parse_config
 from deconv.errors import AcceptanceGateError, ConfigError
 
@@ -66,6 +67,10 @@ def test_analyze_kernel_outputs(tmp_path):
     assert rows[-1].endswith(",inf")
     detector = read_json(out, "detector.json")
     assert detector["superlinear"] is True  # compact support blows p up
+    growth = detector["growth"]
+    assert growth["s"] == list(GROWTH_CHECK_S)
+    assert growth["divergent"] == [False, False]
+    assert all(0.8 <= r <= 1.0 for r in growth["dual_ratio"])
     zeros = read_json(out, "zeros.json")
     assert abs(zeros["d_hat"] - zeros["predicted_d"]) <= 0.1
 
@@ -79,6 +84,32 @@ def test_analyze_kernel_skips_zeros_off_unit_support(tmp_path):
     assert any("skipped" in note for note in manifest["notes"])
     detector = read_json(out, "detector.json")
     assert detector["superlinear"] is False
+    assert detector["growth"]["divergent"] == [True, True]
+
+
+@pytest.mark.parametrize("kernel, nulls", [
+    # the 0.01-step profile spans s_hi/100 .. s_hi in less than two decades
+    ({"type": "indicator", "a": 0.0, "b": 1.0}, {"superlinear"}),
+    # two samples: one finite profile node, no positive s and no G(s)
+    ({"type": "file", "path": "kernel.csv"}, {"superlinear", "growth"})])
+def test_analyze_kernel_writes_null_where_the_profile_cannot_decide(
+        tmp_path, kernel, nulls):
+    (tmp_path / "kernel.csv").write_text("t,re,im\n0.0,1.0,0.0\n"
+                                         "0.5,1.0,0.0\n")
+    cfg_path = write_config(tmp_path, small_config(kernel=kernel))
+    out = tmp_path / "out"
+    assert main(["analyze-kernel", "--config", cfg_path,
+                 "--out", str(out)]) == 0
+    for name in ("profile.csv", "dual.csv", "zeros.csv", "zeros.json"):
+        assert (out / name).is_file()
+    detector = read_json(out, "detector.json")
+    verdict = [detector[k] for k in ("superlinear", "decade_ratio",
+                                     "strictly_increasing")]
+    assert verdict == [None] * 3
+    assert (detector["growth"] is None) == ("growth" in nulls)
+    notes = read_json(out, "manifest.json")["notes"]
+    assert len(notes) == len(nulls)
+    assert notes[0].startswith("superlinearity verdict not measured: ")
 
 
 def test_zeros_json_predicts_density_from_its_own_exponents(tmp_path):
@@ -445,6 +476,12 @@ def _infinite_indicator_end(data, folder):
     data["kernel"] = {"type": "indicator", "a": 0.0, "b": math.inf}
 
 
+def _past_the_alias_edge(data, folder):
+    # 400 R_eps >= 51 is past pi / 0.1: the 0.1-step samples alias there
+    data["grids"]["t_step"] = 0.1
+    data["grids"]["freq_extent_factor"] = 400.0
+
+
 def _subnormal_time_step(data, folder):
     # 10 / 1e-320 overflows to inf: neither the kernel nor the time grid
     # can be sampled, and no int() or allocation may see the count
@@ -462,6 +499,8 @@ def _subnormal_time_step(data, folder):
     (_infinite_indicator_end, ["zeros"], "load_config"),
     (_subnormal_time_step, ["deconvolve"], "load_config"),
     (_subnormal_time_step, ["analyze-kernel"], "load_config"),
+    (_past_the_alias_edge, ["deconvolve"], "run_single"),
+    (_past_the_alias_edge, ["sweep"], "run_single"),
 ])
 def test_cli_user_input_errors_exit_2(tmp_path, edit, argv, operation):
     data = small_config()

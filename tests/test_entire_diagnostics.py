@@ -42,7 +42,8 @@ def test_growth_of_unit_indicator(indicator_kernel):
     assert math.isclose(est.mu_hat, 0.014298, abs_tol=1e-4)
     assert 0.9 <= est.sigma_hat <= 1.0
     assert abs(est.mu_hat) <= 0.05
-    assert not est.excluded_pos.any() and not est.excluded_neg.any()
+    assert np.isfinite(est.log_ratio_pos).all()
+    assert np.isfinite(est.log_ratio_neg).all()
 
 
 def test_growth_ratios_at_radius_fifty(indicator_kernel):

@@ -28,7 +28,10 @@ library's one place that runs work concurrently.  And only `commands` may
 import `ctypes` or name `mallopt`: a command's manifest is the one place
 that sets the heap policy.  And the library may not
 take numpy's `outer` product: a phase table of points times samples is a
-direct sum beside `fourier_at`'s two evaluators.
+direct sum beside `fourier_at`'s two evaluators.  And every public function
+and method of the library must be reachable from `cli.main` or from code
+that runs at import: library code only tests call is a claim no command
+makes, so it gets a command caller or moves to the tests.
 """
 
 import ast
@@ -506,3 +509,109 @@ def test_numpy_outer_scan_sees_every_form():
 def test_library_has_one_arbitrary_point_evaluator(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _numpy_outers(tree) == [], path.name
+
+
+# Every public library function and method has a caller that runs: it is
+# reachable from `cli.main` or from code that runs at import, through loads
+# of its name (`f`, `obj.f`, `module.f`) in code already reached.  Names
+# match by themselves alone, as for dataclass fields, so a method counts as
+# reached when any reached code loads `.name`; reaching a class's name
+# reaches its dunder methods.  Annotations are not calls and are skipped.
+UNREACHED_BY_DESIGN = {
+    "count_zeros": "the one-radius entry point the tests and README use; "
+                   "its docstring holds the proof `zero_density` relies on",
+    "solve_dual_radius": "the radius of the p* form of the small-set "
+                         "estimate; ROADMAP item 8 gives it a command",
+}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _name_loads(node: ast.AST, at_import: bool = False) -> set:
+    """Names and attribute names the code loads, annotations left out;
+    at_import also leaves out the function bodies, which do not run then."""
+    found, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found.add(n.attr)
+        if isinstance(n, FUNCTIONS):
+            todo += n.decorator_list + n.args.defaults + [
+                d for d in n.args.kw_defaults if d is not None]
+            todo += [] if at_import else n.body
+        elif isinstance(n, ast.AnnAssign):
+            todo += [] if n.value is None else [n.value]
+        else:
+            todo += ast.iter_child_nodes(n)
+    return found
+
+
+def _unreached(trees: dict, entry: str = "main") -> list:
+    """Public functions and methods, as module.name or module.Class.name,
+    that no code reached from `entry` or from import loads."""
+    defs, dunders = {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                defs.setdefault(node.name, []).append((module, node))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, FUNCTIONS):
+                        defs.setdefault(fn.name, []).append(
+                            (f"{module}.{node.name}", fn))
+                dunders.setdefault(node.name, []).extend(
+                    fn for fn in node.body if isinstance(fn, FUNCTIONS)
+                    and fn.name.startswith("__"))
+    pending = {entry}.union(*(_name_loads(t, at_import=True)
+                              for t in trees.values()))
+    seen = set()
+    while pending:
+        name = pending.pop()
+        seen.add(name)
+        for fn in [fn for _, fn in defs.get(name, ())] + dunders.get(name, []):
+            pending |= _name_loads(fn) - seen
+    return sorted(f"{owner}.{name}" for name, entries in defs.items()
+                  if not name.startswith("_") and name not in seen
+                  for owner, _ in entries)
+
+
+def test_reachability_scan_sees_every_form():
+    cli = "def main():\n    run(TABLE['x'])\n    return shapes.area(1)\n"
+    lib = ("def run(f):\n    return helper(f)\n"
+           "def helper(f):\n    return Box(f).width\n"
+           "def area(r: Box) -> Unused:\n    u: Unused = r\n    return u\n"
+           "def orphan():\n    return lonely()\n"
+           "def lonely():\n    return 1\n"
+           "def at_import():\n    return 2\n"
+           "TABLE = {'x': at_import()}\n"
+           "def fallback():\n    return 0\n"
+           "def by_default(x=fallback()):\n    return x\n"
+           "class Box:\n"
+           "    def __init__(self, f):\n        self.f = checked(f)\n"
+           "    @property\n    def width(self):\n        return 1\n"
+           "    def height(self):\n        return Unused()\n"
+           "def checked(f):\n    return f\n"
+           "class Unused:\n"
+           "    def __post_init__(self):\n        return dunder_only()\n"
+           "def dunder_only():\n    return 3\n"
+           "def _private():\n    return 4\n")
+    trees = {"cli": ast.parse(cli), "shapes": ast.parse(lib)}
+    assert _unreached(trees) == ["shapes.Box.height", "shapes.by_default",
+                                 "shapes.dunder_only", "shapes.lonely",
+                                 "shapes.orphan"]
+    # one load from reached code reaches the whole chain behind it
+    trees["cli"] = ast.parse(cli + "def other():\n    orphan(), x.height\n"
+                             "main.run = other\n")
+    assert _unreached(trees) == ["shapes.by_default"]
+
+
+def test_every_public_function_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in LIBRARY}
+    unreached = _unreached(trees)
+    exempt = [label for label in unreached
+              if label.rsplit(".", 1)[1] in UNREACHED_BY_DESIGN]
+    assert [label for label in unreached if label not in exempt] == []
+    # an exception that gains a caller leaves the list
+    assert len(exempt) == len(UNREACHED_BY_DESIGN), exempt

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import gauss_tail, monotone_chain_dual
 from deconv.commands import DUAL_GRID_MAX, DUAL_GRID_STEP
 from deconv.errors import ValidationError
-from deconv.tail_profile import (DualProfile, TailProfile, bisect,
-                                 detect_superlinear, dual_growth_check,
-                                 exponential_moment, growth_integral,
+from deconv.grid_signal import SampledSignal
+from deconv.kernels import default_profile_grid, make_indicator
+from deconv.tail_profile import (DualProfile, TailProfile, _log_trapz,
+                                 bisect, detect_superlinear, growth_check,
                                  tail_cutoff, tail_mass_profile, young_dual)
 
 
@@ -189,48 +190,90 @@ def test_fenchel_young_inequality_on_gaussian(gaussian_profile):
     assert np.all(lhs >= s * sigma - 1e-9)
 
 
+def _shipped_dual(profile):
+    return young_dual(profile, np.arange(0.0, 64.001, 0.01))
+
+
 def test_growth_integral_against_closed_forms():
     prof = quadratic_profile()
-    g0 = growth_integral(prof, 0.0)
-    assert math.isclose(g0.value, math.sqrt(math.pi) / 2.0, rel_tol=1e-6)
-    g4 = growth_integral(prof, 4.0)
+    sf, pf = prof.finite_part()
+    log_g = _log_trapz(np.array([[0.0], [4.0]]) * sf - pf, sf)
+    assert math.isclose(math.exp(log_g[0]), math.sqrt(math.pi) / 2.0,
+                        rel_tol=1e-6)
     want = math.exp(4.0) * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(2.0))
     # trapezoid on step 0.01 against the exact erf antiderivative
-    assert math.isclose(g4.value, want, rel_tol=1e-6)
-    assert not g4.tail_divergent
-    assert g4.superlinear
+    assert math.isclose(math.exp(log_g[1]), want, rel_tol=1e-6)
+    # |t| e^{-t^2} has this profile: its mass beyond s is e^{-s^2}
+    t = 0.01 * np.arange(-800, 801)
+    kernel = SampledSignal(t[0], 0.01, np.abs(t) * np.exp(-t * t))
+    check = growth_check(kernel, prof, _shipped_dual(prof), [4.0])
+    assert check.log_g[0] == log_g[1]
+    assert not check.divergent[0]
+    assert detect_superlinear(prof).verdict
 
 
-def test_growth_integral_warns_on_linear_profile(exp_profile):
-    with pytest.warns(RuntimeWarning):
-        res = growth_integral(exp_profile, 0.5)
-    assert not res.superlinear
+def test_log_trapz_clamp_moves_no_bit():
+    # shifted exponents down to -3000: raising those below -700 to it must
+    # leave every sum, and so every log, as the unclamped formula gives it
+    x = np.linspace(0.0, 60.0, 4001)
+    expo = np.stack([50.0 * x - x * x, -50.0 * x,
+                     np.where(x < 30.0, -np.inf, x)])
+    m = np.max(expo, axis=1)
+    with np.errstate(under="ignore"):
+        y = np.exp(expo - m[:, None])
+    want = m + np.log(0.5 * np.sum(np.diff(x) * (y[:, :-1] + y[:, 1:]),
+                                   axis=1))
+    assert np.array_equal(_log_trapz(expo, x), want)
+
+
+def test_linear_profile_is_not_superlinear_and_diverges(exp_kernel,
+                                                        exp_profile):
+    # p(s) = s - log 2: G(s) grows like the integral of e^{(s - 1) t}
+    assert not detect_superlinear(exp_profile).verdict
+    check = growth_check(exp_kernel, exp_profile, _shipped_dual(exp_profile),
+                         [2.0])
+    assert check.divergent[0]
 
 
 def test_moment_identity_on_gaussian(gaussian_kernel, gaussian_profile):
     # H(s) = l1 + s G(s) ties the moment to the growth integral
-    l1 = gaussian_profile.l1_total
-    for s in (0.5, 1.0, 2.0, 5.0):
-        h = exponential_moment(gaussian_kernel, s)
-        g = growth_integral(gaussian_profile, s)
-        assert abs(h.value - (l1 + s * g.value)) <= 1e-3 * h.value
-        assert not h.truncation_dominated
+    check = growth_check(gaussian_kernel, gaussian_profile,
+                         _shipped_dual(gaussian_profile), [0.5, 1.0, 2.0, 5.0])
+    assert np.all(np.abs(check.moment_gap) <= 1e-3)
+    assert not check.truncation_dominated.any()
 
 
-def test_moment_flags_truncation_domination(exp_kernel):
-    h = exponential_moment(exp_kernel, 2.0)
+def test_moment_flags_truncation_domination(exp_kernel, exp_profile):
+    check = growth_check(exp_kernel, exp_profile, _shipped_dual(exp_profile),
+                         [2.0])
     # e^{2|t|} e^{-|t|} keeps growing: off-grid mass dominates the result
-    assert h.truncation_dominated
+    assert check.truncation_dominated[0]
 
 
-def test_dual_growth_ratios_near_one(gaussian_profile):
-    dual = young_dual(gaussian_profile, np.arange(0.0, 64.001, 0.01))
-    report = dual_growth_check(gaussian_profile, dual,
-                               np.array([10.0, 20.0, 40.0]))
-    assert 0.9 <= report.ratios[1] <= 1.1
-    assert abs(report.ratios[2] - 1.0) < abs(report.ratios[1] - 1.0)
-    assert np.all(report.shifted_ratios <= 1.05)
-    assert not report.any_divergent
+def test_dual_growth_ratios_near_one(gaussian_kernel, gaussian_profile):
+    check = growth_check(gaussian_kernel, gaussian_profile,
+                         _shipped_dual(gaussian_profile), [10.0, 20.0, 40.0])
+    assert 0.9 <= check.dual_ratio[1] <= 1.1
+    assert abs(check.dual_ratio[2] - 1.0) < abs(check.dual_ratio[1] - 1.0)
+    assert np.all(check.shifted_ratio <= 1.05)
+    assert not check.divergent.any()
+
+
+def test_growth_check_preconditions(indicator_kernel, indicator_profile):
+    dual = _shipped_dual(indicator_profile)
+    for s_list in ([-1.0], [[20.0]], [math.nan]):
+        with pytest.raises(ValidationError):
+            growth_check(indicator_kernel, indicator_profile, dual, s_list)
+    # p*(0) = log 0.5 < 0: the ratio has no meaning there
+    half = make_indicator(0.0, 0.5, 0.005)
+    profile = tail_mass_profile(half, default_profile_grid(half))
+    with pytest.raises(ValidationError, match=r"p\*\(s\) > 0"):
+        growth_check(half, profile, _shipped_dual(profile), [0.0, 20.0])
+    # one finite node: no trapezoid cell, no slope for the divergence flag
+    two = SampledSignal(0.0, 0.5, np.array([1.0, 1.0]))
+    profile = tail_mass_profile(two, default_profile_grid(two))
+    with pytest.raises(ValidationError, match="two finite nodes"):
+        growth_check(two, profile, _shipped_dual(profile), [20.0])
 
 
 def test_detector_verdicts(gaussian_profile, exp_profile, indicator_profile):
