@@ -225,8 +225,8 @@ def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
                   (dual.s_grid, dual.dual_values))
         _write_json(manifest.path("detector_json", "detector.json"), detector)
         if zeros is None:
-            manifest.notes.append("growth/zero reports skipped: kernel "
-                                  "support is not inside [0, 1]")
+            manifest.notes.append("zero reports skipped: kernel support is "
+                                  "not inside [0, 1]")
         else:
             _write_zero_reports(zeros, manifest)
         manifest.stage("write")
@@ -235,7 +235,8 @@ def cmd_analyze_kernel(config: ExperimentConfig, out_dir: str) -> dict:
 
 def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
                    noise_free: bool = False) -> dict:
-    """One reconstruction at a single eps (default: first of eps_list)."""
+    """One reconstruction at a single eps (default: first of eps_list); a
+    failed certificate is raised once every file is on disk."""
     with _Manifest("deconvolve", config, out_dir) as manifest:
         instance = build_instance(config)
         eps = check_eps(config.eps_list[0] if eps is None else eps,
@@ -253,7 +254,12 @@ def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
         _write_json(manifest.path("decomposition_json", "decomposition.json"),
                     _decomposition_dict(result.decomposition))
         manifest.stage("write")
-        return manifest.write()
+        written = manifest.write()
+        if not result.decomposition.holds:
+            raise ValidationError(
+                "achieved squared error exceeds its certificate",
+                module="commands", operation="cmd_deconvolve")
+        return written
 
 
 SWEEP_HEADER = "eps,s_eps,delta,r_eps,achieved_error,bound,rate_ref,c3_row"

@@ -347,9 +347,11 @@ class GrowthCheck:
 def growth_check(kernel: SampledSignal, profile: TailProfile,
                  pstar: DualProfile, s_list) -> GrowthCheck:
     """G(s) over the profile's finite nodes, H(s) over the kernel's samples
-    and p* at every s of s_list, one array pass each."""
-    sf, pf = profile.finite_part()
-    if sf.size < 2:
+    and p* at every s of s_list, one array pass each.  With no truncation
+    mass G also takes the cell up to the first saturated node, where the
+    tail (at most SATURATION_FLOOR) counts as 0: the support edge."""
+    finite = profile.finite_count
+    if finite < 2:
         raise ValidationError("profile needs two finite nodes for G(s)",
                               module="tail_profile", operation="growth_check")
     s = np.asarray(s_list, dtype=np.float64)
@@ -357,7 +359,10 @@ def growth_check(kernel: SampledSignal, profile: TailProfile,
     if s.ndim != 1 or not np.all(pstar_s > 0.0):
         raise ValidationError("the ratios need a 1-d s_list with p*(s) > 0",
                               module="tail_profile", operation="growth_check")
-    expo = s[:, None] * sf - pf
+    end = finite + (profile.truncation_tail == 0.0
+                    and finite < profile.s_grid.size)
+    x = profile.s_grid[:end]
+    expo = s[:, None] * x - profile.p_values[:end]  # -inf at a saturated node
     k = _clean_count(profile)
     t = kernel.grid()
     with np.errstate(divide="ignore"):  # a zero sample or tail: log -inf
@@ -366,7 +371,7 @@ def growth_check(kernel: SampledSignal, profile: TailProfile,
     log_h = _log_trapz(s[:, None] * np.abs(t) + log_phi, t)
     edge = max(abs(kernel.t_min), abs(kernel.t_max))
     # the off-grid mass, amplified by the edge weight, against H
-    return GrowthCheck(s, _log_trapz(expo, sf), log_h, pstar_s,
+    return GrowthCheck(s, _log_trapz(expo, x), log_h, pstar_s,
                        pstar.value_at(s + KAPPA), profile.l1_total,
                        expo[:, k - 1] > expo[:, k - 2],
                        s * edge + log_tail > np.log(1e-6) + log_h)

@@ -1,5 +1,6 @@
 """Command bodies and the CLI wrapper: files, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -18,11 +19,13 @@ import pytest
 import deconv.commands as commands
 import deconv.regularization as regularization
 from deconv.cli import main
-from deconv.commands import (GROWTH_CHECK_S, cmd_analyze_kernel,
-                             cmd_deconvolve, cmd_smallset, cmd_sweep,
-                             cmd_zeros)
-from deconv.config import parse_config
+from deconv.commands import (GROWTH_CHECK_S, SWEEP_HEADER,
+                             cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
+                             cmd_sweep, cmd_zeros)
+from deconv.config import load_config, parse_config
 from deconv.errors import AcceptanceGateError, ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(kernel=None, eps_list=None):
@@ -81,7 +84,8 @@ def test_analyze_kernel_skips_zeros_off_unit_support(tmp_path):
     out = tmp_path / "out"
     manifest = cmd_analyze_kernel(cfg, str(out))
     assert not (out / "zeros.csv").exists()
-    assert any("skipped" in note for note in manifest["notes"])
+    assert ("zero reports skipped: kernel support is not inside [0, 1]"
+            in manifest["notes"])
     detector = read_json(out, "detector.json")
     assert detector["superlinear"] is False
     assert detector["growth"]["divergent"] == [True, True]
@@ -131,7 +135,9 @@ def test_deconvolve_outputs(tmp_path):
     assert plan["noise_free"] is True
     assert plan["achieved_error"] < 0.06
     dec = read_json(out, "decomposition.json")
-    assert dec["achieved_sq_error"] <= dec["total_bound"] + 1e-6
+    # the command raises unless the certificate holds; this one holds
+    # with no rounding slack at all
+    assert dec["achieved_sq_error"] <= dec["total_bound"]
     assert (out / "reconstruction.csv").is_file()
 
 
@@ -215,6 +221,69 @@ def test_sweep_writes_everything_then_gates(tmp_path):
     assert lines[0].startswith("eps,")
     assert len(lines) == 5
     assert (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("name", ["gaussian", "indicator", "two_sided_exp"])
+def test_shipped_sweeps_fail_only_the_asymptotic_radius_gate(tmp_path, name):
+    # the documented contract: every row computes, every certificate holds,
+    # and only the gate no representable eps can pass fails
+    with pytest.raises(AcceptanceGateError) as info:
+        cmd_sweep(load_config(str(CONFIGS / f"{name}.json")), str(tmp_path))
+    assert str(info.value) == "sweep gates failed: asymptotic_radius_ok"
+    summary = read_json(tmp_path, "summary.json")
+    assert summary["bound_violations"] == 0
+    assert summary["failures"] == []
+
+
+def _shrink_terms(monkeypatch, factor, eps=None):
+    """Scale the certificate's three terms by factor, on every row or on the
+    row at eps only."""
+    original = regularization.error_decomposition
+
+    def shrunk(f0_hat, phi0_hat, plan, achieved_sq):
+        dec = original(f0_hat, phi0_hat, plan, achieved_sq)
+        if eps is not None and plan.eps != eps:
+            return dec
+        return dataclasses.replace(dec, outer_term=factor * dec.outer_term,
+                                   inner_term=factor * dec.inner_term,
+                                   data_term=factor * dec.data_term)
+
+    monkeypatch.setattr(regularization, "error_decomposition", shrunk)
+
+
+def test_sweep_counts_a_failed_certificate_as_a_bound_violation(
+        tmp_path, monkeypatch):
+    # the row is recorded, with its bound column below its error, and fails
+    # bounds_ok instead of hiding among the failures
+    _shrink_terms(monkeypatch, 1e-12, eps=1e-8)
+    with pytest.raises(AcceptanceGateError, match="bounds_ok"):
+        cmd_sweep(load_config(str(CONFIGS / "indicator.json")), str(tmp_path))
+    summary = read_json(tmp_path, "summary.json")
+    assert summary["bound_violations"] == 1
+    assert summary["gates"]["bounds_ok"] is False
+    assert summary["failures"] == []
+    rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (5, 8)
+    header = SWEEP_HEADER.split(",")
+    row = rows[rows[:, 0] == 1e-8][0]
+    assert row[header.index("achieved_error")] > row[header.index("bound")]
+
+
+def test_deconvolve_writes_everything_then_fails_its_certificate(
+        tmp_path, monkeypatch):
+    _shrink_terms(monkeypatch, 0.0)
+    out = tmp_path / "out"
+    assert main(["deconvolve", "--config",
+                 write_config(tmp_path, small_config()), "--out", str(out),
+                 "--eps", "1e-6"]) == 3
+    error = read_json(out, "error.json")
+    assert error["error"] == "ValidationError"
+    assert "certificate" in error["message"]
+    for name in ("plan.json", "reconstruction.csv", "decomposition.json",
+                 "manifest.json"):
+        assert (out / name).is_file()
+    dec = read_json(out, "decomposition.json")
+    assert dec["total_bound"] == 0.0 < dec["achieved_sq_error"]
 
 
 def test_sweep_needs_four_levels(tmp_path):

@@ -208,8 +208,8 @@ def test_run_single_noise_free_reconstructs(small_instance):
     res = run_single(small_instance, 1e-6, noise_free=True)
     assert res.phi_eps is small_instance.kernel
     assert res.achieved_error < 0.06
-    # constructing the decomposition already certified achieved^2 <= bound
-    assert res.achieved_error ** 2 <= res.decomposition.total_bound + 1e-6
+    assert res.decomposition.achieved_sq_error == res.achieved_error ** 2
+    assert res.decomposition.holds
     assert res.decomposition.inner_term == 0.0
     assert res.f_eps.size == res.f0.size
     assert res.f0_hat.frequencies[-1] >= 60.0 * res.plan.r_eps
@@ -218,7 +218,7 @@ def test_run_single_noise_free_reconstructs(small_instance):
 def test_run_single_with_noise_stays_certified(small_instance):
     res = run_single(small_instance, 1e-6, seed=123)
     assert not np.array_equal(res.g_eps.values, res.g0.values)
-    assert res.achieved_error ** 2 <= res.decomposition.total_bound + 1e-6
+    assert res.decomposition.holds
 
 
 def test_run_single_solves_the_radius_once(small_instance, monkeypatch):
@@ -366,10 +366,10 @@ def test_sweep_rows_equal_single_runs(request, monkeypatch, name, eps_list):
         want = SweepRecord(eps, single.plan.s_eps, single.plan.delta,
                            single.plan.r_eps, single.achieved_error,
                            math.sqrt(single.decomposition.total_bound),
-                           single.plan.rate_ref)
+                           single.plan.rate_ref, single.decomposition.holds)
         # bit for bit, field by field
-        assert ([x.hex() for x in dataclasses.astuple(row)]
-                == [x.hex() for x in dataclasses.astuple(want)])
+        assert ([float(x).hex() for x in dataclasses.astuple(row)]
+                == [float(x).hex() for x in dataclasses.astuple(want)])
         assert f_eps.values.tobytes() == single.f_eps.values.tobytes()
 
 
@@ -645,6 +645,70 @@ def test_decomposition_grid_preconditions(indicator_plan):
 
 def test_decomposition_record_validation():
     with pytest.raises(ValidationError):
-        ErrorDecomposition(-1.0, 0.0, 0.0, 0.0, False)
-    with pytest.raises(ValidationError):
-        ErrorDecomposition(0.0, 0.0, 0.0, 1.0, False)  # cert violated
+        ErrorDecomposition(-1.0, 0.0, 0.0, 0.0, False, 1)
+    assert not ErrorDecomposition(0.0, 0.0, 0.0, 1.0, False, 1).holds
+
+
+def test_the_check_is_not_looser_than_a_tiny_bound(gaussian_kernel,
+                                                   gaussian_profile):
+    # at q = 10, beta = 0.05 and eps 1e-12 the whole bound is 1.9e-9, far
+    # below an absolute slack of 1e-6; the derived slack is relative, so
+    # twice the bound as achieved error fails the check
+    instance = SweepInstance(kernel=gaussian_kernel, profile=gaussian_profile,
+                             q=10.0, beta=0.05,
+                             grids=GridSpec(t_extent=30.0, t_step=0.01,
+                                            freq_extent_factor=60.0,
+                                            freq_step=0.01),
+                             base_seed=7)
+    dec = run_single(instance, 1e-12).decomposition
+    assert dec.holds
+    assert 1e-9 < dec.total_bound < 1e-8
+    violated = dataclasses.replace(dec, achieved_sq_error=2.0 * dec.total_bound)
+    assert not violated.holds
+
+
+def _gamma(count):
+    """Higham's gamma_{count-1}: the relative error bound of a computed sum
+    of count nonnegative floats, in any order."""
+    k = max(count - 1, 0) * 2.0 ** -53
+    return k / (1.0 - k)
+
+
+def test_each_sum_stays_within_its_share_of_the_rounding_bound(
+        gaussian_instance):
+    # the vectors behind a shipped row's three sums (gaussian's last eps,
+    # the row closest to its bound), then adversarial nonnegative vectors
+    # of the same lengths: np.sum against the exactly rounded math.fsum
+    inst = gaussian_instance
+    res = run_single(inst, 1e-10)
+    plan, f0_hat, dec = res.plan, res.f0_hat, res.decomposition
+    step, half = inst.grids.freq_step, f0_hat.half_count
+    phi0_hat = grid_signal.fourier_grid(inst.kernel, step, half)
+    lam = f0_hat.frequencies
+    wf2 = (grid_signal.trapezoid_weights(lam.size, step)
+           * (f0_hat.values.real ** 2 + f0_hat.values.imag ** 2))
+    below = np.abs(phi0_hat.values) < plan.eps ** plan.beta
+    diff = res.f0.values - res.f_eps.values
+    t_step = inst.time_grid()[1]
+    sums = {
+        "outer": wf2[below & (np.abs(lam) > plan.r_eps)],
+        "inner": wf2[below & (np.abs(lam) < plan.r_eps)],
+        "achieved": (grid_signal.trapezoid_weights(diff.size, t_step)
+                     * (diff.real ** 2 + diff.imag ** 2)),
+    }
+    assert float(np.sum(sums["outer"])) == dec.outer_term
+    assert float(np.sum(sums["inner"])) == dec.inner_term
+    assert dec.n == max(lam.size, diff.size)
+    assert dec.holds
+    rng = np.random.default_rng(31)
+    for length in (lam.size, diff.size, sums["outer"].size):
+        spread = rng.lognormal(0.0, 30.0, length)
+        sums[f"spread {length}"] = spread
+        sums[f"sorted {length}"] = np.sort(spread)[::-1]
+        sums[f"low bits {length}"] = (1.0 + 2.0 ** -52
+                                      * rng.integers(0, 4, length))
+        sums[f"one big {length}"] = np.r_[1.0,
+                                          np.full(length - 1, 2.0 ** -53)]
+    for name, x in sums.items():
+        exact = math.fsum(x)
+        assert abs(float(np.sum(x)) - exact) <= _gamma(x.size) * exact, name

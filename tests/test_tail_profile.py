@@ -212,6 +212,22 @@ def test_growth_integral_against_closed_forms():
     assert detect_superlinear(prof).verdict
 
 
+def test_growth_integral_reaches_the_support_edge(indicator_kernel,
+                                                  indicator_profile):
+    # chi_[0, 1] has G(s) = (e^s - 1 - s) / s^2 and H(s) = (e^s - 1) / s.
+    # G's last cell ends at the first saturated node, the support edge, so
+    # G is off by H's own trapezoid error (0.083% and 0.33%), not by the
+    # dropped cell (0.54% and 1.97%)
+    s = np.array([20.0, 40.0])
+    check = growth_check(indicator_kernel, indicator_profile,
+                         _shipped_dual(indicator_profile), s)
+    g_err = np.exp(check.log_g) / ((np.expm1(s) - s) / (s * s)) - 1.0
+    h_err = np.exp(check.log_h) / (np.expm1(s) / s) - 1.0
+    assert np.all(h_err < 0.004)
+    assert np.all(np.abs(g_err) <= 1.01 * h_err)
+    assert np.all(np.abs(check.moment_gap) <= 2.01 * h_err)
+
+
 def test_log_trapz_clamp_moves_no_bit():
     # shifted exponents down to -3000: raising those below -700 to it must
     # leave every sum, and so every log, as the unclamped formula gives it
