@@ -256,8 +256,12 @@ def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
         manifest.stage("write")
         written = manifest.write()
         if not result.decomposition.holds:
+            f0 = np.abs(result.f0.values)
             raise ValidationError(
-                "achieved squared error exceeds its certificate",
+                "achieved squared error exceeds its certificate; f0 at "
+                f"+/-grids.t_extent = {config.grids.t_extent:g} is "
+                f"{max(f0[0], f0[-1]) / np.max(f0):.2g} of its peak, and a "
+                "larger grids.t_extent keeps more of it on the time grid",
                 module="commands", operation="cmd_deconvolve")
         return written
 
@@ -313,7 +317,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str) -> dict:
 
 def cmd_smallset(config: ExperimentConfig, out_dir: str,
                  eps: float = None) -> dict:
-    """Measure the sub-threshold frequency set at one eps."""
+    """The sub-threshold frequency set at one eps, beside its two bounds."""
     with _Manifest("smallset", config, out_dir) as manifest:
         kernel = build_kernel(config)
         profile = tail_mass_profile(kernel, default_profile_grid(kernel))
@@ -326,7 +330,8 @@ def cmd_smallset(config: ExperimentConfig, out_dir: str,
         manifest.stage("compute")
 
         _write_json(manifest.path("smallset_json", "smallset.json"),
-                    dict(report.as_dict(), eps=eps, bound=bound))
+                    dict(report.as_dict(), eps=eps, bound=bound,
+                         trivial_bound=2.0 * r_eps))
         manifest.stage("write")
         return manifest.write()
 

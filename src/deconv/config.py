@@ -18,15 +18,17 @@ from .kernels import (default_profile_grid, make_gaussian, make_indicator,
 from .regularization import GridSpec, SweepInstance
 from .tail_profile import tail_mass_profile
 
-_KERNEL_PARAMS = {
-    "indicator": {"a", "b"},
-    "gaussian": {"scale"},
-    "two_sided_exp": {"rate"},
-    "file": {"path"},
+# each kernel type's parameters and the maker that samples them at the time
+# step, refusing b <= a and scale or rate <= 0; a file kernel is read instead
+_KERNELS = {
+    "indicator": (("a", "b"), make_indicator),
+    "gaussian": (("scale",), make_gaussian),
+    "two_sided_exp": (("rate",), make_two_sided_exp),
+    "file": (("path",), None),
 }
 _F0_PARAMS = {
-    "synth_smooth": set(),
-    "file": {"path"},
+    "synth_smooth": (),
+    "file": ("path",),
 }
 _GRID_KEYS = tuple(f.name for f in fields(GridSpec))
 _TOP_KEYS = {"kernel", "f0", "eps_list", "beta", "q", "seed", "grids"}
@@ -49,20 +51,24 @@ def _fail(msg: str) -> ConfigError:
 
 
 def _typed_spec(raw, kind: str, allowed: dict) -> dict:
+    """raw with one allowed type and its parameters: numbers, or a path."""
     if not isinstance(raw, dict) or "type" not in raw:
         raise _fail(f"{kind} must be an object with a 'type' field")
     typ = raw["type"]
     if not isinstance(typ, str) or typ not in allowed:
         raise _fail(f"unknown {kind} type {typ!r}: expected one of "
                     f"{sorted(allowed)}")
-    extra = set(raw) - {"type"} - allowed[typ]
+    extra = set(raw) - {"type"} - set(allowed[typ])
     if extra:
         raise _fail(f"{kind} type {typ!r} does not take {sorted(extra)}")
-    missing = allowed[typ] - set(raw)
+    missing = set(allowed[typ]) - set(raw)
     if missing:
         raise _fail(f"{kind} type {typ!r} requires {sorted(missing)}")
-    if "path" in raw and not isinstance(raw["path"], str):
-        raise _fail(f"{kind}.path must be a string")
+    for name in allowed[typ]:
+        if name != "path":
+            _number(raw[name], f"{kind}.{name}")
+        elif not isinstance(raw[name], str):
+            raise _fail(f"{kind}.path must be a string")
     return dict(raw)
 
 
@@ -93,16 +99,8 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     if missing:
         raise _fail(f"missing config keys {sorted(missing)}")
 
-    kernel = _typed_spec(data["kernel"], "kernel", _KERNEL_PARAMS)
-    if kernel["type"] == "indicator":
-        a, b = _number(kernel["a"], "kernel.a"), _number(kernel["b"], "kernel.b")
-        if not a < b:
-            raise _fail("indicator kernel needs numbers a < b")
-    elif kernel["type"] == "gaussian":
-        _positive(kernel["scale"], "kernel.scale")
-    elif kernel["type"] == "two_sided_exp":
-        _positive(kernel["rate"], "kernel.rate")
-
+    kernel = _typed_spec(data["kernel"], "kernel",
+                         {typ: names for typ, (names, _) in _KERNELS.items()})
     f0 = _typed_spec(data["f0"], "f0", _F0_PARAMS)
 
     eps_raw = data["eps_list"]
@@ -199,20 +197,18 @@ def _read_signal_file(config: ExperimentConfig, spec: dict, what: str,
 
 
 def build_kernel(config: ExperimentConfig) -> SampledSignal:
-    """The sampled kernel; a spec the time step cannot sample is a ConfigError."""
+    """The sampled kernel; a spec its maker refuses at the time step (b <= a,
+    scale or rate <= 0, a grid past the chirp-z limit) is a ConfigError."""
     spec = config.kernel
-    step = config.grids.t_step
+    names, maker = _KERNELS[spec["type"]]
+    if maker is None:
+        return _read_signal_file(config, spec, "kernel", "build_kernel")
     try:
-        if spec["type"] == "indicator":
-            return make_indicator(float(spec["a"]), float(spec["b"]), step)
-        if spec["type"] == "gaussian":
-            return make_gaussian(float(spec["scale"]), step)
-        if spec["type"] == "two_sided_exp":
-            return make_two_sided_exp(float(spec["rate"]), step)
+        return maker(*(float(spec[name]) for name in names),
+                     step=config.grids.t_step)
     except ValidationError as exc:
         raise ConfigError(f"kernel cannot be sampled: {exc}",
                           module="config", operation="build_kernel") from exc
-    return _read_signal_file(config, spec, "kernel", "build_kernel")
 
 
 def build_instance(config: ExperimentConfig) -> SweepInstance:

@@ -10,7 +10,7 @@ and its zeros have linear density (sigma - mu)/pi along radii.  Everything
 here is evaluated in the log domain, so there is no overflow ceiling on the
 radii.  Zeros are counted by the argument principle on circles whose every
 phase step is proved from a bound on the derivative (Delves & Lyness 1967;
-Ying & Katz 1988); see `count_zeros`.
+Ying & Katz 1988); see `zero_density`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,17 @@ def supported_in_unit_interval(kernel: SampledSignal) -> bool:
     support = t[np.abs(kernel.values) > 0.0]
     return bool(support.size > 0 and support[0] >= -1e-9
                 and support[-1] <= 1.0 + 1e-9)
+
+
+def _radii(radii, least: int, operation: str) -> np.ndarray:
+    """radii as a float array: at least `least` finite, increasing positives."""
+    r = np.atleast_1d(np.asarray(radii, dtype=np.float64))
+    if (r.ndim != 1 or r.size < least or not np.all(np.isfinite(r))
+            or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0):
+        raise ValidationError(f"radii must be at least {least} finite, "
+                              "increasing positives",
+                              module="entire_diagnostics", operation=operation)
+    return r
 
 
 @dataclass(frozen=True)
@@ -68,10 +79,7 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
         raise ValidationError("kernel must be nonzero with no off-grid mass "
                               "and support inside [0, 1]",
                               module="entire_diagnostics", operation="growth_profile")
-    r = np.asarray(radii, dtype=np.float64)
-    if r.ndim != 1 or r.size < 3 or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:
-        raise ValidationError("radii must be at least 3 increasing positives",
-                              module="entire_diagnostics", operation="growth_profile")
+    r = _radii(radii, 3, "growth_profile")
 
     log_scale, reduced = laplace_parts(kernel, np.concatenate([r, -r]) + 0j)
     with np.errstate(divide="ignore"):  # -inf where the reduced sum is 0
@@ -99,7 +107,7 @@ _MAX_PIECES = 1024  # per arc and round: bounds a round's memory, not the count
 
 
 def _certified_counts(kernel: SampledSignal, radii: np.ndarray) -> np.ndarray:
-    """`count_zeros` at every radius at once.
+    """`zero_density`'s counts, all radii at once.
 
     Each quadrant starts as one arc.  A round cuts every failing arc of
     every radius into ceil(F) pieces, F = r dtheta B / (max |Psi| - E_a -
@@ -114,7 +122,7 @@ def _certified_counts(kernel: SampledSignal, radii: np.ndarray) -> np.ndarray:
     if kernel.truncation_tail != 0.0:
         raise ValidationError("kernel carries off-grid mass: transform is "
                               "not entire-evaluable from these samples",
-                              module="entire_diagnostics", operation="count_zeros")
+                              module="entire_diagnostics", operation="zero_density")
     real = kernel.is_real()
     quarter = real and np.array_equal(kernel.values, kernel.values[::-1])
     laps = 4 if quarter else 2 if real else 1
@@ -155,7 +163,7 @@ def _certified_counts(kernel: SampledSignal, radii: np.ndarray) -> np.ndarray:
                 raise PhaseTrackingError(f"|z| = {radii[rid[k]]} passes within "
                                          f"rounding of a zero near {z[k]:.6g}",
                                          module="entire_diagnostics",
-                                         operation="count_zeros")
+                                         operation="zero_density")
             over = np.exp(log_drift[fail] - top[fail]
                           - np.log1p(-np.exp(log_errs[fail] - top[fail])))
             cuts = np.clip(np.ceil(over), 2, _MAX_PIECES).astype(np.int64) - 1
@@ -171,26 +179,6 @@ def _certified_counts(kernel: SampledSignal, radii: np.ndarray) -> np.ndarray:
                      * np.exp(-1j * c * (z[b].imag - z[a].imag)))
     winding = laps * np.bincount(rid[a], steps, radii.size) / (2.0 * math.pi)
     return np.rint(winding).astype(np.int64)
-
-
-def count_zeros(kernel: SampledSignal, r: float) -> int:
-    """Zeros of the transform inside |z| <= r, every phase step proved.
-
-    Psi(z) = e^{-cz} Phi(z), c the grid's centre, shares Phi's zeros.  On an
-    arc of angle dtheta, |Psi'| <= B = max(S(Re z_a), S(Re z_b)), as
-    S(x) = sum_j w_j |f_j| |t_j - c| e^{x (t_j - c)} is convex and Re z is
-    monotone between the axes.  An arc with r dtheta B + E_a + E_b <
-    max |Psi| at its ends, E e^{-cx} times the rounding bound `laplace_parts`
-    states, lies with its ends' true and computed values in a disc about
-    the larger computed end that misses 0.  So the steps' rounding cancels
-    between neighbours, and once every arc passes they sum to the winding:
-    the count is exact if `laplace_parts` keeps that bound.  A contour
-    within that rounding of a zero raises PhaseTrackingError instead.
-    """
-    if not (r > 0.0 and np.isfinite(r)):
-        raise ValidationError("r must be positive and finite",
-                              module="entire_diagnostics", operation="count_zeros")
-    return int(_certified_counts(kernel, np.array([float(r)]))[0])
 
 
 @dataclass(frozen=True)
@@ -217,13 +205,19 @@ class ZeroCountReport:
 
 
 def zero_density(kernel: SampledSignal, radii) -> ZeroCountReport:
-    """n(R)/R table with d_hat = pi * final density.  All radii are counted
-    together, every arc passing the test of `count_zeros`, r dtheta B +
-    E_a + E_b < max |Psi| with E the rounding bound `laplace_parts` states:
-    each count is exact under that bound, or the call raises.
+    """Zeros of the transform inside |z| <= r at one radius or more, every
+    phase step proved, as the n(R)/R table with d_hat = pi * final density.
+
+    Psi(z) = e^{-cz} Phi(z), c the grid's centre, shares Phi's zeros.  On an
+    arc of angle dtheta, |Psi'| <= B = max(S(Re z_a), S(Re z_b)), as
+    S(x) = sum_j w_j |f_j| |t_j - c| e^{x (t_j - c)} is convex and Re z is
+    monotone between the axes.  An arc with r dtheta B + E_a + E_b <
+    max |Psi| at its ends, E e^{-cx} times the rounding bound `laplace_parts`
+    states, lies with its ends' true and computed values in a disc about
+    the larger computed end that misses 0.  So the steps' rounding cancels
+    between neighbours, and once every arc passes they sum to the winding:
+    each count is exact if `laplace_parts` keeps that bound.  A contour
+    within that rounding of a zero raises PhaseTrackingError instead.
     """
-    r = np.asarray(radii, dtype=np.float64)
-    if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:
-        raise ValidationError("radii must be at least 2 increasing positives",
-                              module="entire_diagnostics", operation="zero_density")
+    r = _radii(radii, 1, "zero_density")
     return ZeroCountReport(r, _certified_counts(kernel, r))

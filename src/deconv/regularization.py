@@ -10,6 +10,9 @@ Given a noise level eps the plan fixes every knob of the reconstruction:
               = -log(eps^beta + eps),
             the frequency radius that splits the error budget.
 
+solve_dual_radius solves the radius equation of the small-set estimate
+written with the Young dual p* instead.
+
 The plan stores the measured norms |g0|_2, |phi0|_1 and the solved
 (s_eps, R_eps); C1, C2 and delta are properties derived from them.
 
@@ -33,7 +36,8 @@ from .grid_signal import (_CHIRP_LIMIT, SampledSignal, TransformSamples,
                           _Fresh, _row_scope, fourier_grid, inverse_fourier,
                           l2_norm, trapezoid_weights)
 from .noise import inject_noise
-from .tail_profile import TailProfile, bisect, tail_cutoff
+from .small_sets import cartan_bound
+from .tail_profile import DualProfile, TailProfile, bisect, tail_cutoff
 
 LOG_15E3 = math.log(15.0) + 3.0
 TWO_E = 2.0 * math.e
@@ -111,6 +115,59 @@ def solve_frequency_radius(eps: float, beta: float, q: float, s_eps: float,
     return 0.5 * (lo + hi)
 
 
+def solve_dual_radius(eps: float, q: float,
+                      pstar: DualProfile) -> tuple[float, float]:
+    """Root of the dual-profile radius equation, plus its asymptotic ratio.
+
+    F(R) = [(q+1/2) R + log(15 e^3)] [1 + log(2R) + p*(2R+1)] + log eps = 0.
+
+    The second bracket runs from -inf to +inf as R grows, the first is
+    positive throughout, so F crosses zero exactly once; doubling plus
+    bisection pins the root.  The returned ratio
+    log p*(2R+1) / log log(1/eps) tends to 1 as eps -> 0 for superlinear
+    tail profiles; at desk-scale eps it is far below 1.
+    """
+    if not (eps > 0.0 and np.isfinite(eps)):
+        raise ValidationError("eps must be positive and finite",
+                              module="regularization", operation="solve_dual_radius")
+    if not (q > 0.5):
+        raise ValidationError("q must exceed 1/2",
+                              module="regularization", operation="solve_dual_radius")
+    rhs = -math.log(eps)
+    if rhs <= 0.0:
+        raise NoRootError("eps too large: -log(eps) must be positive",
+                          module="regularization", operation="solve_dual_radius")
+    s_max = float(pstar.s_grid[-1])
+    if s_max <= 1.0:
+        raise ValidationError("dual profile must extend past s = 1 to "
+                              "evaluate p*(2R+1)", module="regularization",
+                              operation="solve_dual_radius")
+    r_max = (s_max - 1.0) / 2.0
+
+    def f(rr: float) -> float:
+        return (((q + 0.5) * rr + LOG_15E3)
+                * (1.0 + math.log(2.0 * rr) + pstar.value_at(2.0 * rr + 1.0))
+                - rhs)
+
+    lo = min(1e-8, r_max / 2.0)
+    if f(lo) >= 0.0:
+        raise NoRootError("no root: equation already nonnegative at tiny radius",
+                          module="regularization", operation="solve_dual_radius")
+    hi = min(2.0 * lo, r_max)
+    while f(hi) <= 0.0:
+        if hi >= r_max:
+            raise ComputationError("dual profile grid too short to bracket "
+                                   "the radius: extend the s-grid",
+                                   module="regularization",
+                                   operation="solve_dual_radius")
+        hi = min(2.0 * hi, r_max)
+    lo, hi = bisect(lambda rr: f(rr) > 0.0, lo, hi, rtol=1e-12)
+    radius = 0.5 * (lo + hi)
+    pval = pstar.value_at(2.0 * radius + 1.0)
+    ratio = math.log(pval) / math.log(rhs) if pval > 0.0 else math.nan
+    return radius, ratio
+
+
 def plan_radius(eps: float, beta: float, q: float,
                 profile: TailProfile) -> tuple[float, float]:
     """(s_eps, R_eps) at one noise level: the tail cutoff, then the radius."""
@@ -164,8 +221,8 @@ class RegularizationPlan:
 
     @property
     def rate_ref(self) -> float:
-        """Reference decay R_eps^{-q+1/2} for the convergence-rate fit."""
-        return self.r_eps ** (-self.q + 0.5)
+        """Reference decay R_eps^{-q+1/2}, the Cartan ceiling, for the rate fit."""
+        return cartan_bound(self.q, self.r_eps)
 
 
 def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,

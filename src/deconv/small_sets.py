@@ -1,4 +1,4 @@
-"""Sub-threshold frequency sets and the dual radius.
+"""Sub-threshold frequency sets and their Cartan ceiling.
 
 The unrecoverable part of the reconstruction error lives on the set where
 the kernel transform is small:
@@ -8,8 +8,7 @@ the kernel transform is small:
 measure_small_set estimates the Lebesgue measure of B on the real axis (the
 quantity the error budget consumes) by dense scanning plus bisection of
 all endpoints in lockstep.  cartan_bound supplies the theoretical ceiling
-r^{-q+1/2}, and solve_dual_radius the radius of the estimate written with
-the Young dual p*.
+r^{-q+1/2}, which the plan also reports as its reference rate.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, NoRootError, ValidationError
-from .regularization import LOG_15E3
-from .tail_profile import DualProfile, bisect
+from .errors import ValidationError
+from .tail_profile import bisect
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,7 @@ class SmallSetReport:
     """Measured sub-threshold set: disjoint intervals inside [-r, r].
 
     Only what the scan measured; the noise level behind the threshold and
-    the Cartan ceiling are the caller's to report alongside `as_dict`.
+    the bounds on the measure are the caller's to report alongside `as_dict`.
     """
 
     threshold: float
@@ -63,8 +61,8 @@ class SmallSetReport:
 def cartan_bound(q: float, r_eps: float) -> float:
     """Theoretical measure ceiling r_eps^{-q+1/2}.
 
-    Meaningful as a bound in the regime r_eps > 1; smaller radii are common
-    at desk scale, so they warn rather than reject.
+    Tighter than the trivial 2 r_eps only at large radii; at desk-scale
+    radii, 1 and below, it exceeds 1, so callers report both.
     """
     if not (q > 0.5):
         raise ValidationError("q must exceed 1/2",
@@ -72,10 +70,6 @@ def cartan_bound(q: float, r_eps: float) -> float:
     if not (r_eps > 0.0):
         raise ValidationError("r_eps must be positive",
                               module="small_sets", operation="cartan_bound")
-    if r_eps <= 1.0:
-        warnings.warn("cartan_bound called with r_eps <= 1: the ceiling "
-                      "exceeds 1 and is loose at this radius", RuntimeWarning,
-                      stacklevel=2)
     return r_eps ** (-q + 0.5)
 
 
@@ -137,55 +131,3 @@ def measure_small_set(phi_hat_fn, threshold: float, r: float,
     return SmallSetReport(threshold, r, measure, len(intervals),
                           tuple(intervals))
 
-
-def solve_dual_radius(eps: float, q: float,
-                      pstar: DualProfile) -> tuple[float, float]:
-    """Root of the dual-profile radius equation, plus its asymptotic ratio.
-
-    F(R) = [(q+1/2) R + log(15 e^3)] [1 + log(2R) + p*(2R+1)] + log eps = 0.
-
-    The second bracket runs from -inf to +inf as R grows, the first is
-    positive throughout, so F crosses zero exactly once; doubling plus
-    bisection pins the root.  The returned ratio
-    log p*(2R+1) / log log(1/eps) tends to 1 as eps -> 0 for superlinear
-    tail profiles; at desk-scale eps it is far below 1.
-    """
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise ValidationError("eps must be positive and finite",
-                              module="small_sets", operation="solve_dual_radius")
-    if not (q > 0.5):
-        raise ValidationError("q must exceed 1/2",
-                              module="small_sets", operation="solve_dual_radius")
-    rhs = -math.log(eps)
-    if rhs <= 0.0:
-        raise NoRootError("eps too large: -log(eps) must be positive",
-                          module="small_sets", operation="solve_dual_radius")
-    s_max = float(pstar.s_grid[-1])
-    if s_max <= 1.0:
-        raise ValidationError("dual profile must extend past s = 1 to "
-                              "evaluate p*(2R+1)", module="small_sets",
-                              operation="solve_dual_radius")
-    r_max = (s_max - 1.0) / 2.0
-
-    def f(rr: float) -> float:
-        return (((q + 0.5) * rr + LOG_15E3)
-                * (1.0 + math.log(2.0 * rr) + pstar.value_at(2.0 * rr + 1.0))
-                - rhs)
-
-    lo = min(1e-8, r_max / 2.0)
-    if f(lo) >= 0.0:
-        raise NoRootError("no root: equation already nonnegative at tiny radius",
-                          module="small_sets", operation="solve_dual_radius")
-    hi = min(2.0 * lo, r_max)
-    while f(hi) <= 0.0:
-        if hi >= r_max:
-            raise ComputationError("dual profile grid too short to bracket "
-                                   "the radius: extend the s-grid",
-                                   module="small_sets",
-                                   operation="solve_dual_radius")
-        hi = min(2.0 * hi, r_max)
-    lo, hi = bisect(lambda rr: f(rr) > 0.0, lo, hi, rtol=1e-12)
-    radius = 0.5 * (lo + hi)
-    pval = pstar.value_at(2.0 * radius + 1.0)
-    ratio = math.log(pval) / math.log(rhs) if pval > 0.0 else math.nan
-    return radius, ratio

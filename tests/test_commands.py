@@ -286,6 +286,27 @@ def test_deconvolve_writes_everything_then_fails_its_certificate(
     assert dec["total_bound"] == 0.0 < dec["achieved_sq_error"]
 
 
+@pytest.mark.parametrize("t_extent, code", [(20.0, 3), (30.0, 0)])
+def test_a_failed_certificate_names_the_time_window(tmp_path, t_extent,
+                                                    code):
+    # at q = 10 the synthetic f0 decays slowly: at t = +/-20 it is still
+    # 6.8e-6 of its peak, and the part cut off the time grid outweighs the
+    # certificate; at +/-30 it is 1.5e-9 and the certificate holds
+    data = small_config(kernel={"type": "gaussian", "scale": 1.0},
+                        eps_list=[1e-12])
+    data.update(q=10.0, beta=0.05)
+    data["grids"]["t_extent"] = t_extent
+    out = tmp_path / "out"
+    assert main(["deconvolve", "--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == code
+    dec = read_json(out, "decomposition.json")
+    assert (dec["achieved_sq_error"] > dec["total_bound"]) == (code == 3)
+    if code == 3:
+        message = read_json(out, "error.json")["message"]
+        assert "certificate" in message and "grids.t_extent" in message
+        assert "6.8e-06 of its peak" in message
+
+
 def test_sweep_needs_four_levels(tmp_path):
     cfg = parse_config(small_config(eps_list=[1e-4, 1e-5, 1e-6]))
     with pytest.raises(ConfigError):
@@ -296,29 +317,29 @@ def test_smallset_outputs(tmp_path):
     cfg = parse_config(small_config())
     out = tmp_path / "out"
     manifest = cmd_smallset(cfg, str(out), eps=1e-8)
-    # cartan ceiling is loose at r <= 1, and the manifest says so
-    assert any("r_eps <= 1" in note for note in manifest["notes"])
+    assert "notes" not in manifest
     report = read_json(out, "smallset.json")
     assert report["eps"] == 1e-8
     assert report["interval_count"] == 0
     assert report["measure_estimate"] == 0.0
-    assert report["bound"] > 1.0
+    # at r_eps <= 1 the Cartan ceiling exceeds 1, past the trivial 2 r_eps
+    assert report["trivial_bound"] == 2.0 * report["r_eps"]
+    assert report["bound"] > 1.0 > report["trivial_bound"]
 
 
-def test_smallset_records_the_cartan_warning_instead_of_raising_it(
-        tmp_path, capsys):
+def test_smallset_reports_a_loose_ceiling_without_a_note(tmp_path, capsys):
     cfg_path = write_config(tmp_path, small_config())
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["smallset", "--config", cfg_path, "--out", str(out),
                      "--eps", "1e-6"]) == 0
+        report = read_json(out, "smallset.json")
+        assert report["r_eps"] < 1.0
+        assert commands.cartan_bound(1.0, report["r_eps"]) == report["bound"]
     assert capsys.readouterr().err == ""
-    notes = read_json(out, "manifest.json")["notes"]
-    assert notes == ["cartan_bound called with r_eps <= 1: the ceiling "
-                     "exceeds 1 and is loose at this radius"]
-    with pytest.warns(RuntimeWarning, match="r_eps <= 1"):
-        commands.cartan_bound(1.0, read_json(out, "smallset.json")["r_eps"])
+    assert "notes" not in read_json(out, "manifest.json")
+    assert report["bound"] > report["trivial_bound"] == 2.0 * report["r_eps"]
 
 
 def test_smallset_records_the_short_interval_warning(tmp_path, capsys,
@@ -342,9 +363,35 @@ def test_smallset_records_the_short_interval_warning(tmp_path, capsys,
     assert read_json(out, "smallset.json")["interval_count"] == 1
     assert read_json(out, "manifest.json")["notes"] == [
         "1 sub-threshold interval(s) shorter than 4x the scan resolution: "
-        "decrease resolution to rule out missed structure",
-        "cartan_bound called with r_eps <= 1: the ceiling exceeds 1 and is "
-        "loose at this radius"]
+        "decrease resolution to rule out missed structure"]
+
+
+SHIPPED = ("gaussian", "indicator", "two_sided_exp")
+CONTRACT = ("analyze-kernel", "deconvolve", "smallset", "zeros")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("command", CONTRACT)
+def test_shipped_configs_keep_the_command_contract(tmp_path, capsys, name,
+                                                   command):
+    # every command runs clean on every shipped config; zeros refuses the
+    # two kernels with unbounded support, and analyze-kernel notes that it
+    # skips their zero reports (sweep has its own test above)
+    compact = name == "indicator"
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(out)])
+    assert code == (2 if command == "zeros" and not compact else 0)
+    if code:
+        assert capsys.readouterr().err.count("\n") == 1
+        return
+    assert capsys.readouterr().err == ""
+    notes = read_json(out, "manifest.json").get("notes", [])
+    assert notes == ([] if compact or command != "analyze-kernel" else
+                     ["zero reports skipped: kernel support is not inside "
+                      "[0, 1]"])
 
 
 def _warning_first(fn, message):
@@ -557,6 +604,18 @@ def _subnormal_time_step(data, folder):
     data["grids"]["t_step"] = 1e-320
 
 
+def _empty_indicator(data, folder):
+    data["kernel"] = {"type": "indicator", "a": 1.0, "b": 1.0}
+
+
+def _zero_scale(data, folder):
+    data["kernel"] = {"type": "gaussian", "scale": 0.0}
+
+
+def _negative_rate(data, folder):
+    data["kernel"] = {"type": "two_sided_exp", "rate": -1.0}
+
+
 @pytest.mark.parametrize("edit,argv,operation", [
     (_off_lattice, ["deconvolve"], "build_kernel"),
     (_eps_above_mass, ["sweep"], "check_eps"),
@@ -570,6 +629,9 @@ def _subnormal_time_step(data, folder):
     (_subnormal_time_step, ["analyze-kernel"], "load_config"),
     (_past_the_alias_edge, ["deconvolve"], "run_single"),
     (_past_the_alias_edge, ["sweep"], "run_single"),
+    (_empty_indicator, ["zeros"], "build_kernel"),
+    (_zero_scale, ["smallset"], "build_kernel"),
+    (_negative_rate, ["sweep"], "build_kernel"),
 ])
 def test_cli_user_input_errors_exit_2(tmp_path, edit, argv, operation):
     data = small_config()

@@ -71,10 +71,12 @@ def test_valid_config_parses():
      "frequency grid no wider than the radius"),
 ])
 def test_bad_configs_are_rejected(mutate, reason):
+    # the kernel makers refuse a >= b and a nonpositive scale or rate, and
+    # build_kernel turns that into a ConfigError before any sample exists
     data = good_config()
     mutate(data)
     with pytest.raises(ConfigError):
-        parse_config(data)
+        build_kernel(parse_config(data))
 
 
 MALFORMED = (None, True, 0, -1, 0.5, 1.5, float("inf"), float("-inf"),

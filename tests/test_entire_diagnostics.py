@@ -84,10 +84,22 @@ def test_growth_preconditions(gaussian_kernel, indicator_kernel):
         ed.growth_profile(indicator_kernel, np.array([10.0, 5.0, 20.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_radii_are_refused(indicator_kernel, bad):
+    # a NaN slips past an ordering test, and an infinite circle has no
+    # count: both are refused before any transform is evaluated
+    with pytest.raises(ValidationError, match="finite"):
+        ed.zero_density(indicator_kernel, [10.0, bad])
+    with pytest.raises(ValidationError, match="finite"):
+        ed.zero_density(indicator_kernel, bad)
+    with pytest.raises(ValidationError, match="finite"):
+        ed.growth_profile(indicator_kernel, [10.0, 20.0, 30.0, bad])
+
+
 def test_zero_counts_on_the_lattice(indicator_kernel):
     # the sampled transform of chi_[0,1] vanishes exactly at 2 pi k
-    assert ed.count_zeros(indicator_kernel, 10.0) == 2
-    assert ed.count_zeros(indicator_kernel, 100.0) == 30
+    assert ed.zero_density(indicator_kernel, 10.0).counts.tolist() == [2]
+    assert ed.zero_density(indicator_kernel, 100.0).counts.tolist() == [30]
 
 
 # pi to 21 digits, enough to place the float radii below against 2 pi k
@@ -111,18 +123,11 @@ def test_a_contour_near_a_zero_is_counted_right_or_raises(indicator_kernel,
     # the circle passes 1e-9 from, or through, the zero pair at +/- 2 pi k i
     r = 2.0 * math.pi * k + offset
     try:
-        count = ed.count_zeros(indicator_kernel, r)
+        count = ed.zero_density(indicator_kernel, r).counts[0]
     except PhaseTrackingError:
         assert offset == 0.0  # 1e-9 clears the rounding bound by far
         return
     assert count == _lattice_count(indicator_kernel, r)
-
-
-def test_count_zeros_preconditions(indicator_kernel, gaussian_kernel):
-    with pytest.raises(ValidationError):
-        ed.count_zeros(indicator_kernel, 0.0)
-    with pytest.raises(ValidationError):
-        ed.count_zeros(gaussian_kernel, 10.0)
 
 
 def test_phase_tracking_failure_surfaces(indicator_kernel, monkeypatch):
@@ -130,7 +135,7 @@ def test_phase_tracking_failure_surfaces(indicator_kernel, monkeypatch):
     monkeypatch.setattr(ed, "_laplace_error", lambda signal, zs: np.full(
         np.shape(zs), 1e300))
     with pytest.raises(PhaseTrackingError):
-        ed.count_zeros(indicator_kernel, 10.0)
+        ed.zero_density(indicator_kernel, 10.0)
 
 
 def test_refinement_ends_on_a_vanishing_transform():
@@ -138,7 +143,7 @@ def test_refinement_ends_on_a_vanishing_transform():
     # are within rounding instead of refining forever
     zero = SampledSignal(0.0, 0.01, np.zeros(101))
     with pytest.raises(PhaseTrackingError):
-        ed.count_zeros(zero, 10.0)
+        ed.zero_density(zero, 10.0)
     with pytest.raises(PhaseTrackingError):
         ed.zero_density(zero, np.array([5.0, 10.0]))
 
@@ -159,9 +164,16 @@ def test_zero_density_of_shifted_indicator(chi38):
     assert abs(report.d_hat - 0.5) <= 0.15 * 0.5
 
 
-def test_zero_density_preconditions(indicator_kernel):
-    with pytest.raises(ValidationError):
-        ed.zero_density(indicator_kernel, np.array([10.0]))
+def test_zero_density_preconditions(indicator_kernel, gaussian_kernel):
+    # one radius is a table of one row
+    report = ed.zero_density(indicator_kernel, np.array([10.0]))
+    assert report.counts.tolist() == [2]
+    assert math.isclose(report.d_hat, math.pi * 0.2, rel_tol=1e-12)
+    for radii in (0.0, [], [20.0, 10.0], [[10.0, 20.0]]):
+        with pytest.raises(ValidationError):
+            ed.zero_density(indicator_kernel, radii)
+    with pytest.raises(ValidationError):  # off-grid mass
+        ed.zero_density(gaussian_kernel, 10.0)
 
 
 def test_zero_report_validation():
@@ -222,7 +234,7 @@ def test_mirrored_winding_matches_the_full_circle(indicator_kernel, chi38,
         want_winding, want_step = full_circle_winding(kernel, r, n)
         assert want_step <= math.pi / 4.0
         assert abs(want_winding - round(want_winding)) <= 1e-9
-        assert ed.count_zeros(kernel, r) == round(want_winding)
+        assert ed.zero_density(kernel, r).counts[0] == round(want_winding)
 
 
 @pytest.fixture
@@ -260,7 +272,7 @@ def test_a_complex_kernel_counts_on_the_full_circle(contour_points):
     zeros = trapezoid_laplace_zeros(kernel.spacing, kernel.values, 101.0)
     for r in radii:
         assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
-    counts = [ed.count_zeros(kernel, r) for r in radii]
+    counts = [ed.zero_density(kernel, r).counts[0] for r in radii]
     assert counts == [int(np.sum(np.abs(zeros) <= r)) for r in radii]
     points = np.concatenate(_sampled(contour_points, kernel))
     assert np.min(points.imag) < 0.0 and np.min(points.real) < 0.0
@@ -288,7 +300,8 @@ def test_a_real_kernel_sums_half_the_contour(indicator_kernel, step_kernel,
     assert (len(rounds), sum(zs.size for zs in rounds)) == (5, 893)
     contour_points.clear()
     # a zero pair 0.03 inside the circle is certified there too
-    assert ed.count_zeros(indicator_kernel, 2.0 * math.pi + 0.03) == 2
+    assert ed.zero_density(indicator_kernel,
+                           2.0 * math.pi + 0.03).counts.tolist() == [2]
 
 
 def test_an_asymmetric_real_kernel_counts_on_the_half_circle(step_kernel,
@@ -298,7 +311,7 @@ def test_an_asymmetric_real_kernel_counts_on_the_half_circle(step_kernel,
                                     101.0)
     for r in radii:
         assert np.min(np.abs(np.abs(zeros) - r)) >= 0.1
-    counts = [ed.count_zeros(step_kernel, r) for r in radii]
+    counts = [ed.zero_density(step_kernel, r).counts[0] for r in radii]
     assert counts == [int(np.sum(np.abs(zeros) <= r)) for r in radii]
     points = np.concatenate(_sampled(contour_points, step_kernel))
     assert np.min(points.imag) == 0.0 and np.min(points.real) < 0.0
@@ -310,12 +323,12 @@ def test_only_a_palindrome_takes_the_quarter(indicator_kernel,
     values = np.array(indicator_kernel.values.real)
     values[10] = 0.9  # one sample off the palindrome
     broken = SampledSignal(0.0, indicator_kernel.spacing, values)
-    assert ed.count_zeros(broken, 20.0) == 6
+    assert ed.zero_density(broken, 20.0).counts.tolist() == [6]
     points = np.concatenate(_sampled(contour_points, broken))
     assert np.min(points.imag) == 0.0 and np.min(points.real) == -20.0
     contour_points.clear()
-    assert ed.count_zeros(indicator_kernel, 20.01) == 6
-    assert ed.count_zeros(indicator_kernel, 20.0) == 6
+    assert ed.zero_density(indicator_kernel, 20.01).counts.tolist() == [6]
+    assert ed.zero_density(indicator_kernel, 20.0).counts.tolist() == [6]
     points = np.concatenate(_sampled(contour_points, indicator_kernel))
     assert np.min(points.imag) == 0.0 and np.min(points.real) == 0.0
     # the quadrant's ends lie exactly on the axes

@@ -518,8 +518,6 @@ def test_library_has_one_arbitrary_point_evaluator(path):
 # reached when any reached code loads `.name`; reaching a class's name
 # reaches its dunder methods.  Annotations are not calls and are skipped.
 UNREACHED_BY_DESIGN = {
-    "count_zeros": "the one-radius entry point the tests and README use; "
-                   "its docstring holds the proof `zero_density` relies on",
     "solve_dual_radius": "the radius of the p* form of the small-set "
                          "estimate; ROADMAP item 8 gives it a command",
 }

@@ -9,9 +9,8 @@ from scipy.special import lambertw
 from deconv.errors import ComputationError, NoRootError, ValidationError
 from deconv.grid_signal import SampledSignal, fourier_at
 from deconv.kernels import default_profile_grid
-from deconv.regularization import LOG_15E3, plan_radius
-from deconv.small_sets import (SmallSetReport, cartan_bound, measure_small_set,
-                               solve_dual_radius)
+from deconv.regularization import LOG_15E3, plan_radius, solve_dual_radius
+from deconv.small_sets import SmallSetReport, cartan_bound, measure_small_set
 from deconv.tail_profile import DualProfile, bisect, tail_mass_profile
 
 from _oracles import gauss_hat, indicator_hat
@@ -119,9 +118,7 @@ def test_small_set_at_the_working_threshold():
     report = measure_small_set(indicator_hat, threshold, r, r / 2e4)
     assert report.interval_count == 0
     assert report.measure_estimate == 0.0
-    with pytest.warns(RuntimeWarning):
-        bound = cartan_bound(1.0, r)
-    assert math.isclose(bound, 2.214436656507261, rel_tol=1e-12)
+    assert math.isclose(cartan_bound(1.0, r), 2.214436656507261, rel_tol=1e-12)
 
 
 def test_narrow_interval_warns():
@@ -159,9 +156,8 @@ def test_report_validation_and_serialization():
 
 def test_cartan_bound_values():
     assert math.isclose(cartan_bound(1.0, 4.0), 0.5, rel_tol=1e-12)
-    with pytest.warns(RuntimeWarning):
-        loose = cartan_bound(1.0, 0.25)
-    assert math.isclose(loose, 2.0, rel_tol=1e-12)
+    # at r <= 1 the ceiling exceeds 1, and here the trivial 2r = 0.5 too
+    assert math.isclose(cartan_bound(1.0, 0.25), 2.0, rel_tol=1e-12)
     with pytest.raises(ValidationError):
         cartan_bound(0.5, 4.0)
     with pytest.raises(ValidationError):
