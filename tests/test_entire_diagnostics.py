@@ -164,16 +164,23 @@ def test_zero_density_of_shifted_indicator(chi38):
     assert abs(report.d_hat - 0.5) <= 0.15 * 0.5
 
 
-def test_zero_density_preconditions(indicator_kernel, gaussian_kernel):
+def test_count_zeros_preconditions(indicator_kernel, gaussian_kernel):
+    # the refusals of a count at a single radius
+    for r in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            ed.zero_density(indicator_kernel, r)
+    with pytest.raises(ValidationError):  # off-grid mass
+        ed.zero_density(gaussian_kernel, 10.0)
+
+
+def test_zero_density_preconditions(indicator_kernel):
     # one radius is a table of one row
     report = ed.zero_density(indicator_kernel, np.array([10.0]))
     assert report.counts.tolist() == [2]
     assert math.isclose(report.d_hat, math.pi * 0.2, rel_tol=1e-12)
-    for radii in (0.0, [], [20.0, 10.0], [[10.0, 20.0]]):
+    for radii in ([], [20.0, 10.0], [[10.0, 20.0]]):
         with pytest.raises(ValidationError):
             ed.zero_density(indicator_kernel, radii)
-    with pytest.raises(ValidationError):  # off-grid mass
-        ed.zero_density(gaussian_kernel, 10.0)
 
 
 def test_zero_report_validation():
