@@ -241,8 +241,7 @@ def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
         instance = build_instance(config)
         eps = check_eps(config.eps_list[0] if eps is None else eps,
                         instance.profile.l1_total, config.beta)
-        result = run_single(instance, eps, seed=config.seed,
-                            noise_free=noise_free)
+        result = run_single(instance, eps, noise_free=noise_free)
         manifest.stage("compute")
 
         plan = _plan_dict(result.plan)
@@ -283,8 +282,9 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str) -> dict:
         sweep = run_sweep(instance, config.eps_list)
         manifest.stage("compute")
 
-        rows = [(r.eps, r.s_eps, r.delta, r.r_eps, r.achieved_error, r.bound,
-                 r.rate_ref, r.c3_row) for r in sweep.records]
+        rows = [(r.plan.eps, r.plan.s_eps, r.plan.delta, r.plan.r_eps,
+                 r.achieved_error, r.bound, r.plan.rate_ref, r.c3_row)
+                for r in sweep.records]
         write_csv(manifest.path("sweep_csv", "sweep.csv"), SWEEP_HEADER,
                   np.array(rows, dtype=np.float64).reshape(len(rows), 8).T)
         gates = {

@@ -7,6 +7,7 @@ eps_list) are rejected here, before any computation starts.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -15,8 +16,7 @@ from .errors import ConfigError, ValidationError
 from .grid_signal import _CHIRP_LIMIT, SampledSignal, read_signal_csv
 from .kernels import (default_profile_grid, make_gaussian, make_indicator,
                       make_two_sided_exp)
-from .regularization import GridSpec, SweepInstance
-from .tail_profile import tail_mass_profile
+from .tail_profile import TailProfile, tail_mass_profile
 
 # each kernel type's parameters and the maker that samples them at the time
 # step, refusing b <= a and scale or rate <= 0; a file kernel is read instead
@@ -30,6 +30,23 @@ _F0_PARAMS = {
     "synth_smooth": (),
     "file": ("path",),
 }
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """A run's grids: time [-t_extent, t_extent] at t_step; frequency
+    freq_step * (-h .. h), h = ceil(freq_extent_factor*R_eps/freq_step) <= 2^62."""
+
+    t_extent: float
+    t_step: float
+    freq_extent_factor: float
+    freq_step: float
+
+    def half_count(self, r_eps: float) -> int:
+        h = self.freq_extent_factor * r_eps / self.freq_step
+        return int(math.ceil(min(h, 2.0 ** 62)))  # an infinite h included
+
+
 _GRID_KEYS = tuple(f.name for f in fields(GridSpec))
 _TOP_KEYS = {"kernel", "f0", "eps_list", "beta", "q", "seed", "grids"}
 
@@ -156,15 +173,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def config_echo(config: ExperimentConfig) -> dict:
     """The validated configuration as plain JSON-ready data."""
-    return {
-        "kernel": dict(config.kernel),
-        "f0": dict(config.f0),
-        "eps_list": list(config.eps_list),
-        "beta": config.beta,
-        "q": config.q,
-        "seed": config.seed,
-        "grids": asdict(config.grids),
-    }
+    return {k: v for k, v in asdict(config).items() if k != "base_dir"}
 
 
 def check_eps(eps, l1_total: float, beta: float) -> float:
@@ -211,6 +220,23 @@ def build_kernel(config: ExperimentConfig) -> SampledSignal:
                           module="config", operation="build_kernel") from exc
 
 
+@dataclass(frozen=True)
+class SweepInstance:
+    """A fully specified synthetic experiment, minus the noise level."""
+
+    kernel: SampledSignal
+    profile: TailProfile
+    q: float
+    beta: float
+    grids: GridSpec
+    base_seed: int
+    f0_signal: SampledSignal = None  # optional measured unknown; else synthetic
+
+    def time_grid(self) -> tuple[float, float, int]:
+        g = self.grids
+        return -g.t_extent, g.t_step, 2 * int(round(g.t_extent / g.t_step)) + 1
+
+
 def build_instance(config: ExperimentConfig) -> SweepInstance:
     kernel = build_kernel(config)
     profile = tail_mass_profile(kernel, default_profile_grid(kernel))
@@ -219,12 +245,6 @@ def build_instance(config: ExperimentConfig) -> SweepInstance:
     if config.f0["type"] == "file":
         f0_signal = _read_signal_file(config, config.f0, "f0",
                                       "build_instance")
-    return SweepInstance(
-        kernel=kernel,
-        profile=profile,
-        q=config.q,
-        beta=config.beta,
-        grids=config.grids,
-        base_seed=config.seed,
-        f0_signal=f0_signal,
-    )
+    return SweepInstance(kernel=kernel, profile=profile, q=config.q,
+                         beta=config.beta, grids=config.grids,
+                         base_seed=config.seed, f0_signal=f0_signal)

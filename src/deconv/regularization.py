@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SweepInstance
 from .errors import (ComputationError, ConfigError, NoRootError,
                      SaturationError, ValidationError)
 from .grid_signal import (_CHIRP_LIMIT, SampledSignal, TransformSamples,
@@ -371,38 +372,6 @@ def smooth_spectrum(lambdas, q: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """A run's grids: time [-t_extent, t_extent] at t_step; frequency
-    freq_step * (-h .. h), h = ceil(freq_extent_factor*R_eps/freq_step) <= 2^62."""
-
-    t_extent: float
-    t_step: float
-    freq_extent_factor: float
-    freq_step: float
-
-    def half_count(self, r_eps: float) -> int:
-        h = self.freq_extent_factor * r_eps / self.freq_step
-        return int(math.ceil(min(h, 2.0 ** 62)))  # an infinite h included
-
-
-@dataclass(frozen=True)
-class SweepInstance:
-    """A fully specified synthetic experiment, minus the noise level."""
-
-    kernel: SampledSignal
-    profile: TailProfile
-    q: float
-    beta: float
-    grids: GridSpec
-    base_seed: int
-    f0_signal: SampledSignal = None  # optional measured unknown; else synthetic
-
-    def time_grid(self) -> tuple[float, float, int]:
-        g = self.grids
-        return -g.t_extent, g.t_step, 2 * int(round(g.t_extent / g.t_step)) + 1
-
-
-@dataclass(frozen=True)
 class RunResult:
     plan: RegularizationPlan
     f0_hat: TransformSamples
@@ -480,18 +449,19 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
 
 @dataclass(frozen=True)
 class SweepRecord:
-    eps: float
-    s_eps: float
-    delta: float
-    r_eps: float
+    """One sweep row: the run's plan, achieved error and certificate."""
+
+    plan: RegularizationPlan
     achieved_error: float
-    bound: float
-    rate_ref: float
-    holds: bool
+    decomposition: ErrorDecomposition
+
+    @property
+    def bound(self) -> float:
+        return math.sqrt(self.decomposition.total_bound)
 
     @property
     def c3_row(self) -> float:
-        return self.achieved_error / self.rate_ref
+        return self.achieved_error / self.plan.rate_ref
 
 
 @dataclass(frozen=True)
@@ -512,10 +482,7 @@ def _sweep_row(instance: SweepInstance, eps: float, seed: int):
         res = run_single(instance, eps, seed)
     except (ComputationError, ValidationError) as exc:
         return eps, str(exc)
-    return SweepRecord(eps, res.plan.s_eps, res.plan.delta, res.plan.r_eps,
-                       res.achieved_error,
-                       math.sqrt(res.decomposition.total_bound),
-                       res.plan.rate_ref, res.decomposition.holds)
+    return SweepRecord(res.plan, res.achieved_error, res.decomposition)
 
 
 def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
@@ -570,11 +537,11 @@ def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
     c3_rows = [r.c3_row for r in records]
     tail = c3_rows[len(c3_rows) // 2:]
     stability = max(tail) / min(tail) if min(tail) > 0.0 else math.inf
-    last = records[-1]
+    last = records[-1].plan
     logr = math.log(last.r_eps) / math.log(math.log(1.0 / last.eps))
     achieved = [r.achieved_error for r in records]
     inversions = sum(1 for a, b in zip(achieved, achieved[1:])
                      if b > a * (1.0 + 1e-12))
-    violations = sum(1 for r in records if not r.holds)
+    violations = sum(1 for r in records if not r.decomposition.holds)
     return SweepResult(tuple(records), tuple(failures), max(c3_rows),
                        stability, logr, inversions, violations, invalid)

@@ -379,9 +379,12 @@ def growth_check(kernel: SampledSignal, profile: TailProfile,
 
 @dataclass(frozen=True)
 class SuperlinearReport:
-    verdict: bool
     decade_ratio: float
     strictly_increasing: bool
+
+    @property
+    def verdict(self) -> bool:
+        return self.decade_ratio >= 2.0
 
 
 def detect_superlinear(profile: TailProfile) -> SuperlinearReport:
@@ -407,4 +410,4 @@ def detect_superlinear(profile: TailProfile) -> SuperlinearReport:
         ratio = float(r[2] / r[1])
     else:
         ratio = np.inf if r[2] > 0.0 else 0.0
-    return SuperlinearReport(bool(ratio >= 2.0), ratio, bool(r[0] < r[1] < r[2]))
+    return SuperlinearReport(ratio, bool(r[0] < r[1] < r[2]))

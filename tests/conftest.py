@@ -1,8 +1,8 @@
 import pytest
 
+from deconv.config import GridSpec, SweepInstance
 from deconv.kernels import (default_profile_grid, make_gaussian,
                             make_indicator, make_two_sided_exp)
-from deconv.regularization import GridSpec, SweepInstance
 from deconv.tail_profile import tail_mass_profile
 
 GAUSSIAN_SEED = 20240817

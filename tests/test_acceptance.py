@@ -113,21 +113,21 @@ def test_criterion_03_asymptotic_radius(indicator_sweep, indicator_instance):
     # anchor: bounded support keeps s_eps at 1, and each R_eps is the root
     ratios = []
     for rec in records:
-        assert math.isclose(rec.s_eps, 1.0, rel_tol=1e-12)
-        log_inv_eps = -math.log(rec.eps)
-        root = log_radius_root(log_inv_eps, beta, q, rec.s_eps, phi0_l1)
-        assert math.isclose(rec.r_eps, math.exp(root), rel_tol=1e-10)
-        ratios.append(math.log(rec.r_eps) / math.log(log_inv_eps))
+        assert math.isclose(rec.plan.s_eps, 1.0, rel_tol=1e-12)
+        log_inv_eps = -math.log(rec.plan.eps)
+        root = log_radius_root(log_inv_eps, beta, q, rec.plan.s_eps, phi0_l1)
+        assert math.isclose(rec.plan.r_eps, math.exp(root), rel_tol=1e-10)
+        ratios.append(math.log(rec.plan.r_eps) / math.log(log_inv_eps))
 
     # direction on the sweep: radius and ratio grow as eps falls, below 1
-    radii = [rec.r_eps for rec in records]
+    radii = [rec.plan.r_eps for rec in records]
     assert all(a < b for a, b in zip(radii, radii[1:]))
     assert all(a < b < 1.0 for a, b in zip(ratios, ratios[1:]))
     assert math.isclose(indicator_sweep.logr_over_loglog, ratios[-1],
                         rel_tol=1e-12)
 
     # the limit: the ratio rises strictly toward 1 along log(1/eps) = 10^k
-    s_eps = records[-1].s_eps
+    s_eps = records[-1].plan.s_eps
     limit = {k: log_radius_root(10.0 ** k, beta, q, s_eps, phi0_l1)
              / math.log(10.0 ** k) for k in range(1, 121)}
     assert all(limit[k] < limit[k + 1] < 1.0 for k in range(1, 120))

@@ -22,7 +22,7 @@ from deconv.cli import main
 from deconv.commands import (GROWTH_CHECK_S, SWEEP_HEADER,
                              cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
                              cmd_sweep, cmd_zeros)
-from deconv.config import load_config, parse_config
+from deconv.config import build_instance, load_config, parse_config
 from deconv.errors import AcceptanceGateError, ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -233,6 +233,27 @@ def test_shipped_sweeps_fail_only_the_asymptotic_radius_gate(tmp_path, name):
     summary = read_json(tmp_path, "summary.json")
     assert summary["bound_violations"] == 0
     assert summary["failures"] == []
+
+
+def test_sweep_csv_columns_equal_single_runs(tmp_path):
+    # each column read back, bit for bit, against the run at its row's eps
+    # and seed: a column written from the wrong field fails here
+    config = load_config(str(CONFIGS / "indicator.json"))
+    with pytest.raises(AcceptanceGateError):
+        cmd_sweep(config, str(tmp_path))
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert len(lines) == 1 + len(config.eps_list)
+    instance = build_instance(config)
+    for idx, (eps, line) in enumerate(zip(config.eps_list, lines[1:])):
+        res = regularization.run_single(instance, eps,
+                                        seed=instance.base_seed + idx)
+        plan, rate_ref = res.plan, res.plan.rate_ref
+        want = (eps, plan.s_eps, plan.delta, plan.r_eps, res.achieved_error,
+                math.sqrt(res.decomposition.total_bound), rate_ref,
+                res.achieved_error / rate_ref)
+        assert ([float(x).hex() for x in line.split(",")]
+                == [w.hex() for w in want]), eps
 
 
 def _shrink_terms(monkeypatch, factor, eps=None):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from deconv import grid_signal
-from deconv.config import build_instance, load_config
+from deconv.config import GridSpec, SweepInstance, build_instance, load_config
 from deconv.errors import (ComputationError, ConfigError, NoRootError,
                            SaturationError, ValidationError)
 from deconv.grid_signal import SampledSignal, TransformSamples, _symmetric_grid
@@ -20,8 +20,7 @@ from deconv.kernels import default_profile_grid
 import deconv.commands as commands
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
-                                   GridSpec, RegularizationPlan, SweepInstance,
-                                   SweepRecord,
+                                   RegularizationPlan, SweepRecord,
                                    deconvolve, error_decomposition,
                                    plan_radius, run_single, run_sweep,
                                    smooth_spectrum, solve_frequency_radius,
@@ -255,8 +254,8 @@ def test_run_sweep_on_two_levels(small_instance):
     assert result.failures == ()
     assert not result.invalid
     assert result.bound_violations == 0
-    assert result.records[0].eps == 1e-5
-    assert result.records[1].r_eps > result.records[0].r_eps
+    assert result.records[0].plan.eps == 1e-5
+    assert result.records[1].plan.r_eps > result.records[0].plan.r_eps
     assert math.isfinite(result.c3_fit) and result.c3_fit > 0.0
 
 
@@ -321,7 +320,7 @@ def test_each_sweep_row_transforms_the_kernel_once(request, monkeypatch, name,
         # per row: the radius, then the kernel on that row's grid
         rows = {eps: [("radius", eps),
                       ("kernel", (instance.grids.freq_step,
-                                  instance.grids.half_count(row.r_eps)))]
+                                  instance.grids.half_count(row.plan.r_eps)))]
                 for eps, row in zip(eps_list, result.records, strict=True)}
         if count == 1:
             # one thread takes every row, last first
@@ -363,13 +362,10 @@ def test_sweep_rows_equal_single_runs(request, monkeypatch, name, eps_list):
                                          strict=True)):
         f_eps = solutions[eps]
         single = run_single(instance, eps, seed=instance.base_seed + idx)
-        want = SweepRecord(eps, single.plan.s_eps, single.plan.delta,
-                           single.plan.r_eps, single.achieved_error,
-                           math.sqrt(single.decomposition.total_bound),
-                           single.plan.rate_ref, single.decomposition.holds)
+        want = SweepRecord(single.plan, single.achieved_error,
+                           single.decomposition)
         # bit for bit, field by field
-        assert ([float(x).hex() for x in dataclasses.astuple(row)]
-                == [float(x).hex() for x in dataclasses.astuple(want)])
+        assert hexed(row) == hexed(want)
         assert f_eps.values.tobytes() == single.f_eps.values.tobytes()
 
 
@@ -456,7 +452,7 @@ def test_a_failed_helper_row_lands_at_its_eps(monkeypatch, small_instance):
     assert failed[0] == eps_list[0] and eps_list[-1] not in failed
     assert result.failures == tuple((eps, f"injected at {eps!r}")
                                     for eps in eps_list if eps in failed)
-    assert [r.eps for r in result.records] == [e for e in eps_list
+    assert [r.plan.eps for r in result.records] == [e for e in eps_list
                                                if e not in failed]
 
 
