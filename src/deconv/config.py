@@ -245,6 +245,12 @@ def build_instance(config: ExperimentConfig) -> SweepInstance:
     if config.f0["type"] == "file":
         f0_signal = _read_signal_file(config, config.f0, "f0",
                                       "build_instance")
-    return SweepInstance(kernel=kernel, profile=profile, q=config.q,
-                         beta=config.beta, grids=config.grids,
-                         base_seed=config.seed, f0_signal=f0_signal)
+    return SweepInstance(
+        kernel=kernel,
+        profile=profile,
+        q=config.q,
+        beta=config.beta,
+        grids=config.grids,
+        base_seed=config.seed,
+        f0_signal=f0_signal,
+    )

@@ -34,11 +34,6 @@ def supported_in_unit_interval(kernel: SampledSignal) -> bool:
                 and support[-1] <= 1.0 + 1e-9)
 
 
-def _palindromic(kernel: SampledSignal) -> bool:
-    """phi(t) = phi(2c - t), c the grid's centre: Phi(-z) = e^{-2cz} Phi(z)."""
-    return bool(np.array_equal(kernel.values, kernel.values[::-1]))
-
-
 def _radii(radii, least: int, operation: str) -> np.ndarray:
     """radii as a float array: at least `least` finite, increasing positives."""
     r = np.atleast_1d(np.asarray(radii, dtype=np.float64))
@@ -86,14 +81,11 @@ def growth_profile(kernel: SampledSignal, radii) -> GrowthEstimate:
                               module="entire_diagnostics", operation="growth_profile")
     r = _radii(radii, 3, "growth_profile")
 
-    zs = r if _palindromic(kernel) else np.concatenate([r, -r])
-    log_scale, reduced = laplace_parts(kernel, zs + 0j)
+    log_scale, reduced = laplace_parts(kernel, np.concatenate([r, -r]) + 0j)
     with np.errstate(divide="ignore"):  # -inf where the reduced sum is 0
         log_abs = log_scale + np.log(np.abs(reduced))
     ratio_pos = log_abs[:r.size] / r
-    # a palindrome's log |Phi(-R)| is log |Phi(R)| - 2cR, 2c = t_min + t_max
-    ratio_neg = (log_abs[r.size:] if zs.size > r.size
-                 else log_abs - (kernel.t_min + kernel.t_max) * r) / r
+    ratio_neg = log_abs[r.size:] / r
     tail = slice(2 * r.size // 3, r.size)
 
     def tail_max(ratios, which):
@@ -132,7 +124,7 @@ def _certified_counts(kernel: SampledSignal, radii: np.ndarray) -> np.ndarray:
                               "not entire-evaluable from these samples",
                               module="entire_diagnostics", operation="zero_density")
     real = kernel.is_real()
-    quarter = real and _palindromic(kernel)
+    quarter = real and np.array_equal(kernel.values, kernel.values[::-1])
     laps = 4 if quarter else 2 if real else 1
     c = 0.5 * (kernel.t_min + kernel.t_max)
     t = kernel.grid()

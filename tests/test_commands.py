@@ -22,7 +22,7 @@ from deconv.cli import main
 from deconv.commands import (GROWTH_CHECK_S, SWEEP_HEADER,
                              cmd_analyze_kernel, cmd_deconvolve, cmd_smallset,
                              cmd_sweep, cmd_zeros)
-from deconv.config import build_instance, load_config, parse_config
+from deconv.config import load_config, parse_config
 from deconv.errors import AcceptanceGateError, ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -224,36 +224,36 @@ def test_sweep_writes_everything_then_gates(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["gaussian", "indicator", "two_sided_exp"])
-def test_shipped_sweeps_fail_only_the_asymptotic_radius_gate(tmp_path, name):
+def test_shipped_sweeps_fail_only_the_asymptotic_radius_gate(tmp_path,
+                                                             monkeypatch,
+                                                             name):
     # the documented contract: every row computes, every certificate holds,
     # and only the gate no representable eps can pass fails
+    sweeps = []
+
+    def keeping(*args):
+        sweeps.append(regularization.run_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(commands, "run_sweep", keeping)
     with pytest.raises(AcceptanceGateError) as info:
         cmd_sweep(load_config(str(CONFIGS / f"{name}.json")), str(tmp_path))
     assert str(info.value) == "sweep gates failed: asymptotic_radius_ok"
     summary = read_json(tmp_path, "summary.json")
     assert summary["bound_violations"] == 0
     assert summary["failures"] == []
-
-
-def test_sweep_csv_columns_equal_single_runs(tmp_path):
-    # each column read back, bit for bit, against the run at its row's eps
-    # and seed: a column written from the wrong field fails here
-    config = load_config(str(CONFIGS / "indicator.json"))
-    with pytest.raises(AcceptanceGateError):
-        cmd_sweep(config, str(tmp_path))
+    # each CSV column read back, bit for bit, against the field it reports
+    # (the records equal run_single per row, test_sweep_rows_equal_single_runs)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
-    assert len(lines) == 1 + len(config.eps_list)
-    instance = build_instance(config)
-    for idx, (eps, line) in enumerate(zip(config.eps_list, lines[1:])):
-        res = regularization.run_single(instance, eps,
-                                        seed=instance.base_seed + idx)
-        plan, rate_ref = res.plan, res.plan.rate_ref
-        want = (eps, plan.s_eps, plan.delta, plan.r_eps, res.achieved_error,
-                math.sqrt(res.decomposition.total_bound), rate_ref,
-                res.achieved_error / rate_ref)
+    (sweep,) = sweeps
+    assert len(lines) == 1 + len(sweep.records)
+    for r, line in zip(sweep.records, lines[1:]):
+        want = (r.plan.eps, r.plan.s_eps, r.plan.delta, r.plan.r_eps,
+                r.achieved_error, math.sqrt(r.decomposition.total_bound),
+                r.plan.rate_ref, r.achieved_error / r.plan.rate_ref)
         assert ([float(x).hex() for x in line.split(",")]
-                == [w.hex() for w in want]), eps
+                == [w.hex() for w in want]), r.plan.eps
 
 
 def _shrink_terms(monkeypatch, factor, eps=None):

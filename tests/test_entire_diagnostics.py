@@ -62,6 +62,17 @@ def test_growth_of_shifted_indicator(chi38):
     assert math.isclose(est.mu_hat, 0.314298, abs_tol=1e-4)
 
 
+def test_growth_of_a_skewed_step():
+    # 1 on [0.2, 0.5), 0.5 on [0.5, 0.9]: no symmetry ties the two axes, and
+    # each estimate sits inside its support edge by the log R / R correction
+    i = np.arange(201)
+    values = np.where((i >= 40) & (i < 100), 1.0,
+                      np.where((i >= 100) & (i <= 180), 0.5, 0.0))
+    est = ed.growth_profile(SampledSignal(0.0, 0.005, values), GROWTH_RADII)
+    assert 0.87 <= est.sigma_hat < 0.9
+    assert 0.2 < est.mu_hat <= 0.23
+
+
 def test_growth_never_exceeds_the_support_bound(indicator_kernel):
     # |Phi(R)| <= e^{sigma R} l1 pointwise; quadrature slack is (R h)^2 / 12
     est = ed.growth_profile(indicator_kernel, GROWTH_RADII)
