@@ -28,11 +28,11 @@ from .entire_diagnostics import (growth_profile, supported_in_unit_interval,
 from .errors import (AcceptanceGateError, ComputationError, ConfigError,
                      ValidationError)
 from .fileio import atomic_write_text, write_csv
-from .grid_signal import fourier_at, write_signal_csv
+from .grid_signal import _transform_floor, fourier_at, write_signal_csv
 from .kernels import default_profile_grid
 from .regularization import (ErrorDecomposition, RegularizationPlan,
                              plan_radius, run_single, run_sweep)
-from .small_sets import cartan_bound, measure_small_set
+from .small_sets import SmallSetReport, cartan_bound, measure_small_set
 from .tail_profile import (detect_superlinear, growth_check, tail_mass_profile,
                            young_dual)
 
@@ -324,14 +324,18 @@ def cmd_smallset(config: ExperimentConfig, out_dir: str,
         eps = check_eps(config.eps_list[0] if eps is None else eps,
                         profile.l1_total, config.beta)
         _, r_eps = plan_radius(eps, config.beta, config.q, profile)
-        report = measure_small_set(lambda lam: fourier_at(kernel, lam),
-                                   eps ** config.beta, r_eps, r_eps / 2e4)
+        threshold = eps ** config.beta
+        floor = _transform_floor(kernel, r_eps)  # above threshold: B is empty
+        report = (SmallSetReport(threshold, r_eps, 0.0, 0, ())
+                  if floor > threshold else
+                  measure_small_set(lambda lam: fourier_at(kernel, lam),
+                                    threshold, r_eps, r_eps / 2e4))
         bound = cartan_bound(config.q, r_eps)
         manifest.stage("compute")
 
         _write_json(manifest.path("smallset_json", "smallset.json"),
                     dict(report.as_dict(), eps=eps, bound=bound,
-                         trivial_bound=2.0 * r_eps))
+                         trivial_bound=2.0 * r_eps, floor=floor))
         manifest.stage("write")
         return manifest.write()
 

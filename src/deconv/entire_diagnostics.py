@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, PhaseTrackingError, ValidationError
-from .grid_signal import SampledSignal, _laplace_error, laplace_parts
+from .grid_signal import (SampledSignal, _laplace_error, _slope_signal,
+                          laplace_parts)
 
 
 def supported_in_unit_interval(kernel: SampledSignal) -> bool:
@@ -127,10 +128,7 @@ def _certified_counts(kernel: SampledSignal, radii: np.ndarray) -> np.ndarray:
     quarter = real and np.array_equal(kernel.values, kernel.values[::-1])
     laps = 4 if quarter else 2 if real else 1
     c = 0.5 * (kernel.t_min + kernel.t_max)
-    t = kernel.grid()
-    # |t - c| raised past its own rounding, so that S stays an upper bound
-    arm = np.abs(t - c) + 2.0 ** -50 * np.max(np.abs(t))
-    slope = SampledSignal(kernel.t_min, kernel.spacing, np.abs(kernel.values) * arm)
+    slope = _slope_signal(kernel)
     with np.errstate(divide="ignore"):  # log 0 = -inf: a sample on a zero
         def sample(rid, q):  # q counts quadrants; z is exact on the axes
             turns = np.floor(q)

@@ -414,6 +414,29 @@ def _laplace_error(signal: SampledSignal, zs) -> np.ndarray:
             * l1_norm(signal))
 
 
+def _slope_signal(signal: SampledSignal) -> SampledSignal:
+    """|f_j| |t_j - c|, c the grid's centre.  Its laplace_parts sum S at
+    z = x plus the rounding bound of S, times e^{-cx}, bounds
+    |d/dz e^{-cz} F(z)| on Re z = x, F the transform of the signal."""
+    t = signal.grid()
+    c = 0.5 * (signal.t_min + signal.t_max)
+    # |t - c| raised past its own rounding, so that S stays an upper bound
+    arm = np.abs(t - c) + 2.0 ** -50 * np.max(np.abs(t))
+    return SampledSignal(signal.t_min, signal.spacing,
+                         np.abs(signal.values) * arm)
+
+
+def _transform_floor(signal: SampledSignal, r: float) -> float:
+    """A lower bound on |F| over [-r, r], F the exact trapezoid transform:
+    |F(lambda)| >= |F(0)| - |lambda| S, S the `_slope_signal` bound at
+    x = 0.  F(0) and S carry their rounding bounds, which exceed the
+    rounding of the few operations here 2^9-fold."""
+    slope = _slope_signal(signal)
+    at_zero = abs(complex(laplace_parts(signal, 0j)[1]))
+    s = laplace_parts(slope, 0j)[1].real + _laplace_error(slope, 0.0)
+    return at_zero - float(_laplace_error(signal, 0.0)) - r * float(s)
+
+
 def write_signal_csv(path: str, signal: SampledSignal) -> None:
     v = signal.values
     write_csv(path, "t,re,im", (signal.grid(), v.real, v.imag))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .grid_signal import _CHIRP_LIMIT
 from .tail_profile import bisect
 
 
@@ -99,8 +100,10 @@ def measure_small_set(phi_hat_fn, threshold: float, r: float,
     if not (r > 0.0):
         raise ValidationError("r must be positive",
                               module="small_sets", operation="measure_small_set")
-    if not (resolution <= r / 1e4):
-        raise ValidationError("resolution must be at most r/1e4",
+    if not (0.0 < resolution <= r / 1e4
+            and 2.0 * r / resolution <= _CHIRP_LIMIT - 2):
+        raise ValidationError("resolution must be positive, at most r/1e4 "
+                              "and give fewer than 2^26 scan points",
                               module="small_sets", operation="measure_small_set")
     count = int(math.ceil(2.0 * r / resolution))
     lam = np.linspace(-r, r, count + 1)

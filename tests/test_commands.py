@@ -366,7 +366,9 @@ def test_smallset_reports_a_loose_ceiling_without_a_note(tmp_path, capsys):
 def test_smallset_records_the_short_interval_warning(tmp_path, capsys,
                                                      monkeypatch):
     # r_eps is 0.168 here, so the scan step is 8.4e-6; a notch 2.4e-5 wide
-    # at 0.1 is one sub-threshold interval shorter than four steps
+    # at 0.1 is one sub-threshold interval shorter than four steps.  The
+    # indicator's floor proves its set empty, so the stub floor lets the
+    # notched transform reach the scan
     real = commands.fourier_at
 
     def notched(kernel, lam):
@@ -374,6 +376,7 @@ def test_smallset_records_the_short_interval_warning(tmp_path, capsys,
         return np.where(np.abs(lam - 0.1) < 1.2e-5, 0.0, real(kernel, lam))
 
     monkeypatch.setattr(commands, "fourier_at", notched)
+    monkeypatch.setattr(commands, "_transform_floor", lambda kernel, r: 0.0)
     cfg_path = write_config(tmp_path, small_config())
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -389,6 +392,24 @@ def test_smallset_records_the_short_interval_warning(tmp_path, capsys,
 
 SHIPPED = ("gaussian", "indicator", "two_sided_exp")
 CONTRACT = ("analyze-kernel", "deconvolve", "smallset", "zeros")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_small_sets_are_proved_empty(tmp_path, name):
+    # at every eps of every shipped config the floor clears the threshold,
+    # and the file says what the scan it skipped would have found
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    kernel = commands.build_kernel(cfg)
+    for i, eps in enumerate(cfg.eps_list):
+        out = tmp_path / str(i)
+        cmd_smallset(cfg, str(out), eps=eps)
+        report = read_json(out, "smallset.json")
+        assert report["floor"] > report["threshold"]
+        r = report["r_eps"]
+        scanned = commands.measure_small_set(
+            lambda lam: commands.fourier_at(kernel, lam), eps ** cfg.beta, r,
+            r / 2e4).as_dict()
+        assert {k: report[k] for k in scanned} == scanned
 
 
 @pytest.mark.parametrize("name", SHIPPED)

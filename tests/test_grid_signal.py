@@ -579,6 +579,33 @@ def test_laplace_stays_finite_at_large_radius(step):
     assert np.all(np.isfinite(log_abs))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["steps", "gaussians"]),
+       parts=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 1.0),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=4),
+       r=st.sampled_from([0.01, 0.1, 0.5, 2.0, 8.0]))
+def test_transform_floor_is_below_the_transform(kind, parts, r):
+    # compact kernels of 1-4 signed steps on [0, 1], and sums of 1-3
+    # gaussians with positive weights, scales 0.3-2 and centres in [-3, 3],
+    # whose floor clears 0 at the smaller radii
+    if kind == "steps":
+        t = 0.01 * np.arange(101)
+        values = sum(height * ((t >= min(a, b)) & (t <= max(a, b)))
+                     for height, a, b in parts)
+        signal = SampledSignal(0.0, 0.01, values)
+    else:
+        t = -10.0 + 0.05 * np.arange(401)
+        values = sum((0.2 + abs(weight)) * np.exp(-((t - 6.0 * a + 3.0)
+                                                    / (0.3 + 1.7 * b)) ** 2)
+                     for weight, a, b in parts[:3])
+        signal = SampledSignal(-10.0, 0.05, values)
+    w = trapezoid_weights(signal.size, signal.spacing) * signal.values
+    lam = np.linspace(-r, r, 1001)
+    least = np.min(np.abs(direct_sums(lam, -1.0, signal.t_min,
+                                      signal.spacing, w)))
+    assert grid_signal._transform_floor(signal, r) <= least
+
+
 def test_signal_csv_roundtrips_exactly(tmp_path, indicator_kernel):
     path = str(tmp_path / "sig.csv")
     write_signal_csv(path, indicator_kernel)

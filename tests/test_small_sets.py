@@ -1,13 +1,15 @@
 """Sub-threshold set measurement and the dual radius."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import lambertw
 
+from deconv.cli import main
 from deconv.errors import ComputationError, NoRootError, ValidationError
-from deconv.grid_signal import SampledSignal, fourier_at
+from deconv.grid_signal import SampledSignal, fourier_at, write_signal_csv
 from deconv.kernels import default_profile_grid
 from deconv.regularization import LOG_15E3, plan_radius, solve_dual_radius
 from deconv.small_sets import SmallSetReport, cartan_bound, measure_small_set
@@ -90,6 +92,31 @@ def test_a_zero_mean_kernel_has_a_small_set(gaussian_kernel, eps, thr, r,
         assert round(report.measure_estimate, 4) == want
 
 
+def test_smallset_scans_a_zero_mean_file_kernel(gaussian_kernel, tmp_path):
+    # the same kernel read from a file: its floor proves nothing, so
+    # `deconv smallset` runs the scan, and the scan finds the closed form
+    t = gaussian_kernel.grid()
+    write_signal_csv(str(tmp_path / "kernel.csv"),
+                     SampledSignal(gaussian_kernel.t_min,
+                                   gaussian_kernel.spacing, t * np.exp(-t * t)))
+    config = {"kernel": {"type": "file", "path": "kernel.csv"},
+              "f0": {"type": "synth_smooth"},
+              "eps_list": [1e-6, 1e-7, 1e-8, 1e-9], "beta": 0.2, "q": 1.0,
+              "seed": 7, "grids": {"t_extent": 30.0, "t_step": 0.005,
+                                   "freq_extent_factor": 800.0,
+                                   "freq_step": 0.004}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["smallset", "--config", str(tmp_path / "config.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "smallset.json").read_text())
+    assert report["floor"] <= 0.0
+    count, measure = _derivative_small_set(report["threshold"],
+                                           report["r_eps"])
+    assert report["interval_count"] == count
+    assert math.isclose(report["measure_estimate"], measure, rel_tol=1e-6)
+
+
 def test_small_set_nests_with_threshold():
     loose = measure_small_set(indicator_hat, 0.02, 100.0, 0.005)
     tight = measure_small_set(indicator_hat, 0.005, 100.0, 0.005)
@@ -140,6 +167,12 @@ def test_measure_preconditions():
         measure_small_set(gauss_hat, 0.01, 4.0, 0.01)  # coarser than r/1e4
     with pytest.raises(ValidationError):  # not vectorized: one value back
         measure_small_set(lambda lam: 1.0, 0.01, 4.0, 2e-4)
+    # refused before the scan grid exists: no step, a negative step, an
+    # infinite radius, and 8e300 scan points
+    for r, resolution in ((4.0, 0.0), (4.0, -1e-5), (math.inf, 2e-4),
+                          (4.0, 1e-300)):
+        with pytest.raises(ValidationError):
+            measure_small_set(gauss_hat, 0.01, r, resolution)
 
 
 def test_report_validation_and_serialization():
