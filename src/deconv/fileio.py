@@ -171,9 +171,11 @@ _HEAD = np.frombuffer(b"-0.0000.", dtype=np.uint64)[0]
 
 def _format_rows(columns, out: bytearray) -> None:
     """Append to `out` one CSV line per row of the equal-length 1-D
-    `columns`, formatted `_BLOCK_FIELDS // len(columns)` rows at a time.
+    `columns`, formatting `_BLOCK_FIELDS` varying fields at a time.
 
-    Each field of a block is laid out in one row of `_WIDTH` bytes:
+    A column whose values all share one bit pattern is printed once, by
+    `%`.  Each field of the other columns is laid out in one row of
+    `_WIDTH` bytes:
 
         col 0       '-'
         cols 1-5    '0.000'          (fixed notation below 1)
@@ -183,24 +185,53 @@ def _format_rows(columns, out: bytearray) -> None:
 
     and a byte mask from `_KEEP` zeroes what `'%.17g'` does not print (the
     `%` fallback pads with NULs); no printed byte is NUL, so deleting NULs
-    lays out every field at once.
+    lays out every field at once.  With constant columns, a block's lines
+    are copied from its field rows into lines that hold the constants'
+    bytes already.
     """
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
         raise ValueError("CSV columns must be 1-D and of one length")
-    rows, width = cols[0].size, len(cols)
-    per_block = max(1, _BLOCK_FIELDS // width)
+    rows, seps = cols[0].size, [","] * (len(cols) - 1) + ["\n"]
+    texts = [("%.17g" % c[0] + sep).encode() if rows and _constant(c)
+             else None for c, sep in zip(cols, seps)]
+    varying = [j for j, text in enumerate(texts) if text is None]
+    per_block = max(1, _BLOCK_FIELDS // max(1, len(varying)))
     block_rows = min(rows, per_block)
-    buf = np.zeros((block_rows * width, _WIDTH), dtype=np.uint8)
-    buf[:, 44] = np.tile(np.frombuffer(b"," * (width - 1) + b"\n",
-                                       dtype=np.uint8), block_rows)
+    buf = np.zeros((block_rows * len(varying), _WIDTH), dtype=np.uint8)
+    buf[:, 44] = np.tile(np.frombuffer("".join(seps[j] for j in varying)
+                                       .encode(), dtype=np.uint8), block_rows)
+    line = None  # with constants, a line is its fields and their bytes
+    if len(varying) < len(cols):
+        slots = np.cumsum([0] + [_WIDTH if text is None else len(text)
+                                 for text in texts])
+        line = np.zeros((block_rows, slots[-1]), dtype=np.uint8)
+        for j, text in enumerate(texts):
+            if text is not None:
+                line[:, slots[j]:slots[j + 1]] = np.frombuffer(
+                    text, dtype=np.uint8)
     for lo in range(0, rows, per_block):
-        v = np.stack([c[lo:lo + per_block] for c in cols], axis=1).ravel()
-        out.extend(_format_fields(v, buf[:v.size]))
+        n = min(per_block, rows - lo)
+        v = (np.stack([cols[j][lo:lo + n] for j in varying], axis=1).ravel()
+             if varying else np.zeros(0))
+        block = buf[:v.size]
+        _format_fields(v, block)
+        if line is not None:
+            for i, j in enumerate(varying):
+                line[:n, slots[j]:slots[j + 1]] = block[i::len(varying)]
+            block = line[:n]
+        out.extend(block.tobytes().translate(None, b"\0"))
+
+
+def _constant(c) -> bool:
+    """Whether every value of the nonempty c has the bits of c[0]; the
+    last value is tried first."""
+    bits = c.view(np.int64)
+    return bool(bits[-1] == bits[0] and np.all(bits == bits[0]))
 
 
 def _format_fields(v, buf):
-    """The bytes of v's fields, each followed by its separator."""
+    """Lay out v's fields in the rows of buf, whose separators are set."""
     k, n, exact = _digits(v)
     high = n // 100000000
     low = n - high * 100000000
@@ -225,4 +256,3 @@ def _format_fields(v, buf):
         buf[slow, :44] = 0
         buf[slow, :24] = np.frombuffer(text.replace(" ", "\0").encode(),
                                        dtype=np.uint8).reshape(-1, 24)
-    return buf.tobytes().translate(None, b"\0")

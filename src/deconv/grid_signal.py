@@ -1,9 +1,10 @@
 """Uniform-grid signals and their integral transforms.
 
-A signal is a complex-valued function sampled on a uniform time grid.  All
-integrals (norms, Fourier and two-sided Laplace transforms) are composite
-trapezoid sums over that grid, so every quantity in the package is an honest
-function of the samples and nothing else.
+A signal is a real or complex function sampled on a uniform time grid;
+real samples are stored as float64 and only complex ones as complex128.
+All integrals (norms, Fourier and two-sided Laplace transforms) are
+composite trapezoid sums over that grid, so every quantity in the package
+is an honest function of the samples and nothing else.
 
 The frequency grids are not tied to the time grid (different spacing,
 different extent), so a plain FFT does not apply.  When the evaluation
@@ -47,15 +48,16 @@ _Fresh = collections.namedtuple("_Fresh", "array")
 
 
 def _keep(record) -> np.ndarray:
-    """Check record.spacing; store record.values as a read-only complex
-    array and return it."""
+    """Check record.spacing; store record.values as a read-only array,
+    complex128 if it is complex and float64 otherwise, and return it."""
     if not (record.spacing > 0.0 and np.isfinite(record.spacing)):
         raise ValidationError("spacing must be positive and finite",
                               module="grid_signal",
                               operation=type(record).__name__)
     fresh = isinstance(record.values, _Fresh)
-    vals = np.asarray(record.values.array if fresh else record.values,
-                      dtype=np.complex128)
+    vals = np.asarray(record.values.array if fresh else record.values)
+    vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64,
+                       copy=False)
     vals = vals if fresh and vals.flags.owndata else vals.copy()
     vals.setflags(write=False)
     object.__setattr__(record, "values", vals)
@@ -87,7 +89,7 @@ class SampledSignal:
             raise ValidationError(
                 "truncation_tail must be a finite nonnegative number",
                 module="grid_signal", operation="SampledSignal")
-        if not (np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))):
+        if not np.all(np.isfinite(vals)):
             raise ValidationError(
                 "signal samples must be finite",
                 module="grid_signal", operation="SampledSignal")
@@ -104,7 +106,9 @@ class SampledSignal:
         return self.t_min + self.spacing * np.arange(self.values.size)
 
     def is_real(self) -> bool:
-        return bool(np.all(self.values.imag == 0.0))
+        """Stored as float64, or complex with every imaginary part zero."""
+        return (self.values.dtype == np.float64
+                or bool(np.all(self.values.imag == 0.0)))
 
 
 @dataclass(frozen=True)
@@ -147,10 +151,16 @@ def l1_norm(signal: SampledSignal) -> float:
     return float(np.sum(w * np.abs(signal.values)))
 
 
+def _squared_modulus(values: np.ndarray) -> np.ndarray:
+    """|values|^2, from both parts only where values are complex."""
+    if np.iscomplexobj(values):
+        return values.real ** 2 + values.imag ** 2
+    return values ** 2
+
+
 def l2_norm(signal: SampledSignal) -> float:
     w = trapezoid_weights(signal.size, signal.spacing)
-    mag2 = signal.values.real ** 2 + signal.values.imag ** 2
-    return float(np.sqrt(np.sum(w * mag2)))
+    return float(np.sqrt(np.sum(w * _squared_modulus(signal.values))))
 
 
 def _progression(points: np.ndarray):
@@ -336,7 +346,7 @@ def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
     if real:
         weighted = trapezoid_weights(mid + 1, h) * transform.values[mid:]
         half = _chirp_sums(t_min, spacing, count, +1.0, 0.0, h, weighted)
-        vals = (2.0 * half.real) / (2.0 * np.pi) + 0j
+        vals = (2.0 * half.real) / (2.0 * np.pi)
     else:
         res = _chirp_sums(t_min, spacing, count, +1.0, -h * mid, h,
                           trapezoid_weights(transform.size, h)
@@ -443,6 +453,8 @@ def write_signal_csv(path: str, signal: SampledSignal) -> None:
 
 
 def read_signal_csv(path: str) -> SampledSignal:
+    """The signal write_signal_csv wrote: float64 when every im field is
+    +0.0, complex128 otherwise."""
     with open(path, "r") as handle:
         if handle.readline().strip() != "t,re,im":
             raise ValidationError("expected header 't,re,im' in %s" % path,
@@ -457,7 +469,10 @@ def read_signal_csv(path: str) -> SampledSignal:
         raise ValidationError("the t column of %s must have at least two rows, "
                               "uniform and increasing" % path,
                               module="grid_signal", operation="read_signal_csv")
+    re, im = data[:, 1], data[:, 2]
+    if not im.view(np.int64).any():  # all +0.0; -0.0 has its sign bit set
+        return SampledSignal(float(t[0]), float(d[0]), re)
     # re + 1j * im would turn -0.0 into 0.0 and inf into nan parts
     values = np.empty(t.size, dtype=np.complex128)
-    values.real, values.imag = data[:, 1], data[:, 2]
+    values.real, values.imag = re, im
     return SampledSignal(float(t[0]), float(d[0]), values)

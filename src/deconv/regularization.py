@@ -34,8 +34,8 @@ from .config import SweepInstance
 from .errors import (ComputationError, ConfigError, NoRootError,
                      SaturationError, ValidationError)
 from .grid_signal import (_CHIRP_LIMIT, SampledSignal, TransformSamples,
-                          _Fresh, _row_scope, fourier_grid, inverse_fourier,
-                          l2_norm, trapezoid_weights)
+                          _Fresh, _row_scope, _squared_modulus, fourier_grid,
+                          inverse_fourier, l2_norm, trapezoid_weights)
 from .noise import inject_noise
 from .small_sets import cartan_bound
 from .tail_profile import DualProfile, TailProfile, bisect, tail_cutoff
@@ -328,7 +328,7 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
         raise ValidationError("frequency grid does not cover |lambda| <= r_eps",
                               module="regularization", operation="error_decomposition")
     w = trapezoid_weights(lam.size, f0_hat.spacing)
-    f2 = f0_hat.values.real ** 2 + f0_hat.values.imag ** 2
+    f2 = _squared_modulus(f0_hat.values)
     threshold = plan.eps ** plan.beta
     below = np.abs(phi0_hat.values) < threshold
     outer = float(np.sum((w * f2)[below & (np.abs(lam) > plan.r_eps)]))
@@ -466,14 +466,48 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's rows in decreasing eps: records, and (eps, reason) for the
+    rows that failed to compute.  The summary is derived from them: c3_fit
+    is the max of c3_row, c3_stability its max/min over the last half of
+    the records, and both and logr_over_loglog are NaN without records."""
+
     records: tuple
-    failures: tuple  # (eps, reason) pairs
-    c3_fit: float
-    c3_stability: float
-    logr_over_loglog: float
-    inversions: int
-    bound_violations: int
-    invalid: bool
+    failures: tuple
+
+    @property
+    def invalid(self) -> bool:
+        """More than a quarter of the rows failed to compute."""
+        return len(self.failures) > 0.25 * (len(self.records)
+                                            + len(self.failures))
+
+    @property
+    def c3_fit(self) -> float:
+        return max((r.c3_row for r in self.records), default=math.nan)
+
+    @property
+    def c3_stability(self) -> float:
+        if not self.records:
+            return math.nan
+        tail = [r.c3_row for r in self.records[len(self.records) // 2:]]
+        return max(tail) / min(tail) if min(tail) > 0.0 else math.inf
+
+    @property
+    def logr_over_loglog(self) -> float:  # at the last record
+        if not self.records:
+            return math.nan
+        last = self.records[-1].plan
+        return math.log(last.r_eps) / math.log(math.log(1.0 / last.eps))
+
+    @property
+    def inversions(self) -> int:
+        """Records whose achieved error exceeds the previous one's."""
+        achieved = [r.achieved_error for r in self.records]
+        return sum(1 for a, b in zip(achieved, achieved[1:])
+                   if b > a * (1.0 + 1e-12))
+
+    @property
+    def bound_violations(self) -> int:
+        return sum(1 for r in self.records if not r.decomposition.holds)
 
 
 def _sweep_row(instance: SweepInstance, eps: float, seed: int):
@@ -492,9 +526,6 @@ def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
     CPUs a helper thread takes rows from the front (large eps, small grids)
     and the caller from the back; a row's result depends on its eps and
     seed only, never on the thread that ran it.
-
-    c3_fit is the max of achieved/rate_ref over rows; its stability is the
-    max/min ratio over the last half of the successful rows.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 2 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
@@ -528,20 +559,5 @@ def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
             helper.join()
     if raised:
         raise raised[0]
-    records = [r for r in rows if isinstance(r, SweepRecord)]
-    failures = [r for r in rows if not isinstance(r, SweepRecord)]
-    invalid = len(failures) > 0.25 * len(eps_arr)
-    if not records:
-        return SweepResult((), tuple(failures), math.nan, math.nan, math.nan,
-                           0, 0, True)
-    c3_rows = [r.c3_row for r in records]
-    tail = c3_rows[len(c3_rows) // 2:]
-    stability = max(tail) / min(tail) if min(tail) > 0.0 else math.inf
-    last = records[-1].plan
-    logr = math.log(last.r_eps) / math.log(math.log(1.0 / last.eps))
-    achieved = [r.achieved_error for r in records]
-    inversions = sum(1 for a, b in zip(achieved, achieved[1:])
-                     if b > a * (1.0 + 1e-12))
-    violations = sum(1 for r in records if not r.decomposition.holds)
-    return SweepResult(tuple(records), tuple(failures), max(c3_rows),
-                       stability, logr, inversions, violations, invalid)
+    return SweepResult(tuple(r for r in rows if isinstance(r, SweepRecord)),
+                       tuple(r for r in rows if not isinstance(r, SweepRecord)))

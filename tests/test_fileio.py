@@ -168,3 +168,54 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
     assert {"kernel/profile.csv", "kernel/zeros.csv", "kernel/manifest.json",
             "deconvolve/reconstruction.csv"} <= set(modes)
     assert modes == dict.fromkeys(modes, oct(mode))
+
+
+def spied(monkeypatch, columns):
+    """formatted(columns) and the number of fields the numpy path laid out."""
+    laid_out, real = [], fileio._format_fields
+
+    def spy(v, buf):
+        laid_out.append(v.size)
+        return real(v, buf)
+
+    monkeypatch.setattr(fileio, "_format_fields", spy)
+    return formatted(columns), sum(laid_out)
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("constant", [0.0, -0.0, math.inf, -math.inf,
+                                      math.nan, 1e300, "near tie"])
+def test_a_constant_column_matches_percent_format(monkeypatch, where,
+                                                  constant):
+    # first, in the middle or last: printed once, never laid out per row
+    x = near_ties()[0] if constant == "near tie" else constant
+    rows = fileio._BLOCK_FIELDS + 7  # two varying columns: three blocks
+    rng = np.random.default_rng(where)
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.uniform(-35, 20, rows)
+               for _ in range(2)]
+    columns.insert(where, np.full(rows, x))
+    got, laid_out = spied(monkeypatch, columns)
+    assert got == reference(columns)
+    assert laid_out == 2 * rows
+
+
+@pytest.mark.parametrize("index", [0, 1, 500, 998, 999])
+@pytest.mark.parametrize("other", [-0.0, 5e-324, -5e-324, 1.0])
+def test_a_column_equal_but_for_one_value_is_not_constant(monkeypatch, index,
+                                                          other):
+    # -0.0 == 0.0, yet it prints '-0': a constant shares one bit pattern
+    columns = [np.arange(1000.0), np.zeros(1000)]
+    columns[1][index] = other
+    got, laid_out = spied(monkeypatch, columns)
+    assert got == reference(columns)
+    assert laid_out == 2000
+
+
+@pytest.mark.parametrize("row", [[1.5, -0.0, math.nan],
+                                 [near_ties()[1], -math.inf, 1e-300]])
+def test_a_one_row_table_matches_percent_format(monkeypatch, row):
+    # every column of a one-row table is constant; so are these of 9 rows
+    for rows in (1, 9):
+        columns = [np.full(rows, x) for x in row]
+        got, laid_out = spied(monkeypatch, columns)
+        assert got == reference(columns) and laid_out == 0

@@ -17,6 +17,7 @@ from deconv.grid_signal import (SampledSignal, TransformSamples, _Fresh,
                                 inverse_fourier, l1_norm, l2_norm,
                                 laplace_parts, read_signal_csv,
                                 trapezoid_weights, write_signal_csv)
+from deconv.noise import inject_noise, noise_components
 
 # worst relative Parseval gap over 300 random wave packets: 3.2e-15
 PARSEVAL_RTOL = 1e-13
@@ -677,3 +678,80 @@ def test_fresh_values_are_kept_uncopied_unless_a_view():
         TransformSamples(0.1, _Fresh(np.zeros(4)))
     with pytest.raises(ValidationError):
         TransformSamples(0.0, _Fresh(np.zeros(3)))
+
+
+def bits(values):
+    """The bytes of an array, as int64 words: -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def test_real_samples_stay_float64(gaussian_kernel, indicator_kernel,
+                                   exp_kernel):
+    # real input is stored as float64, complex input as complex128
+    for kernel in (gaussian_kernel, indicator_kernel, exp_kernel):
+        assert kernel.values.dtype == np.float64 and kernel.is_real()
+    phi_eps, g_eps = inject_noise(indicator_kernel, gaussian_kernel, 1e-6, 3)
+    assert phi_eps.values.dtype == g_eps.values.dtype == np.float64
+    for part in noise_components(indicator_kernel, gaussian_kernel, 1e-6, 3):
+        assert part.values.dtype == np.float64
+    tf = fourier_grid(gaussian_kernel, 0.01, 500)
+    assert tf.values.dtype == np.complex128
+    back = inverse_fourier(tf, -5.0, 0.01, 1001, real=True)
+    assert back.values.dtype == np.float64 and back.is_real()
+    assert inverse_fourier(tf, -5.0, 0.01, 1001).values.dtype == np.complex128
+    for values in ([1, 2, 3], np.arange(3), np.ones(3, dtype=np.float32)):
+        assert SampledSignal(0.0, 0.1, values).values.dtype == np.float64
+    for values in ([1j, 2, 3], np.ones(3, dtype=np.complex64)):
+        assert SampledSignal(0.0, 0.1, values).values.dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", ["gaussian_kernel", "indicator_kernel",
+                                  "exp_kernel"])
+def test_a_complex_twin_transforms_bit_for_bit(request, name):
+    # a real signal and its complex128 copy with +0.0 imaginary parts take
+    # the same paths and give the same bits; so does an imaginary -0.0
+    real = request.getfixturevalue(name)
+    for imag in (0.0, -0.0):
+        values = np.empty(real.size, dtype=np.complex128)
+        values.real, values.imag = real.values, imag
+        twin = SampledSignal(real.t_min, real.spacing, values)
+        assert twin.values.dtype == np.complex128 and twin.is_real()
+        for step, half in ((0.004, 3000), (0.05, 7)):
+            assert np.array_equal(
+                bits(fourier_grid(real, step, half).values),
+                bits(fourier_grid(twin, step, half).values))
+        zs = np.array([0.0, 2.5, -7.0 + 3.0j, 40.0j, -1.0 - 90.0j, 0.3])
+        for got, want in zip(laplace_parts(real, zs), laplace_parts(twin, zs)):
+            assert np.array_equal(bits(got), bits(want))
+        lam = np.array([0.0, 0.7, 13.1])  # arbitrary points
+        assert np.array_equal(bits(fourier_at(real, lam)),
+                              bits(fourier_at(twin, lam)))
+        assert l2_norm(real) == l2_norm(twin)
+        assert l1_norm(real) == l1_norm(twin)
+
+
+def test_a_real_signal_csv_reads_back_float64(tmp_path, gaussian_kernel):
+    path = tmp_path / "real.csv"
+    write_signal_csv(str(path), gaussian_kernel)
+    lines = path.read_bytes().split(b"\n")
+    assert all(line.endswith(b",0") for line in lines[1:-1])
+    back = read_signal_csv(str(path))
+    assert back.values.dtype == np.float64
+    assert np.array_equal(bits(back.values), bits(gaussian_kernel.values))
+    assert back.t_min == gaussian_kernel.t_min
+
+
+def test_a_negative_zero_imaginary_column_stays_complex(tmp_path):
+    values = np.empty(4, dtype=np.complex128)
+    values.real, values.imag = [1.0, -2.0, 0.0, 3.5], -0.0
+    path = tmp_path / "negative.csv"
+    write_signal_csv(str(path), SampledSignal(0.0, 0.5, values))
+    assert path.read_bytes() == (b"t,re,im\n0,1,-0\n0.5,-2,-0\n1,0,-0\n"
+                                 b"1.5,3.5,-0\n")
+    back = read_signal_csv(str(path))
+    assert back.values.dtype == np.complex128 and back.is_real()
+    assert np.array_equal(bits(back.values.imag), bits(values.imag))
+    # one -0.0 among +0.0 parts is enough
+    values.imag = [0.0, 0.0, -0.0, 0.0]
+    write_signal_csv(str(path), SampledSignal(0.0, 0.5, values))
+    assert read_signal_csv(str(path)).values.dtype == np.complex128

@@ -21,6 +21,7 @@ import deconv.commands as commands
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
                                    RegularizationPlan, SweepRecord,
+                                   SweepResult,
                                    deconvolve, error_decomposition,
                                    plan_radius, run_single, run_sweep,
                                    smooth_spectrum, solve_frequency_radius,
@@ -257,6 +258,28 @@ def test_run_sweep_on_two_levels(small_instance):
     assert result.records[0].plan.eps == 1e-5
     assert result.records[1].plan.r_eps > result.records[0].plan.r_eps
     assert math.isfinite(result.c3_fit) and result.c3_fit > 0.0
+
+
+def test_a_sweep_summary_is_read_from_its_rows(monkeypatch, small_instance):
+    # records and failures are all a SweepResult stores: the summary is NaN
+    # and zero counts when no row computes, and invalid past a quarter
+    result = run_sweep(small_instance, [1e-5, 1e-6])
+    row = result.records[1]
+    three = SweepResult((row,), ((1e-3, "a"), (1e-4, "b"), (1e-5, "c")))
+    assert three.invalid and not SweepResult((row,) * 3, ((1e-3, "a"),)).invalid
+    assert three.c3_fit == row.c3_row and three.c3_stability == 1.0
+    assert SweepResult(result.records[::-1], ()).inversions == 1
+
+    def failing(instance, eps, seed=None, noise_free=False):
+        raise ComputationError("no row", module="regularization",
+                               operation="test")
+
+    monkeypatch.setattr(regularization, "run_single", failing)
+    empty = run_sweep(small_instance, [1e-5, 1e-6])
+    assert empty.records == () and len(empty.failures) == 2 and empty.invalid
+    assert all(math.isnan(x) for x in (empty.c3_fit, empty.c3_stability,
+                                       empty.logr_over_loglog))
+    assert empty.inversions == empty.bound_violations == 0
 
 
 @pytest.fixture(scope="module")
