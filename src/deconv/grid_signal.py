@@ -151,16 +151,10 @@ def l1_norm(signal: SampledSignal) -> float:
     return float(np.sum(w * np.abs(signal.values)))
 
 
-def _squared_modulus(values: np.ndarray) -> np.ndarray:
-    """|values|^2, from both parts only where values are complex."""
-    if np.iscomplexobj(values):
-        return values.real ** 2 + values.imag ** 2
-    return values ** 2
-
-
 def l2_norm(signal: SampledSignal) -> float:
     w = trapezoid_weights(signal.size, signal.spacing)
-    return float(np.sqrt(np.sum(w * _squared_modulus(signal.values))))
+    mag2 = signal.values.real ** 2 + signal.values.imag ** 2
+    return float(np.sqrt(np.sum(w * mag2)))
 
 
 def _progression(points: np.ndarray):

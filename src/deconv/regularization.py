@@ -34,8 +34,8 @@ from .config import SweepInstance
 from .errors import (ComputationError, ConfigError, NoRootError,
                      SaturationError, ValidationError)
 from .grid_signal import (_CHIRP_LIMIT, SampledSignal, TransformSamples,
-                          _Fresh, _row_scope, _squared_modulus, fourier_grid,
-                          inverse_fourier, l2_norm, trapezoid_weights)
+                          _Fresh, _row_scope, fourier_grid, inverse_fourier,
+                          l2_norm, trapezoid_weights)
 from .noise import inject_noise
 from .small_sets import cartan_bound
 from .tail_profile import DualProfile, TailProfile, bisect, tail_cutoff
@@ -328,7 +328,7 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
         raise ValidationError("frequency grid does not cover |lambda| <= r_eps",
                               module="regularization", operation="error_decomposition")
     w = trapezoid_weights(lam.size, f0_hat.spacing)
-    f2 = _squared_modulus(f0_hat.values)
+    f2 = f0_hat.values.real ** 2 + f0_hat.values.imag ** 2
     threshold = plan.eps ** plan.beta
     below = np.abs(phi0_hat.values) < threshold
     outer = float(np.sum((w * f2)[below & (np.abs(lam) > plan.r_eps)]))
