@@ -151,7 +151,7 @@ def _decomposition_dict(d: ErrorDecomposition) -> dict:
     return {"outer_term": d.outer_term, "inner_term": d.inner_term,
             "data_term": d.data_term, "total_bound": d.total_bound,
             "achieved_sq_error": d.achieved_sq_error,
-            "coverage_flag": d.coverage_flag}
+            "data_error": d.data_error}
 
 
 def _zero_reports(kernel):
@@ -255,17 +255,21 @@ def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
         manifest.stage("write")
         written = manifest.write()
         if not result.decomposition.holds:
-            f0 = np.abs(result.f0.values)
+            gap, f0 = result.decomposition.data_error, np.abs(result.f0.values)
+            outside = (": the data are outside the theorem's noise model "
+                       "|g_eps - g0|_2 <= eps" if gap > eps else "")
             raise ValidationError(
-                "achieved squared error exceeds its certificate; f0 at "
-                f"+/-grids.t_extent = {config.grids.t_extent:g} is "
+                "achieved squared error exceeds its certificate; the data error"
+                f" |g_eps - g0|_2 = {gap:.2g} is {gap / eps:.3g} eps{outside}. "
+                f"f0 at +/-grids.t_extent = {config.grids.t_extent:g} is "
                 f"{max(f0[0], f0[-1]) / np.max(f0):.2g} of its peak, and a "
                 "larger grids.t_extent keeps more of it on the time grid",
                 module="commands", operation="cmd_deconvolve")
         return written
 
 
-SWEEP_HEADER = "eps,s_eps,delta,r_eps,achieved_error,bound,rate_ref,c3_row"
+SWEEP_HEADER = ("eps,s_eps,delta,r_eps,achieved_error,bound,rate_ref,c3_row,"
+                "data_error")
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: str) -> dict:
@@ -283,10 +287,11 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str) -> dict:
         manifest.stage("compute")
 
         rows = [(r.plan.eps, r.plan.s_eps, r.plan.delta, r.plan.r_eps,
-                 r.achieved_error, r.bound, r.plan.rate_ref, r.c3_row)
+                 r.achieved_error, r.bound, r.plan.rate_ref, r.c3_row,
+                 r.decomposition.data_error)
                 for r in sweep.records]
         write_csv(manifest.path("sweep_csv", "sweep.csv"), SWEEP_HEADER,
-                  np.array(rows, dtype=np.float64).reshape(len(rows), 8).T)
+                  np.array(rows, dtype=np.float64).reshape(len(rows), 9).T)
         gates = {
             "stability_ok": sweep.c3_stability <= 10.0,
             "inversions_ok": sweep.inversions <= 1,

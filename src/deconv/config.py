@@ -152,6 +152,9 @@ def parse_config(data: dict, base_dir: str = ".") -> ExperimentConfig:
     if not 2.0 * (grids.t_extent / grids.t_step) + 1.0 < _CHIRP_LIMIT:
         raise _fail("grids.t_extent / grids.t_step asks for a time grid of "
                     "2^26 samples or more, the chirp-z limit")
+    if 2.0 * math.pi / grids.freq_step < 2.0 * grids.t_extent:
+        raise _fail("grids.freq_step must be at most pi / grids.t_extent: "
+                    "f0 wraps in time at period 2 pi / grids.freq_step")
     if not grids.freq_extent_factor > 1.0:
         raise _fail("grids.freq_extent_factor must exceed 1: the frequency "
                     "grid has to cover |lambda| <= r_eps")

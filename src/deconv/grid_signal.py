@@ -151,7 +151,7 @@ def l1_norm(signal: SampledSignal) -> float:
     return float(np.sum(w * np.abs(signal.values)))
 
 
-def l2_norm(signal: SampledSignal) -> float:
+def l2_norm(signal: SampledSignal | TransformSamples) -> float:
     w = trapezoid_weights(signal.size, signal.spacing)
     mag2 = signal.values.real ** 2 + signal.values.imag ** 2
     return float(np.sqrt(np.sum(w * mag2)))
@@ -463,10 +463,11 @@ def read_signal_csv(path: str) -> SampledSignal:
         raise ValidationError("the t column of %s must have at least two rows, "
                               "uniform and increasing" % path,
                               module="grid_signal", operation="read_signal_csv")
+    h = float((t[-1] - t[0]) / d.size)  # t[1] - t[0] drops low bits at large |t|
     re, im = data[:, 1], data[:, 2]
     if not im.view(np.int64).any():  # all +0.0; -0.0 has its sign bit set
-        return SampledSignal(float(t[0]), float(d[0]), re)
+        return SampledSignal(float(t[0]), h, re)
     # re + 1j * im would turn -0.0 into 0.0 and inf into nan parts
     values = np.empty(t.size, dtype=np.complex128)
     values.real, values.imag = re, im
-    return SampledSignal(float(t[0]), float(d[0]), values)
+    return SampledSignal(float(t[0]), h, values)

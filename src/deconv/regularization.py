@@ -64,6 +64,20 @@ def _radius_residual(r: float, q: float, log_l1: float, s_eps: float,
             * (log_l1 + TWO_E * s_eps * r) + rhs)
 
 
+def _radius_slack(r: float, q: float, log_l1: float, s_eps: float,
+                  rhs: float) -> float:
+    """A bound on |F(r)| at any r solve_frequency_radius returns: its
+    bisection stops at hi - lo <= 1e-12 hi and returns the midpoint, within
+    1e-12 r of the root.  a and b bound the two factors, so over that bracket
+    |F'| <= (q+1/2) b / r + 2e s_eps a to a factor 1 + 1e-11, which 2x covers;
+    F rounds by at most 8u (a b + |rhs|), u = 2^-53, here and at the bracket
+    end that decided the sign."""
+    a = (q + 0.5) * abs(math.log(r)) + LOG_15E3
+    b = abs(log_l1) + TWO_E * s_eps * r
+    return (2e-12 * ((q + 0.5) * b + TWO_E * s_eps * r * a)
+            + 16.0 * 2.0 ** -53 * (a * b + abs(rhs)))
+
+
 def solve_frequency_radius(eps: float, beta: float, q: float, s_eps: float,
                            phi0_l1: float) -> float:
     """Unique root of the radius equation on the branch where both bracket
@@ -200,10 +214,9 @@ class RegularizationPlan:
         if self.s_eps < 0.0 or not self.r_eps > 0.0:
             raise ValidationError("s_eps must be >= 0 and r_eps > 0",
                                   module="regularization", operation="RegularizationPlan")
-        rhs = math.log(self.eps ** self.beta + self.eps)
-        residual = _radius_residual(self.r_eps, self.q, math.log(self.phi0_l1),
-                                    self.s_eps, rhs)
-        if abs(residual) > 1e-10 * abs(rhs):
+        radius = (self.r_eps, self.q, math.log(self.phi0_l1), self.s_eps,
+                  math.log(self.eps ** self.beta + self.eps))
+        if abs(_radius_residual(*radius)) > _radius_slack(*radius):
             raise ValidationError("r_eps does not satisfy the radius equation",
                                   module="regularization", operation="RegularizationPlan")
 
@@ -248,32 +261,17 @@ def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,
     return TransformSamples(g_hat.spacing, _Fresh(out))
 
 
-def deconvolve(g_eps: SampledSignal, phi_eps: SampledSignal,
-               plan: RegularizationPlan, freq_spacing: float,
-               half_count: int) -> SampledSignal:
-    """Full reconstruction on freq_spacing * (-half_count .. half_count):
-    transform, filter, invert onto the data grid."""
-    if freq_spacing * half_count < plan.r_eps:
-        raise ValidationError("frequency grid does not reach r_eps",
-                              module="regularization", operation="deconvolve")
-    # neither forward transform outlives the filter
-    f_hat = tikhonov_filter(fourier_grid(g_eps, freq_spacing, half_count),
-                            fourier_grid(phi_eps, freq_spacing, half_count),
-                            plan.delta)
-    return inverse_fourier(f_hat, g_eps.t_min, g_eps.spacing, g_eps.size,
-                           real=g_eps.is_real() and phi_eps.is_real())
-
-
 @dataclass(frozen=True)
 class ErrorDecomposition:
     """The three-term certificate for the squared L2 reconstruction error;
-    n is the length of the longest sum behind either side (see holds)."""
+    n is the length of the longest sum behind either side (see holds).
+    data_error is |g_eps - g0|_2, which the certificate assumes <= eps."""
 
     outer_term: float
     inner_term: float
     data_term: float
     achieved_sq_error: float
-    coverage_flag: bool
+    data_error: float
     n: int
 
     def __post_init__(self):
@@ -316,9 +314,8 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
     """Evaluate the three terms on the sampled grid.
 
     outer / inner: trapezoid of |f0_hat|^2 over the sub-threshold set
-    {|phi0_hat| < eps^beta}, outside / inside |lambda| = r_eps.  The
-    coverage flag reports when a power-law extrapolation of |f0_hat|^2
-    suggests the grid misses more than 1% of the outer integral.
+    {|phi0_hat| < eps^beta}, outside / inside |lambda| = r_eps.  The data
+    are not at hand here, so data_error is NaN; run_single measures it.
     """
     if (f0_hat.spacing, f0_hat.size) != (phi0_hat.spacing, phi0_hat.size):
         raise ValidationError("transforms live on different frequency grids",
@@ -335,29 +332,8 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
     inner = float(np.sum((w * f2)[below & (np.abs(lam) < plan.r_eps)]))
     data = 2.0 * math.sqrt(plan.c1 * plan.c2) * plan.eps ** (1.0 - 3.0 * plan.beta)
 
-    coverage = _coverage_flag(lam, f2, np.abs(phi0_hat.values), threshold, outer)
-    return ErrorDecomposition(outer, inner, data, achieved_sq, coverage,
+    return ErrorDecomposition(outer, inner, data, achieved_sq, math.nan,
                               lam.size)
-
-
-def _coverage_flag(lam, f2, phi_mag, threshold, outer) -> bool:
-    """Estimate the outer mass beyond the grid by a power-law tail fit."""
-    top = slice(lam.size - max(8, lam.size // 10), lam.size)
-    x = lam[top]
-    y = f2[top]
-    if np.any(y <= 0.0) or x[0] <= 0.0:
-        return True  # cannot extrapolate: assume coverage unproven
-    slope = float(np.polyfit(np.log(x), np.log(y), 1)[0])
-    if slope >= -1.0:
-        return True  # tail not integrable by this estimate
-    alpha = -slope
-    tail = 2.0 * float(y[-1]) * float(x[-1]) / (alpha - 1.0)  # both half lines
-    if outer > 0.0:
-        return bool(tail > 0.01 * outer)
-    # nothing sub-threshold on the grid: suspicious only if the kernel
-    # transform was already heading under the threshold at the edge
-    edge = slice(lam.size - max(4, lam.size // 100), lam.size)
-    return bool(np.min(phi_mag[edge]) < 2.0 * threshold)
 
 
 def smooth_spectrum(lambdas, q: float) -> np.ndarray:
@@ -431,18 +407,28 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
 
     plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
                               instance.profile.l1_total, s_eps, r_eps)
-    # phi0_hat is gone before the reconstruction allocates
     terms = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
-    del phi0_hat
     phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps,
                                   instance.base_seed if seed is None else seed)
-    f_eps = deconvolve(g_eps, phi_eps, plan, step, half)
+    # |g_eps - g0|_2 by Parseval on the transform the filter takes; phi0_hat
+    # is gone before phi_eps_hat allocates
+    g_hat = fourier_grid(g_eps, step, half)
+    data_error = l2_norm(TransformSamples(step, _Fresh(
+        f0_hat.values * phi0_hat.values - g_hat.values))) / math.sqrt(2.0 * math.pi)
+    del phi0_hat
+    # neither forward transform outlives the filter
+    f_hat = tikhonov_filter(g_hat, fourier_grid(phi_eps, step, half),
+                            plan.delta)
+    del g_hat
+    f_eps = inverse_fourier(f_hat, t_min, t_step, t_count,
+                            real=g_eps.is_real() and phi_eps.is_real())
+    del f_hat
 
     achieved = l2_norm(SampledSignal(t_min, t_step,
                                      _Fresh(f0.values - f_eps.values)))
     decomposition = ErrorDecomposition(
         terms.outer_term, terms.inner_term, terms.data_term, achieved ** 2,
-        terms.coverage_flag, max(terms.n, t_count))
+        data_error, max(terms.n, t_count))
     return RunResult(plan, f0_hat, f0, g0, phi_eps, g_eps, f_eps, achieved,
                      decomposition)
 

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import tracemalloc
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import deconv.commands as commands
 import deconv.regularization as regularization
@@ -251,7 +254,8 @@ def test_shipped_sweeps_fail_only_the_asymptotic_radius_gate(tmp_path,
     for r, line in zip(sweep.records, lines[1:]):
         want = (r.plan.eps, r.plan.s_eps, r.plan.delta, r.plan.r_eps,
                 r.achieved_error, math.sqrt(r.decomposition.total_bound),
-                r.plan.rate_ref, r.achieved_error / r.plan.rate_ref)
+                r.plan.rate_ref, r.achieved_error / r.plan.rate_ref,
+                r.decomposition.data_error)
         assert ([float(x).hex() for x in line.split(",")]
                 == [w.hex() for w in want]), r.plan.eps
 
@@ -284,7 +288,7 @@ def test_sweep_counts_a_failed_certificate_as_a_bound_violation(
     assert summary["gates"]["bounds_ok"] is False
     assert summary["failures"] == []
     rows = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
-    assert rows.shape == (5, 8)
+    assert rows.shape == (5, 9)
     header = SWEEP_HEADER.split(",")
     row = rows[rows[:, 0] == 1e-8][0]
     assert row[header.index("achieved_error")] > row[header.index("bound")]
@@ -326,6 +330,10 @@ def test_a_failed_certificate_names_the_time_window(tmp_path, t_extent,
         message = read_json(out, "error.json")["message"]
         assert "certificate" in message and "grids.t_extent" in message
         assert "6.8e-06 of its peak" in message
+        # the cut-off f0 leaves g0 itself far outside |g - g0|_2 <= eps
+        assert math.isclose(dec["data_error"], 2.07e6 * 1e-12, rel_tol=0.01)
+        assert "2.07e+06 eps" in message
+        assert "outside the theorem's noise model" in message
 
 
 def test_sweep_needs_four_levels(tmp_path):
@@ -848,3 +856,55 @@ def test_cli_import_stays_light():
                           check=True, capture_output=True, text=True,
                           timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def random_run(rng):
+    """A small random config and command line, as wide as the CLI admits:
+    any kernel, beta, q, 2 to 6 eps levels in (1e-18, 0.3) and grids; many
+    are refused, which is part of what is tested."""
+    t_step = rng.choice([0.005, 0.01, 0.02, 0.05, 0.1])
+    kind = rng.choice(["indicator", "gaussian", "two_sided_exp"])
+    if kind == "indicator":
+        a = t_step * rng.randint(-100, 100)
+        kernel = {"type": kind, "a": a, "b": a + t_step * rng.randint(2, 400)}
+    elif kind == "gaussian":
+        kernel = {"type": kind, "scale": rng.uniform(0.2, 3.0)}
+    else:
+        kernel = {"type": kind, "rate": rng.uniform(0.2, 5.0)}
+    log_eps = (-18.0, math.log10(0.3))
+    eps = sorted({10.0 ** rng.uniform(*log_eps)
+                  for _ in range(rng.randint(2, 6))}, reverse=True)
+    data = {"kernel": kernel, "f0": {"type": "synth_smooth"},
+            "eps_list": eps, "beta": rng.uniform(0.01, 0.33),
+            "q": rng.uniform(0.51, 8.0), "seed": rng.randint(0, 1000),
+            "grids": {"t_extent": rng.uniform(1.0, 40.0), "t_step": t_step,
+                      "freq_extent_factor": 10.0 ** rng.uniform(0.2, 3.3),
+                      "freq_step": 10.0 ** rng.uniform(-2.4, -0.3)}}
+    argv = [rng.choice(["analyze-kernel", "deconvolve", "sweep", "smallset",
+                        "zeros"])]
+    if argv[0] == "deconvolve" and rng.random() < 0.5:
+        argv += ["--eps", repr(10.0 ** rng.uniform(*log_eps))]
+    return data, argv
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_random_configs_exit_cleanly_and_certify_inside_the_noise_model(seed):
+    # no run is a bug (exit 5), every failure leaves error.json, and a
+    # reconstruction whose data keep |g_eps - g0|_2 <= eps, the theorem's
+    # noise model, holds its certificate: a deconvolve run exits 3 after
+    # writing decomposition.json only when the certificate fails.  The
+    # configs are drawn uniformly from a seed, not by hypothesis's own
+    # strategies, which favour their simplest values
+    data, argv = random_run(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = main(argv + ["--config", write_config(Path(tmp), data),
+                            "--out", str(out)])
+        assert code != 5, (data, argv)
+        assert code == 0 or (out / "error.json").is_file(), (data, argv)
+        if (out / "decomposition.json").is_file():
+            dec, plan = (read_json(out, "decomposition.json"),
+                         read_json(out, "plan.json"))
+            if dec["data_error"] <= plan["eps"]:
+                assert code == 0, (data, argv, dec)

@@ -1,6 +1,7 @@
 """Config schema validation and instance building."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,7 +82,8 @@ def test_bad_configs_are_rejected(mutate, reason):
 
 MALFORMED = (None, True, 0, -1, 0.5, 1.5, float("inf"), float("-inf"),
              float("nan"), 10 ** 400, "x", [], [1], {}, {"type": []},
-             1e-320, 1e12)  # past the chirp-z limit as t_step, b, t_extent
+             1e-320, 1e12,  # past the chirp-z limit as t_step, b, t_extent
+             math.pi / 9.0)  # as freq_step, wraps f0 (2 pi / step < 20)
 # every field of good_config(), and the path of a file-type kernel and f0
 FIELDS = ([(key,) for key in good_config()]
           + [(key, sub) for key in ("kernel", "f0", "grids")
@@ -110,6 +112,16 @@ def test_malformed_values_raise_config_error(field, tmp_path):
             pass
         except Exception as exc:
             pytest.fail(f"{field} = {value!r} raised {exc!r}")
+
+
+def test_a_frequency_step_that_wraps_f0_is_refused():
+    # the grid's period 2 pi / freq_step must cover the window 2 t_extent = 20
+    data = good_config()
+    data["grids"]["freq_step"] = 0.31
+    parse_config(data)
+    data["grids"]["freq_step"] = 0.32
+    with pytest.raises(ConfigError, match="grids.freq_step"):
+        parse_config(data)
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -17,6 +17,7 @@ from deconv.grid_signal import (SampledSignal, TransformSamples, _Fresh,
                                 inverse_fourier, l1_norm, l2_norm,
                                 laplace_parts, read_signal_csv,
                                 trapezoid_weights, write_signal_csv)
+from deconv.kernels import make_gaussian, make_indicator, make_two_sided_exp
 from deconv.noise import inject_noise, noise_components
 
 # worst relative Parseval gap over 300 random wave packets: 3.2e-15
@@ -739,6 +740,22 @@ def test_a_real_signal_csv_reads_back_float64(tmp_path, gaussian_kernel):
     assert back.values.dtype == np.float64
     assert np.array_equal(bits(back.values), bits(gaussian_kernel.values))
     assert back.t_min == gaussian_kernel.t_min
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_gaussian(1.0, 0.005), lambda: make_two_sided_exp(1.0, 0.005),
+    lambda: make_indicator(3.8, 43.3, 0.1)],
+    ids=["gaussian", "two_sided_exp", "indicator"])
+def test_a_written_kernel_reads_back_on_its_own_grid(tmp_path, make):
+    # the spacing comes from the whole t column: t[1] - t[0] read the
+    # gaussian's 0.005 back as 0.004999999999999005, and its rewrite moved
+    kernel = make()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_signal_csv(str(first), kernel)
+    back = read_signal_csv(str(first))
+    assert (back.t_min, back.spacing) == (kernel.t_min, kernel.spacing)
+    write_signal_csv(str(second), back)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_a_negative_zero_imaginary_column_stays_complex(tmp_path):

@@ -28,7 +28,9 @@ library's one place that runs work concurrently.  And only `commands` may
 import `ctypes` or name `mallopt`: a command's manifest is the one place
 that sets the heap policy.  And the library may not
 take numpy's `outer` product: a phase table of points times samples is a
-direct sum beside `fourier_at`'s two evaluators.  And every public function
+direct sum beside `fourier_at`'s two evaluators.  Nor may it reach LAPACK
+(`polyfit`, `lstsq`, any `linalg`), whose results may move with the thread
+count.  And every public function
 and method of the library must be reachable from `cli.main` or from code
 that runs at import: library code only tests call is a claim no command
 makes, so it gets a command caller or moves to the tests.
@@ -509,6 +511,61 @@ def test_numpy_outer_scan_sees_every_form():
 def test_library_has_one_arbitrary_point_evaluator(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _numpy_outers(tree) == [], path.name
+
+
+# No LAPACK: its solvers block and pivot through the BLAS they are linked
+# with, so their results may move with the thread count, and no output may.
+# `polyfit` (numpy's and numpy.polynomial's) and `lstsq` call its least
+# squares; every routine under a `linalg` module (numpy's, scipy's) is its
+# front end.  Named as an attribute or imported (by name, as a module, or
+# through `__import__` / `importlib.import_module`), any alias included.
+LAPACK_NAMES = {"polyfit", "lstsq", "linalg"}
+
+
+def _lapack_entries(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LAPACK_NAMES:
+            found.append(f"line {node.lineno}: .{node.attr}")
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            names = [str(node.args[0].value)]
+        else:
+            continue
+        if any(set(n.split(".")) & LAPACK_NAMES for n in names):
+            found.append(f"line {node.lineno}: import")
+    return found
+
+
+def test_lapack_scan_sees_every_form():
+    code = ("c = np.polyfit(x, y, 1)\nfrom numpy import polyfit\n"
+            "p = P.polyfit(x, y, 1)\nfrom numpy.polynomial import polyfit\n"
+            "s = np.linalg.solve(a, b)\nfrom numpy.linalg import norm\n"
+            "import numpy.linalg as la\nfrom numpy import linalg\n"
+            "from scipy.linalg import lstsq\nz = lstsq_mod.lstsq(a, b)\n"
+            "m = importlib.import_module('numpy.linalg')\n"
+            "n = __import__('scipy.linalg')\n")
+    assert len(_lapack_entries(ast.parse(code))) == 12
+    assert _lapack_entries(ast.parse(
+        "v = np.polyval(c, x)\nf = np.fft.rfft(x)\nlinalg = 1\n"
+        "from numpy import fft\nimport numpy as np\nr = report.fit\n"
+        "m = importlib.import_module('json')\nlstsq = None\n")) == []
+    parent_fit = "slope = float(np.polyfit(np.log(x), np.log(y), 1)[0])\n"
+    assert _lapack_entries(ast.parse(parent_fit)) == ["line 1: .polyfit"]
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_library_calls_no_lapack(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _lapack_entries(tree) == [], path.name
 
 
 # Every public library function and method has a caller that runs: it is

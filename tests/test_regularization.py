@@ -15,14 +15,14 @@ from deconv import grid_signal
 from deconv.config import GridSpec, SweepInstance, build_instance, load_config
 from deconv.errors import (ComputationError, ConfigError, NoRootError,
                            SaturationError, ValidationError)
-from deconv.grid_signal import SampledSignal, TransformSamples, _symmetric_grid
-from deconv.kernels import default_profile_grid
+from deconv.grid_signal import (SampledSignal, TransformSamples,
+                                _symmetric_grid, fourier_grid)
+from deconv.kernels import default_profile_grid, make_indicator
 import deconv.commands as commands
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
                                    RegularizationPlan, SweepRecord,
-                                   SweepResult,
-                                   deconvolve, error_decomposition,
+                                   SweepResult, error_decomposition,
                                    plan_radius, run_single, run_sweep,
                                    smooth_spectrum, solve_frequency_radius,
                                    tikhonov_filter)
@@ -128,6 +128,19 @@ def test_plan_rejects_tampered_fields(indicator_plan):
         dataclasses.replace(plan, phi0_l1=0.0)
 
 
+def test_plan_accepts_the_radius_its_solve_returns():
+    # at q 5.9 and eps 0.186 the bisection's stopping rule leaves a residual
+    # of 1.5e-9 |rhs|, past the old fixed 1e-10 |rhs|; the slack derived
+    # from that rule accepts the root and still refuses R off by 1e-11
+    kernel = make_indicator(3.8, 43.3, 0.1)
+    profile = tail_mass_profile(kernel, default_profile_grid(kernel))
+    s_eps, r_eps = plan_radius(0.186, 0.142, 5.9, profile)
+    plan = RegularizationPlan(0.186, 0.142, 5.9, 1.0, profile.l1_total,
+                              s_eps, r_eps)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(plan, r_eps=r_eps * (1.0 + 1e-11))
+
+
 def test_plan_recovers_its_norms(indicator_plan):
     plan = indicator_plan
     assert math.isclose(plan.phi0_l1, 1.0, rel_tol=1e-12)
@@ -187,12 +200,6 @@ def test_tikhonov_filter_validation():
         tikhonov_filter(g, g, 0.0)
 
 
-def test_deconvolve_requires_grid_past_radius(indicator_kernel, indicator_plan):
-    assert 0.01 * 5 < indicator_plan.r_eps
-    with pytest.raises(ValidationError):
-        deconvolve(indicator_kernel, indicator_kernel, indicator_plan, 0.01, 5)
-
-
 @pytest.fixture(scope="module")
 def small_instance(indicator_kernel, indicator_profile):
     # deliberately coarse and narrow so a full pipeline pass stays cheap
@@ -219,6 +226,24 @@ def test_run_single_with_noise_stays_certified(small_instance):
     res = run_single(small_instance, 1e-6, seed=123)
     assert not np.array_equal(res.g_eps.values, res.g0.values)
     assert res.decomposition.holds
+
+
+def test_run_single_measures_the_data_error(small_instance,
+                                           gaussian_instance):
+    # noise-free, g_eps = g0: the gap between g0's transform and
+    # f0_hat * phi0_hat on the row's grid, by Parseval with the 1/2 pi
+    res = run_single(small_instance, 1e-6, noise_free=True)
+    step, half = res.f0_hat.spacing, res.f0_hat.half_count
+    gap = (fourier_grid(res.g0, step, half).values - res.f0_hat.values
+           * fourier_grid(small_instance.kernel, step, half).values)
+    want = math.sqrt(np.trapezoid(np.abs(gap) ** 2, dx=step) / (2.0 * math.pi))
+    assert math.isclose(res.decomposition.data_error, want, rel_tol=1e-12)
+    # the wave adds its eps/2, to within that gap (triangle inequality)
+    noisy = run_single(small_instance, 1e-6, seed=123).decomposition
+    assert abs(noisy.data_error - 0.5e-6) <= want + 1e-3 * 0.5e-6
+    # where the noise-free gap is tiny the wave is all of it
+    gaussian = run_single(gaussian_instance, 1e-4).decomposition
+    assert math.isclose(gaussian.data_error, 0.5e-4, rel_tol=1e-3)
 
 
 def test_run_single_solves_the_radius_once(small_instance, monkeypatch):
@@ -370,14 +395,15 @@ def test_bump_instance_radius_is_not_monotone(bump_instance):
 def test_sweep_rows_equal_single_runs(request, monkeypatch, name, eps_list):
     instance = request.getfixturevalue(name)
     solutions = {}
-    solve = regularization.deconvolve
+    solve = regularization.run_single
 
-    def recording(g_eps, phi_eps, plan, *args):
+    def recording(instance, eps, seed):
         # rows may run on two threads: key each solution by its row's eps
-        solutions[plan.eps] = solve(g_eps, phi_eps, plan, *args)
-        return solutions[plan.eps]
+        res = solve(instance, eps, seed)
+        solutions[eps] = res.f_eps
+        return res
 
-    monkeypatch.setattr(regularization, "deconvolve", recording)
+    monkeypatch.setattr(regularization, "run_single", recording)
     result = run_sweep(instance, eps_list)
     assert result.failures == ()
     assert sorted(solutions, reverse=True) == list(eps_list)
@@ -586,11 +612,11 @@ def test_the_shared_setup_ends_with_its_row(small_instance, monkeypatch):
     def failing(*args):
         held.append(len(grid_signal._ROW_SETUPS.get()))
         raise ComputationError("injected", module="regularization",
-                               operation="deconvolve")
+                               operation="tikhonov_filter")
 
     run_single(small_instance, 1e-6)
     assert grid_signal._ROW_SETUPS.get() is None
-    monkeypatch.setattr(regularization, "deconvolve", failing)
+    monkeypatch.setattr(regularization, "tikhonov_filter", failing)
     with pytest.raises(ComputationError):
         run_single(small_instance, 1e-6)
     assert grid_signal._ROW_SETUPS.get() is None
@@ -628,7 +654,6 @@ def test_decomposition_splits_at_the_radius(indicator_plan):
     assert math.isclose(dec.total_bound,
                         3.0 * (dec.outer_term + dec.inner_term + dec.data_term),
                         rel_tol=1e-12)
-    assert dec.coverage_flag  # flat tail cannot be integrable
 
 
 def test_decomposition_ignores_exact_threshold_points(indicator_plan):
@@ -641,14 +666,13 @@ def test_decomposition_ignores_exact_threshold_points(indicator_plan):
     assert dec.inner_term == 0.0
 
 
-def test_decomposition_coverage_clear_for_decaying_tail(indicator_plan):
+def test_decomposition_splits_a_decaying_tail(indicator_plan):
     plan = indicator_plan
     lam = _symmetric_grid(0.025, 2000)  # 4001 points on [-50, 50]
     f0_hat = TransformSamples(0.025, (1.0 + lam * lam) ** -1.5 + 0j)
     phi0_hat = TransformSamples(0.025, 0.01 * np.ones(lam.size, np.complex128))
     dec = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
     assert dec.outer_term > dec.inner_term > 0.0
-    assert not dec.coverage_flag
 
 
 def test_decomposition_grid_preconditions(indicator_plan):
@@ -664,8 +688,8 @@ def test_decomposition_grid_preconditions(indicator_plan):
 
 def test_decomposition_record_validation():
     with pytest.raises(ValidationError):
-        ErrorDecomposition(-1.0, 0.0, 0.0, 0.0, False, 1)
-    assert not ErrorDecomposition(0.0, 0.0, 0.0, 1.0, False, 1).holds
+        ErrorDecomposition(-1.0, 0.0, 0.0, 0.0, 0.0, 1)
+    assert not ErrorDecomposition(0.0, 0.0, 0.0, 1.0, 0.0, 1).holds
 
 
 def test_the_check_is_not_looser_than_a_tiny_bound(gaussian_kernel,
