@@ -13,18 +13,18 @@ points are uniform too, the sum over the samples is a chirp-z transform
 O((N+M) log(N+M)) for N samples and M points, at the least FFT length
 2^a 3^b 5^c that holds the lags -D..D, 2D+1 = N+M-1 or N+M (36000, not
 65536, for 35108).  For a real signal and points symmetric about 0 it runs
-over the nonnegative half only and mirrors the rest.  Any other points,
-such as bisection probes or one or two points, go to `laplace_parts`.
+over the nonnegative half only and mirrors the rest; `fourier_grid` keeps
+only that half.  Other points, such as probes, go to `laplace_parts`.
 
 A chirp-z transform is a setup that depends only on the grids (two chirps
 and a chirp spectrum, from one exp per lag) and one forward and one
 inverse FFT per signal.  The same setup also gives the adjoint sums, over
 the points at the samples with the sign flipped.  A regularization row
-runs inside `_row_scope`, which holds the setups built in it: phi0 and
-phi_eps share the kernel's, the f0, g0 and f_eps inverses share one, and
-the forward transform of g_eps runs on that inverse's adjoint.  Outside a
-scope every transform builds its own setup.  A thread starts with an
-empty context, so each thread's rows run in their own scope.
+runs in two `_row_scope` blocks, each holding the setups built in it: the
+kernel's for phi0 and phi_eps, freed before the second block shares one
+by the f0, g0 and f_eps inverses and, on its adjoint, g_eps's forward
+transform.  Outside a scope every transform builds its own setup.  A
+thread starts with an empty context, so each thread has its own scopes.
 """
 
 from __future__ import annotations
@@ -114,29 +114,36 @@ class SampledSignal:
 @dataclass(frozen=True)
 class TransformSamples:
     """Values of a transform on the symmetric frequency grid
-    spacing * (-half_count .. half_count); the grid is derived, not stored."""
+    spacing * (-half_count .. half_count); the grid is derived, not stored.
+    A hermitian record (F(-x) = conj F(x)) keeps spacing * (0 .. half_count)."""
 
     spacing: float
     values: np.ndarray
+    hermitian: bool = False
 
     def __post_init__(self):
         vals = _keep(self)
-        if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
+        if vals.ndim != 1 or vals.size < 2 or not (self.hermitian or vals.size % 2):
             raise ValidationError(
-                "transform values must be a 1-d array of odd size >= 3",
+                "transform values need 1-d, odd size >= 3 (>= 2 if hermitian)",
                 module="grid_signal", operation="TransformSamples")
 
     @property
     def size(self) -> int:
-        return self.values.size
+        return 2 * self.half_count + 1
 
     @property
     def half_count(self) -> int:
-        return self.values.size // 2
+        return self.values.size - 1 if self.hermitian else self.values.size // 2
 
     @property
     def frequencies(self) -> np.ndarray:
-        return _symmetric_grid(self.spacing, self.half_count)
+        return _symmetric_grid(self.spacing, self.half_count, self.hermitian)
+
+    @property
+    def weights(self) -> np.ndarray:  # folded, h 2h .. 2h h, if hermitian
+        return (trapezoid_weights(self.values.size, self.spacing)
+                * (2.0 if self.hermitian else 1.0))
 
 
 def trapezoid_weights(count: int, spacing: float) -> np.ndarray:
@@ -152,7 +159,8 @@ def l1_norm(signal: SampledSignal) -> float:
 
 
 def l2_norm(signal: SampledSignal | TransformSamples) -> float:
-    w = trapezoid_weights(signal.size, signal.spacing)
+    w = (signal.weights if isinstance(signal, TransformSamples)
+         else trapezoid_weights(signal.size, signal.spacing))
     mag2 = signal.values.real ** 2 + signal.values.imag ** 2
     return float(np.sqrt(np.sum(w * mag2)))
 
@@ -308,43 +316,39 @@ def fourier_at(signal: SampledSignal, lambdas) -> np.ndarray:
     return _chirp_sums(x0, dx, m, *rest).reshape(lam.shape)
 
 
-def _symmetric_grid(spacing: float, half_count: int) -> np.ndarray:
+def _symmetric_grid(spacing: float, half_count: int, upper=False) -> np.ndarray:
     """The frequencies spacing * (-half_count .. half_count), exactly
-    symmetric about 0."""
-    return spacing * np.arange(-half_count, half_count + 1, dtype=np.float64)
+    symmetric about 0, or their upper half spacing * (0 .. half_count)."""
+    return spacing * np.arange(0 if upper else -half_count, half_count + 1,
+                               dtype=np.float64)
 
 
 def fourier_grid(signal: SampledSignal, freq_spacing: float,
                  half_count: int) -> TransformSamples:
     """Transform on the symmetric grid freq_spacing * (-half_count ..
     half_count); for a real signal only the nonnegative half is summed and
-    the negative half is its conjugate mirror."""
+    kept, as a hermitian record."""
     if not (freq_spacing > 0.0 and half_count >= 1):
         raise ValidationError("need freq_spacing > 0 and half_count >= 1",
                               module="grid_signal", operation="fourier_grid")
-    freqs = _symmetric_grid(freq_spacing, half_count)
-    vals = (_mirror(fourier_at(signal, freqs[half_count:]), freqs.size)
-            if signal.is_real() else fourier_at(signal, freqs))
-    return TransformSamples(freq_spacing, _Fresh(vals))
+    real = signal.is_real()
+    vals = fourier_at(signal, _symmetric_grid(freq_spacing, half_count, real))
+    return TransformSamples(freq_spacing, _Fresh(vals), real)
 
 
 def inverse_fourier(transform: TransformSamples, t_min: float, spacing: float,
-                    count: int, real: bool = False) -> SampledSignal:
+                    count: int) -> SampledSignal:
     """Inverse transform (1/2pi) * integral F(lambda)*exp(i*lambda*t) d(lambda)
-    onto a uniform time grid.
-
-    real=True states that the transform is conjugate-symmetric, so the
-    result is real and is computed from the nonnegative half of the grid.
-    """
+    onto a uniform time grid; a hermitian transform gives a real result,
+    summed over its stored nonnegative half."""
     h, mid = transform.spacing, transform.half_count
-    if real:
-        weighted = trapezoid_weights(mid + 1, h) * transform.values[mid:]
+    if transform.hermitian:
+        weighted = trapezoid_weights(mid + 1, h) * transform.values
         half = _chirp_sums(t_min, spacing, count, +1.0, 0.0, h, weighted)
         vals = (2.0 * half.real) / (2.0 * np.pi)
     else:
         res = _chirp_sums(t_min, spacing, count, +1.0, -h * mid, h,
-                          trapezoid_weights(transform.size, h)
-                          * transform.values)
+                          transform.weights * transform.values)
         vals = res / (2.0 * np.pi)
     return SampledSignal(t_min, spacing, _Fresh(vals))
 

@@ -34,8 +34,8 @@ from .config import SweepInstance
 from .errors import (ComputationError, ConfigError, NoRootError,
                      SaturationError, ValidationError)
 from .grid_signal import (_CHIRP_LIMIT, SampledSignal, TransformSamples,
-                          _Fresh, _row_scope, fourier_grid, inverse_fourier,
-                          l2_norm, trapezoid_weights)
+                          _Fresh, _mirror, _row_scope, _symmetric_grid,
+                          fourier_grid, inverse_fourier, l2_norm)
 from .noise import inject_noise
 from .small_sets import cartan_bound
 from .tail_profile import DualProfile, TailProfile, bisect, tail_cutoff
@@ -249,7 +249,8 @@ def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,
     if not (delta > 0.0):
         raise ValidationError("delta must be positive",
                               module="regularization", operation="tikhonov_filter")
-    if (g_hat.spacing, g_hat.size) != (phi_hat.spacing, phi_hat.size):
+    if ((g_hat.spacing, g_hat.size, g_hat.hermitian)
+            != (phi_hat.spacing, phi_hat.size, phi_hat.hermitian)):
         raise ValidationError("transforms live on different frequency grids",
                               module="regularization", operation="tikhonov_filter")
     p = phi_hat.values
@@ -258,13 +259,13 @@ def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,
     out = np.conj(p)
     out *= g_hat.values
     out /= mag2
-    return TransformSamples(g_hat.spacing, _Fresh(out))
+    return TransformSamples(g_hat.spacing, _Fresh(out), g_hat.hermitian)
 
 
 @dataclass(frozen=True)
 class ErrorDecomposition:
     """The three-term certificate for the squared L2 reconstruction error;
-    n is the length of the longest sum behind either side (see holds).
+    n is the length of the longest grid behind either side (see holds).
     data_error is |g_eps - g0|_2, which the certificate assumes <= eps."""
 
     outer_term: float
@@ -288,7 +289,9 @@ class ErrorDecomposition:
         """achieved^2 - total_bound <= c (n + 758) u (achieved^2 + total_bound)
         with c = 2, u = 2^-53: false only if the exact sums of the stored
         samples break the certificate.  n is the longer of the time grid
-        (the achieved error's sum) and the frequency grid (outer, inner).
+        (the achieved error's sum) and the whole frequency grid, 2 half + 1
+        points; the folded sums of a hermitian spectrum (outer, inner), half
+        + 1 terms with weights doubled exactly, stay inside that count.
 
         Both sides sum nonnegative terms, and a computed sum of m of them is
         within gamma_{m-1} = (m-1)u / (1 - (m-1)u) of the exact one, in any
@@ -317,23 +320,23 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
     {|phi0_hat| < eps^beta}, outside / inside |lambda| = r_eps.  The data
     are not at hand here, so data_error is NaN; run_single measures it.
     """
-    if (f0_hat.spacing, f0_hat.size) != (phi0_hat.spacing, phi0_hat.size):
+    if ((f0_hat.spacing, f0_hat.size, f0_hat.hermitian)
+            != (phi0_hat.spacing, phi0_hat.size, phi0_hat.hermitian)):
         raise ValidationError("transforms live on different frequency grids",
                               module="regularization", operation="error_decomposition")
     lam = f0_hat.frequencies
     if lam[-1] < plan.r_eps:
         raise ValidationError("frequency grid does not cover |lambda| <= r_eps",
                               module="regularization", operation="error_decomposition")
-    w = trapezoid_weights(lam.size, f0_hat.spacing)
-    f2 = f0_hat.values.real ** 2 + f0_hat.values.imag ** 2
+    wf2 = f0_hat.weights * (f0_hat.values.real ** 2 + f0_hat.values.imag ** 2)
     threshold = plan.eps ** plan.beta
     below = np.abs(phi0_hat.values) < threshold
-    outer = float(np.sum((w * f2)[below & (np.abs(lam) > plan.r_eps)]))
-    inner = float(np.sum((w * f2)[below & (np.abs(lam) < plan.r_eps)]))
+    outer = float(np.sum(wf2[below & (np.abs(lam) > plan.r_eps)]))
+    inner = float(np.sum(wf2[below & (np.abs(lam) < plan.r_eps)]))
     data = 2.0 * math.sqrt(plan.c1 * plan.c2) * plan.eps ** (1.0 - 3.0 * plan.beta)
 
     return ErrorDecomposition(outer, inner, data, achieved_sq, math.nan,
-                              lam.size)
+                              f0_hat.size)
 
 
 def smooth_spectrum(lambdas, q: float) -> np.ndarray:
@@ -360,16 +363,16 @@ class RunResult:
     decomposition: ErrorDecomposition
 
 
-@_row_scope()
 def run_single(instance: SweepInstance, eps: float, seed: int = None,
                noise_free: bool = False) -> RunResult:
     """One pipeline pass at a single noise level; (s_eps, R_eps) come first
     because the frequency grid extent is a multiple of r_eps.
 
-    The row runs in its own chirp-z scope and builds three setups: it
-    holds the kernel's (phi0_hat and phi_eps_hat) and the frequency-to-time
-    inverse (f0, g0 and f_eps, and g_eps_hat on its adjoint); the noise
-    wave's is used once and dropped.
+    Two chirp-z scopes hold a setup each: the kernel's (phi0_hat and
+    phi_eps_hat), freed before the time grid's inverse (g0, f0 and f_eps,
+    and g_eps_hat on its adjoint); the noise wave's is used once, dropped.
+    A row whose kernel and truth are real keeps hermitian spectra; any
+    other expands them to the whole grid, but inverts f0 from its own.
     """
     s_eps, r_eps = plan_radius(eps, instance.beta, instance.q,
                                instance.profile)
@@ -391,44 +394,51 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
             f"frequency grid edge {step * half:g} at eps {eps:g} passes the "
             f"alias edge pi/{h:g}: lower grids.freq_extent_factor or "
             "grids.t_step", module="regularization", operation="run_single")
-    phi0_hat = fourier_grid(phi0, step, half)
-    if f0_signal is None:
-        f0_hat = TransformSamples(step, _Fresh(smooth_spectrum(
-            phi0_hat.frequencies, instance.q)))
-    else:
-        f0_hat = fourier_grid(f0_signal, step, half)
+    real = phi0.is_real() and (f0_signal is None or f0_signal.is_real())
 
-    f0_real = f0_signal is None or f0_signal.is_real()
-    f0 = inverse_fourier(f0_hat, t_min, t_step, t_count, real=f0_real)
-    g0 = inverse_fourier(TransformSamples(step, _Fresh(f0_hat.values
-                                                       * phi0_hat.values)),
-                         t_min, t_step, t_count,
-                         real=f0_real and phi0.is_real())
+    def full(tf):  # a complex row takes every spectrum on the whole grid
+        return (TransformSamples(step, _Fresh(_mirror(tf.values, tf.size)))
+                if tf.hermitian and not real else tf)
 
-    plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
-                              instance.profile.l1_total, s_eps, r_eps)
-    terms = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
-    phi_eps, g_eps = inject_noise(phi0, g0, 0.0 if noise_free else eps,
-                                  instance.base_seed if seed is None else seed)
-    # |g_eps - g0|_2 by Parseval on the transform the filter takes; phi0_hat
-    # is gone before phi_eps_hat allocates
-    g_hat = fourier_grid(g_eps, step, half)
-    data_error = l2_norm(TransformSamples(step, _Fresh(
-        f0_hat.values * phi0_hat.values - g_hat.values))) / math.sqrt(2.0 * math.pi)
-    del phi0_hat
-    # neither forward transform outlives the filter
-    f_hat = tikhonov_filter(g_hat, fourier_grid(phi_eps, step, half),
-                            plan.delta)
-    del g_hat
-    f_eps = inverse_fourier(f_hat, t_min, t_step, t_count,
-                            real=g_eps.is_real() and phi_eps.is_real())
-    del f_hat
+    # the noise is additive and -0.0 its exact identity: perturbing data of
+    # -0.0 gives the wave alone, so phi_eps exists before g0 does
+    phi_eps, wave = inject_noise(
+        phi0, SampledSignal(t_min, t_step, _Fresh(np.full(t_count, -0.0))),
+        0.0 if noise_free else eps, instance.base_seed if seed is None else seed)
+    with _row_scope():  # the kernel's setup
+        phi0_hat = full(fourier_grid(phi0, step, half))
+        phi_eps_hat = (phi0_hat if phi_eps is phi0
+                       else full(fourier_grid(phi_eps, step, half)))
+    with _row_scope():  # the time grid's inverse; f0's forward may be its adjoint
+        f0_own = (TransformSamples(step, _Fresh(smooth_spectrum(
+            _symmetric_grid(step, half, True), instance.q)), True)
+            if f0_signal is None else fourier_grid(f0_signal, step, half))
+        f0_hat = full(f0_own)
+        gap = f0_hat.values * phi0_hat.values  # g0's transform, then its gap
+        g0 = inverse_fourier(TransformSamples(step, _Fresh(gap), real),
+                             t_min, t_step, t_count)
+        plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
+                                  instance.profile.l1_total, s_eps, r_eps)
+        terms = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
+        del phi0_hat  # before f0's inverse
+        f0 = inverse_fourier(f0_own, t_min, t_step, t_count)  # real truth: float64
+        g_eps = SampledSignal(t_min, t_step, _Fresh(g0.values + wave.values))
+        g_hat = full(fourier_grid(g_eps, step, half))
+        # |g_eps - g0|_2 by Parseval on the transform the filter takes, in
+        # gap's buffer: the record that made it read-only is gone
+        gap.setflags(write=True)
+        gap -= g_hat.values
+        data_error = l2_norm(TransformSamples(step, _Fresh(gap), real))
+        del gap
+        f_hat = tikhonov_filter(g_hat, phi_eps_hat, plan.delta)
+        del g_hat, phi_eps_hat, wave
+        f_eps = inverse_fourier(f_hat, t_min, t_step, t_count)
 
     achieved = l2_norm(SampledSignal(t_min, t_step,
                                      _Fresh(f0.values - f_eps.values)))
     decomposition = ErrorDecomposition(
         terms.outer_term, terms.inner_term, terms.data_term, achieved ** 2,
-        data_error, max(terms.n, t_count))
+        data_error / math.sqrt(2.0 * math.pi), max(terms.n, t_count))
     return RunResult(plan, f0_hat, f0, g0, phi_eps, g_eps, f_eps, achieved,
                      decomposition)
 

@@ -10,7 +10,7 @@ from deconv import grid_signal
 from deconv.errors import ValidationError
 from deconv.grid_signal import (SampledSignal, TransformSamples, _Fresh,
                                 _chirp_apply,
-                                _chirp_setup, _chirp_sums,
+                                _chirp_setup, _chirp_sums, _mirror,
                                 _progression,
                                 _smooth_length, _symmetric_grid, fourier_at,
                                 fourier_grid,
@@ -70,12 +70,51 @@ def test_indicator_transform_vanishes_on_lattice(indicator_kernel):
 
 
 def test_fourier_grid_mirrors_real_signal(indicator_kernel):
+    # the hermitian half, mirrored, is the transform on the whole grid
     tf = fourier_grid(indicator_kernel, 0.01, 500)
-    direct = fourier_at(indicator_kernel, tf.frequencies)
-    assert np.max(np.abs(tf.values - direct)) <= 1e-12
-    mid = tf.frequencies.size // 2
-    assert np.max(np.abs(tf.values[:mid] -
-                         np.conj(tf.values[:mid:-1]))) <= 1e-14
+    assert tf.hermitian and tf.size == 1001 and tf.values.size == 501
+    full = _symmetric_grid(0.01, 500)
+    direct = fourier_at(indicator_kernel, full)
+    assert np.max(np.abs(_mirror(tf.values, tf.size) - direct)) <= 1e-12
+    assert np.array_equal(tf.frequencies, full[500:])
+    assert np.max(np.abs(direct[:500] - np.conj(direct[:500:-1]))) <= 1e-14
+
+
+@pytest.mark.parametrize("step, half", [(0.004, 3000), (0.05, 7), (0.3, 1)])
+def test_a_real_transform_is_the_upper_half_bit_for_bit(step, half,
+                                                        gaussian_kernel,
+                                                        indicator_kernel):
+    # the values at spacing * (0 .. half), stored as complex128: the sums
+    # fourier_at makes there, for the float64 samples and for the same
+    # samples cast to complex128; the full grid's own chirp-z sums agree
+    for kernel in (gaussian_kernel, indicator_kernel):
+        twin = SampledSignal(kernel.t_min, kernel.spacing,
+                             kernel.values.astype(np.complex128))
+        tf = fourier_grid(kernel, step, half)
+        assert tf.values.dtype == np.complex128 and tf.hermitian
+        assert (tf.size, tf.half_count) == (2 * half + 1, half)
+        upper = _symmetric_grid(step, half)[half:]
+        for want in (fourier_at(kernel, upper), fourier_at(twin, upper),
+                     fourier_grid(twin, step, half).values):
+            assert tf.values.tobytes() == want.tobytes()
+        weighted = trapezoid_weights(kernel.size, kernel.spacing) * twin.values
+        full = _chirp_sums(-step * half, step, 2 * half + 1, -1.0,
+                           kernel.t_min, kernel.spacing, weighted)
+        assert (np.max(np.abs(full[half:] - tf.values))
+                <= 1e-12 * l1_norm(kernel))
+
+
+def test_a_hermitian_inverse_matches_the_direct_sum(gaussian_kernel):
+    # (1/2 pi) sum_k w_k F_k e^{i lambda_k t} over the whole grid, with
+    # F(-x) = conj F(x): a real result, as float64
+    step, half = 0.05, 200
+    tf = fourier_grid(gaussian_kernel, step, half)
+    back = inverse_fourier(tf, -3.0, 0.03, 201)
+    assert back.values.dtype == np.float64
+    wf = trapezoid_weights(tf.size, step) * _mirror(tf.values, tf.size)
+    want = direct_sums(back.grid(), 1.0, -step * half, step, wf) / (2.0 * math.pi)
+    assert (np.max(np.abs(back.values - want))
+            <= 1e-13 * float(np.sum(np.abs(wf))))
 
 
 def test_roundtrip_through_transform(gaussian_kernel):
@@ -97,10 +136,12 @@ def test_symmetric_grid_and_its_validation(gaussian_kernel):
 
 def test_inverse_hermitian_fast_path_is_real(gaussian_kernel):
     tf = fourier_grid(gaussian_kernel, 0.01, 2000)
-    back = inverse_fourier(tf, -5.0, 0.01, 1001, real=True)
+    back = inverse_fourier(tf, -5.0, 0.01, 1001)
     assert np.all(back.values.imag == 0.0)
     # compare against the complex evaluation of the same data
-    slow = inverse_fourier(tf, -5.0, 0.01, 1001)
+    slow = inverse_fourier(TransformSamples(tf.spacing,
+                                            _mirror(tf.values, tf.size)),
+                           -5.0, 0.01, 1001)
     assert np.max(np.abs(back.values - slow.values)) <= 1e-11
 
 
@@ -313,9 +354,13 @@ def test_fourier_grid_is_linear(a, b, n, half, step, seed):
                       + 1j * rng.standard_normal(n))
     g = SampledSignal(-1.0, 0.01, rng.standard_normal(n))
     combo = SampledSignal(-1.0, 0.01, a * f.values + b * g.values)
-    got = fourier_grid(combo, step, half).values
-    want = (a * fourier_grid(f, step, half).values
-            + b * fourier_grid(g, step, half).values)
+
+    def full(signal):  # the values on the whole grid, for either layout
+        tf = fourier_grid(signal, step, half)
+        return _mirror(tf.values, tf.size) if tf.hermitian else tf.values
+
+    got = full(combo)
+    want = a * full(f) + b * full(g)
     scale = abs(a) * l1_norm(f) + abs(b) * l1_norm(g)
     assert np.max(np.abs(got - want)) <= 1e-12 * scale + 1e-300
 
@@ -331,7 +376,8 @@ def test_real_inverse_round_trips_a_gaussian(scale, center):
     t = t_min + h * np.arange(count)
     signal = SampledSignal(t_min, h, np.exp(-((t - center) / scale) ** 2))
     tf = fourier_grid(signal, 0.01, int(round(40.0 / scale / 0.01)))
-    back = inverse_fourier(tf, t_min, h, count, real=True)
+    back = inverse_fourier(tf, t_min, h, count)
+    assert back.values.dtype == np.float64
     assert np.max(np.abs(back.values - signal.values)) <= 1e-10
 
 
@@ -351,8 +397,10 @@ def test_fourier_grid_keeps_the_l2_norm(scale, center, shift, real):
     spacing = 0.01
     tf = fourier_grid(signal, spacing, int(round((40.0 / scale + 5.0)
                                                   / spacing)))
-    w = trapezoid_weights(tf.size, spacing)
-    freq_side = float(np.sum(w * np.abs(tf.values) ** 2)) / (2.0 * math.pi)
+    # a real signal's weights fold the grid onto x >= 0
+    assert tf.hermitian == signal.is_real()
+    freq_side = (float(np.sum(tf.weights * np.abs(tf.values) ** 2))
+                 / (2.0 * math.pi))
     time_side = l2_norm(signal) ** 2
     assert abs(freq_side - time_side) <= PARSEVAL_RTOL * time_side
 
@@ -398,9 +446,8 @@ def test_a_progression_from_zero_reads_its_step_exactly(step, monkeypatch):
     for k in halves[::40]:
         setups.clear()
         with grid_signal._row_scope():
-            inverse_fourier(TransformSamples(step, np.ones(2 * k + 1)),
-                            signal.t_min, signal.spacing, signal.size,
-                            real=True)
+            inverse_fourier(TransformSamples(step, np.ones(k + 1), True),
+                            signal.t_min, signal.spacing, signal.size)
             fourier_grid(signal, step, k)
         assert len(setups) == 1, k
 
@@ -445,7 +492,8 @@ def test_chirp_rejects_sizes_past_exact_squares():
 
 
 def _old_upper_weights(transform: TransformSamples) -> np.ndarray:
-    """The real inverse's weights as formed from all M trapezoid weights."""
+    """The real inverse's weights as formed from all M trapezoid weights of
+    a full-layout record."""
     mid = transform.half_count
     weighted = (trapezoid_weights(transform.size, transform.spacing)[mid:]
                 * transform.values[mid:])
@@ -454,7 +502,7 @@ def _old_upper_weights(transform: TransformSamples) -> np.ndarray:
 
 
 def test_real_inverse_weights_match_the_full_grid_formula(monkeypatch):
-    # trapezoid_weights(mid + 1, h) on the upper half gives the old
+    # trapezoid_weights(mid + 1, h) on the hermitian half gives the old
     # w[mid:] * v[mid:] with its first entry halved, bit for bit; the one
     # exception is a zero-frequency value -0 - 0j, whose imaginary zero the
     # old complex halving turned positive
@@ -474,15 +522,16 @@ def test_real_inverse_weights_match_the_full_grid_formula(monkeypatch):
         parts[rng.random(parts.shape) < 0.1] = -0.0
         values = np.empty(2 * mid + 1, dtype=np.complex128)
         values.real, values.imag = parts
-        transform = TransformSamples(float(rng.uniform(1e-4, 2.0)), values)
-        inverse_fourier(transform, -1.0, 0.1, 5, real=True)
-        old = _old_upper_weights(transform)
+        spacing = float(rng.uniform(1e-4, 2.0))
+        inverse_fourier(TransformSamples(spacing, values[mid:], True),
+                        -1.0, 0.1, 5)
+        old = _old_upper_weights(TransformSamples(spacing, values))
         if np.all(np.signbit(parts[:, mid]) & (parts[:, mid] == 0.0)):
             old[0] = complex(0.0, -0.0)
         assert seen[-1].tobytes() == old.tobytes()
-    transform = TransformSamples(0.5, np.full(3, complex(-0.0, -0.0)))
-    inverse_fourier(transform, -1.0, 0.1, 5, real=True)
-    old = _old_upper_weights(transform)
+    values = np.full(3, complex(-0.0, -0.0))
+    inverse_fourier(TransformSamples(0.5, values[1:], True), -1.0, 0.1, 5)
+    old = _old_upper_weights(TransformSamples(0.5, values))
     assert np.signbit(seen[-1][0].imag) and not np.signbit(old[0].imag)
     assert seen[-1][1:].tobytes() == old[1:].tobytes()
 
@@ -697,9 +746,10 @@ def test_real_samples_stay_float64(gaussian_kernel, indicator_kernel,
         assert part.values.dtype == np.float64
     tf = fourier_grid(gaussian_kernel, 0.01, 500)
     assert tf.values.dtype == np.complex128
-    back = inverse_fourier(tf, -5.0, 0.01, 1001, real=True)
+    back = inverse_fourier(tf, -5.0, 0.01, 1001)
     assert back.values.dtype == np.float64 and back.is_real()
-    assert inverse_fourier(tf, -5.0, 0.01, 1001).values.dtype == np.complex128
+    full = TransformSamples(tf.spacing, _mirror(tf.values, tf.size))
+    assert inverse_fourier(full, -5.0, 0.01, 1001).values.dtype == np.complex128
     for values in ([1, 2, 3], np.arange(3), np.ones(3, dtype=np.float32)):
         assert SampledSignal(0.0, 0.1, values).values.dtype == np.float64
     for values in ([1j, 2, 3], np.ones(3, dtype=np.complex64)):

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,9 @@ def test_tikhonov_filter_rounds_in_one_order(size):
 def test_tikhonov_filter_validation():
     g = TransformSamples(0.2, np.ones(11, dtype=np.complex128))
     for other in (TransformSamples(0.4, np.ones(11, dtype=np.complex128)),
-                  TransformSamples(0.2, np.ones(13, dtype=np.complex128))):
+                  TransformSamples(0.2, np.ones(13, dtype=np.complex128)),
+                  TransformSamples(0.2, np.ones(6, dtype=np.complex128),
+                                   True)):
         with pytest.raises(ValidationError):
             tikhonov_filter(g, other, 0.1)
     with pytest.raises(ValidationError):
@@ -222,6 +225,28 @@ def test_run_single_noise_free_reconstructs(small_instance):
     assert res.f0_hat.frequencies[-1] >= 60.0 * res.plan.r_eps
 
 
+def test_a_complex_kernel_row_keeps_the_full_layout(small_instance):
+    # the modulated indicator's spectrum has no conjugate symmetry, so the
+    # row's spectra span the whole grid, the real truth's mirrored; f0
+    # stays the real truth's float64 inverse
+    k = small_instance.kernel
+    kernel = SampledSignal(k.t_min, k.spacing,
+                           k.values * np.exp(0.7j * k.grid()))
+    instance = dataclasses.replace(
+        small_instance, kernel=kernel,
+        profile=tail_mass_profile(kernel, default_profile_grid(kernel)))
+    res = run_single(instance, 1e-6, seed=123)
+    real = run_single(small_instance, 1e-6, seed=123)
+    assert not res.f0_hat.hermitian and real.f0_hat.hermitian
+    assert res.f0_hat.size == res.f0_hat.values.size == real.f0_hat.size
+    assert np.array_equal(res.f0_hat.values,
+                          grid_signal._mirror(real.f0_hat.values,
+                                              real.f0_hat.size))
+    assert res.f0.values.tobytes() == real.f0.values.tobytes()
+    assert res.f_eps.values.dtype == np.complex128
+    assert res.decomposition.holds
+
+
 def test_run_single_with_noise_stays_certified(small_instance):
     res = run_single(small_instance, 1e-6, seed=123)
     assert not np.array_equal(res.g_eps.values, res.g0.values)
@@ -236,7 +261,10 @@ def test_run_single_measures_the_data_error(small_instance,
     step, half = res.f0_hat.spacing, res.f0_hat.half_count
     gap = (fourier_grid(res.g0, step, half).values - res.f0_hat.values
            * fourier_grid(small_instance.kernel, step, half).values)
-    want = math.sqrt(np.trapezoid(np.abs(gap) ** 2, dx=step) / (2.0 * math.pi))
+    # the hermitian halves, with the trapezoid weights folded onto x >= 0
+    assert res.f0_hat.hermitian and gap.size == half + 1
+    want = math.sqrt(float(np.sum(res.f0_hat.weights * np.abs(gap) ** 2))
+                     / (2.0 * math.pi))
     assert math.isclose(res.decomposition.data_error, want, rel_tol=1e-12)
     # the wave adds its eps/2, to within that gap (triangle inequality)
     noisy = run_single(small_instance, 1e-6, seed=123).decomposition
@@ -258,6 +286,44 @@ def test_run_single_solves_the_radius_once(small_instance, monkeypatch):
     res = run_single(small_instance, 1e-6, noise_free=True)
     assert len(calls) == 1
     assert res.plan.r_eps == original(*calls[0])
+
+
+def test_a_noise_free_row_transforms_the_kernel_once(small_instance,
+                                                    monkeypatch):
+    # phi_eps is phi0, so phi0_hat serves the filter too: the kernel and
+    # g_eps are the row's two forward transforms
+    calls = []
+    original = regularization.fourier_grid
+
+    def counting(signal, *args):
+        calls.append(signal)
+        return original(signal, *args)
+
+    monkeypatch.setattr(regularization, "fourier_grid", counting)
+    res = run_single(small_instance, 1e-6, noise_free=True)
+    assert calls == [small_instance.kernel, res.g_eps]
+    calls.clear()
+    run_single(small_instance, 1e-6, seed=123)
+    assert len(calls) == 3
+
+
+def test_the_largest_indicator_row_peaks_below_eleven_half_grids(
+        shipped_indicator):
+    # a unit is one hermitian half of a complex spectrum, 16 (half + 1)
+    # bytes, 0.46 MiB at eps 1e-14.  The row's traced peak was about 15
+    # units with full spectra and the kernel's chirp-z setup held to the
+    # end; with halves and that setup freed before the time grid's, about
+    # 8.8
+    instance = shipped_indicator
+    run_single(instance, 1e-14)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        res = run_single(instance, 1e-14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = 16 * (instance.grids.half_count(res.plan.r_eps) + 1)
+    assert peak < 11 * unit, peak / unit
 
 
 def test_run_single_refuses_a_grid_at_the_chirp_limit(small_instance,
@@ -623,9 +689,10 @@ def test_the_shared_setup_ends_with_its_row(small_instance, monkeypatch):
     result = run_sweep(small_instance, [1e-5, 1e-6])
     assert [eps for eps, _ in result.failures] == [1e-5, 1e-6]
     assert grid_signal._ROW_SETUPS.get() is None
-    # inside each row the scope held the kernel's and the inverse's setups;
-    # the noise wave's, used once, is not kept
-    assert held == [2, 2, 2]
+    # at the filter each row's scope held the inverse's setup alone: the
+    # kernel's went with the row's first scope, and the noise wave's, used
+    # once, is not kept
+    assert held == [1, 1, 1]
 
 
 def test_run_sweep_rejects_bad_eps_list(small_instance):
@@ -684,6 +751,35 @@ def test_decomposition_grid_preconditions(indicator_plan):
     with pytest.raises(ValidationError):
         error_decomposition(TransformSamples(0.1, ones),
                             TransformSamples(0.2, ones), plan, 0.0)
+    # the hermitian half of the same grid is another layout
+    wide = np.ones(401, dtype=np.complex128)
+    with pytest.raises(ValidationError):
+        error_decomposition(TransformSamples(0.005, wide),
+                            TransformSamples(0.005, wide[200:], True), plan,
+                            0.0)
+
+
+@pytest.mark.parametrize("name", ["gaussian_kernel", "indicator_kernel"])
+def test_the_folded_sums_agree_with_the_full_layout(request, name,
+                                                    indicator_plan):
+    # the same values on both layouts: the norm and the certificate's
+    # terms move only by the order of their sums, and n counts the grid
+    kernel = request.getfixturevalue(name)
+    tf = grid_signal.fourier_grid(kernel, 0.01, 3000)
+    full = TransformSamples(0.01, grid_signal._mirror(tf.values, tf.size))
+    assert (full.size, full.half_count) == (tf.size, tf.half_count)
+    assert math.isclose(grid_signal.l2_norm(tf), grid_signal.l2_norm(full),
+                        rel_tol=1e-13)
+    # 0.02 phi0_hat is below eps^beta everywhere, so no term is empty
+    halves = error_decomposition(
+        tf, TransformSamples(0.01, 0.02 * tf.values, True), indicator_plan,
+        0.0)
+    wholes = error_decomposition(
+        full, TransformSamples(0.01, 0.02 * full.values), indicator_plan, 0.0)
+    assert halves.n == wholes.n == tf.size
+    assert halves.outer_term > 0.0 and halves.inner_term > 0.0
+    assert math.isclose(halves.outer_term, wholes.outer_term, rel_tol=1e-13)
+    assert math.isclose(halves.inner_term, wholes.inner_term, rel_tol=1e-13)
 
 
 def test_decomposition_record_validation():
@@ -727,9 +823,12 @@ def test_each_sum_stays_within_its_share_of_the_rounding_bound(
     plan, f0_hat, dec = res.plan, res.f0_hat, res.decomposition
     step, half = inst.grids.freq_step, f0_hat.half_count
     phi0_hat = grid_signal.fourier_grid(inst.kernel, step, half)
+    # the hermitian halves, summed with the trapezoid weights folded onto
+    # x >= 0; n still counts the whole grid, whose share the folded sums
+    # of half + 1 terms stay inside
     lam = f0_hat.frequencies
-    wf2 = (grid_signal.trapezoid_weights(lam.size, step)
-           * (f0_hat.values.real ** 2 + f0_hat.values.imag ** 2))
+    assert f0_hat.hermitian and lam.size == half + 1
+    wf2 = f0_hat.weights * (f0_hat.values.real ** 2 + f0_hat.values.imag ** 2)
     below = np.abs(phi0_hat.values) < plan.eps ** plan.beta
     diff = res.f0.values - res.f_eps.values
     t_step = inst.time_grid()[1]
@@ -741,7 +840,7 @@ def test_each_sum_stays_within_its_share_of_the_rounding_bound(
     }
     assert float(np.sum(sums["outer"])) == dec.outer_term
     assert float(np.sum(sums["inner"])) == dec.inner_term
-    assert dec.n == max(lam.size, diff.size)
+    assert dec.n == max(2 * half + 1, diff.size)
     assert dec.holds
     rng = np.random.default_rng(31)
     for length in (lam.size, diff.size, sums["outer"].size):
