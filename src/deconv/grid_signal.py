@@ -9,17 +9,18 @@ is an honest function of the samples and nothing else.
 The frequency grids are not tied to the time grid (different spacing,
 different extent), so a plain FFT does not apply.  When the evaluation
 points are uniform too, the sum over the samples is a chirp-z transform
-(Rabiner, Schafer & Rader 1969; Bluestein 1970): one FFT convolution,
-O((N+M) log(N+M)) for N samples and M points, at the least FFT length
-2^a 3^b 5^c that holds the lags -D..D, 2D+1 = N+M-1 or N+M (36000, not
-65536, for 35108).  For a real signal and points symmetric about 0 it runs
+(Rabiner, Schafer & Rader 1969; Bluestein 1970): for N samples and M
+points, one FFT convolution at the least length 2^a 3^b 5^c that holds
+its N + M - 1 or N + M lags, or, for N small beside M, one 2-D batch of
+short ones over blocks of the points, which share one chirp (see
+`_chirp_setup`).  For a real signal and points symmetric about 0 it runs
 over the nonnegative half only and mirrors the rest; `fourier_grid` keeps
 only that half.  Other points, such as probes, go to `laplace_parts`.
 
 A chirp-z transform is a setup that depends only on the grids (two chirps
 and a chirp spectrum, from one exp per lag) and one forward and one
-inverse FFT per signal.  The same setup also gives the adjoint sums, over
-the points at the samples with the sign flipped.  A regularization row
+inverse FFT per signal.  An unblocked setup also gives the adjoint sums,
+over the points at the samples with the sign flipped.  A regularization row
 runs in two `_row_scope` blocks, each holding the setups built in it: the
 kernel's for phi0 and phi_eps, freed before the second block shares one
 by the f0, g0 and f_eps inverses and, on its adjoint, g_eps's forward
@@ -137,10 +138,6 @@ class TransformSamples:
         return self.values.size - 1 if self.hermitian else self.values.size // 2
 
     @property
-    def frequencies(self) -> np.ndarray:
-        return _symmetric_grid(self.spacing, self.half_count, self.hermitian)
-
-    @property
     def weights(self) -> np.ndarray:  # folded, h 2h .. 2h h, if hermitian
         return (trapezoid_weights(self.values.size, self.spacing)
                 * (2.0 if self.hermitian else 1.0))
@@ -212,15 +209,26 @@ def _chirp_setup(x0: float, dx: float, m: int, sign: float, t_min: float,
     chirps are linear phases times Q[|a|] and Q[|b|].  j^2 is an exact
     float64 integer while n + m < _CHIRP_LIMIT = 2^26, which is checked
     before anything is allocated.
+
+    A short signal's sums run in J blocks of b = ceil(m / J) points, the
+    last ragged, when J L ln L, their FFT work in rows of L >= n + b, is
+    below (n + m) ln(n + m); L = n (1 + ln L), least per point, up to a
+    power of 2 >= 1024 (README, Performance).  Blocks share the chirps at
+    dx*(0 .. b-1), row j of the lead times exp(i*sign*(x0 + dx*b*j)*t),
+    so a blocked setup reversed is no adjoint.
     """
     if n + m >= _CHIRP_LIMIT:
         raise ValidationError("chirp-z transform needs n + m < 2^26",
                               module="grid_signal", operation="_chirp_sums")
-    am, bn = (m - 1) // 2, (n - 1) // 2
-    p0 = x0 + dx * am
+    length = max(1024, 1 << int(n + n * np.log(n + n * np.log(n))).bit_length())
+    blocks = -(-m // (length - n))
+    cheaper = blocks * length * np.log(length) < (n + m) * np.log(n + m)
+    blocks, start, size = (blocks, 0.0, -(-m // blocks)) if cheaper else (1, x0, m)
+    am, bn = (size - 1) // 2, (n - 1) // 2
+    p0 = start + dx * am
     t0 = t_min + spacing * bn
     c = 0.5 * sign * dx * spacing
-    lags = max(am + n - 1 - bn, m - 1 - am + bn)
+    lags = max(am + n - 1 - bn, size - 1 - am + bn)
     q = np.exp(1j * (c * np.arange(lags + 1) ** 2))
     lead = (_phases(0.0, sign * p0 * spacing, -bn, n)
             * q[np.abs(np.arange(n) - bn)])
@@ -228,27 +236,38 @@ def _chirp_setup(x0: float, dx: float, m: int, sign: float, t_min: float,
     np.conj(q, out=spectrum[:lags + 1])
     np.conj(q[lags:0:-1], out=spectrum[spectrum.size - lags:])
     np.fft.fft(spectrum, out=spectrum)
-    out = (_phases(sign * t0 * x0, sign * t0 * dx, 0, m)
-           * q[np.abs(np.arange(m) - am)])
-    return lead, spectrum, out
+    out = (_phases(sign * t0 * start, sign * t0 * dx, 0, size)
+           * q[np.abs(np.arange(size) - am)])
+    if blocks == 1:
+        return lead, spectrum, out
+    phase = np.multiply.outer(sign * (x0 + dx * (size * np.arange(blocks))),
+                              t_min + spacing * np.arange(n))
+    return np.exp(1j * phase) * lead, spectrum, np.resize(out, m)
 
 
 def _chirp_apply(setup: tuple, weighted: np.ndarray) -> np.ndarray:
-    """The sums of one weight vector given its _chirp_setup: FFT of the
-    zero-padded weighted * lead, times the chirp spectrum, inverse FFT, and
-    out * the slice of m sums, each product in the order written.  Complex
+    """The sums of one weight vector given its _chirp_setup: FFT of each
+    zero-padded row of weighted * lead, in one 2-D call, times the chirp
+    spectrum, inverse FFT, and out * each row's slice, written into one new
+    array of the m sums; each product in the order written.  Complex
     multiplication under FMA is not bitwise commutative, and numpy swaps
-    `x * temporary` once the temporary reaches 256 KiB.  The reversed
-    setup gives K^T w for an m-vector w: the chirps swap roles and, the
+    `x * temporary` once the temporary reaches 256 KiB.  An unblocked setup
+    reversed gives K^T w for an m-vector w: the chirps swap roles and, the
     chirp being even, the same spectrum serves at the mirrored offset."""
     lead, spectrum, out = setup
-    shift = (lead.size - 1) // 2 - (out.size - 1) // 2
+    (blocks, n), m = np.atleast_2d(lead).shape, out.size
+    size = -(-m // blocks)  # points per block
+    shift = (n - 1) // 2 - (size - 1) // 2
     pad = max(0, -shift)
-    u = np.zeros(spectrum.size, dtype=np.complex128)  # FFTs run in place
-    np.multiply(weighted, lead, out=u[pad:pad + lead.size])
+    u = np.zeros((blocks, spectrum.size), dtype=np.complex128)  # FFTs in place
+    np.multiply(weighted, lead, out=u[:, pad:pad + n])
     np.multiply(np.fft.fft(u, out=u), spectrum, out=u)
-    first = pad + shift
-    return np.multiply(out, np.fft.ifft(u, out=u)[first:first + out.size])
+    sums = np.fft.ifft(u, out=u)[:, pad + shift:pad + shift + size]
+    res, full = np.empty(m, dtype=np.complex128), size * (blocks - 1)
+    np.multiply(out[:full].reshape(-1, size), sums[:-1],
+                out=res[:full].reshape(-1, size))
+    np.multiply(out[full:], sums[-1, :m - full], out=res[full:])
+    return res
 
 
 # The chirp-z setups built inside a _row_scope, by their arguments; None
@@ -271,8 +290,8 @@ def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
                 spacing: float, weighted: np.ndarray,
                 hold: bool = True) -> np.ndarray:
     """Bluestein chirp-z sums at x0 + dx*(0 .. m-1).  Inside a _row_scope
-    a held setup serves again, and one held for the adjoint (points and
-    samples swapped, sign flipped) gives conj(K^T conj(weighted)); a
+    a held setup serves again, and an unblocked one held for the adjoint
+    (points and samples swapped, sign flipped) gives conj(K^T conj(w)); a
     setup its row uses once is built with hold=False and not kept."""
     key = (x0, dx, m, sign, t_min, spacing, weighted.size)
     held = _ROW_SETUPS.get() if hold else None
@@ -280,8 +299,9 @@ def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
         return _chirp_apply(_chirp_setup(*key), weighted)
     if key not in held:
         adjoint = held.get((t_min, spacing, weighted.size, -sign, x0, dx, m))
-        if adjoint is not None:
-            return np.conj(_chirp_apply(adjoint[::-1], np.conj(weighted)))
+        if adjoint is not None and adjoint[0].ndim == 1:  # not blocked
+            sums = _chirp_apply(adjoint[::-1], np.conj(weighted))
+            return np.conj(sums, out=sums)  # in place
         held[key] = _chirp_setup(*key)
     return _chirp_apply(held[key], weighted)
 
@@ -311,9 +331,11 @@ def fourier_at(signal: SampledSignal, lambdas) -> np.ndarray:
             trapezoid_weights(signal.size, signal.spacing) * signal.values)
     if (signal.is_real()
             and abs(x0 + dx * (0.5 * (m - 1))) <= 4.0 * np.spacing(reach)):
-        return _mirror(_chirp_sums(0.0 if m % 2 else 0.5 * dx, dx,
-                                   (m + 1) // 2, *rest), m).reshape(lam.shape)
-    return _chirp_sums(x0, dx, m, *rest).reshape(lam.shape)
+        sums = _mirror(_chirp_sums(0.0 if m % 2 else 0.5 * dx, dx,
+                                   (m + 1) // 2, *rest), m)
+    else:
+        sums = _chirp_sums(x0, dx, m, *rest)
+    return sums if lam.ndim == 1 else sums.reshape(lam.shape)  # no view
 
 
 def _symmetric_grid(spacing: float, half_count: int, upper=False) -> np.ndarray:

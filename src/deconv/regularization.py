@@ -324,15 +324,23 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
             != (phi0_hat.spacing, phi0_hat.size, phi0_hat.hermitian)):
         raise ValidationError("transforms live on different frequency grids",
                               module="regularization", operation="error_decomposition")
-    lam = f0_hat.frequencies
-    if lam[-1] < plan.r_eps:
+    h, half = f0_hat.spacing, f0_hat.half_count
+    upper = _symmetric_grid(h, half, True)  # upper[k]: |lambda| at mid +/- k
+    if upper[-1] < plan.r_eps:
         raise ValidationError("frequency grid does not cover |lambda| <= r_eps",
                               module="regularization", operation="error_decomposition")
-    wf2 = f0_hat.weights * (f0_hat.values.real ** 2 + f0_hat.values.imag ** 2)
-    threshold = plan.eps ** plan.beta
-    below = np.abs(phi0_hat.values) < threshold
-    outer = float(np.sum(wf2[below & (np.abs(lam) > plan.r_eps)]))
-    inner = float(np.sum(wf2[below & (np.abs(lam) < plan.r_eps)]))
+    k_in, k_out = (upper.searchsorted(plan.r_eps, s) for s in ("left", "right"))
+    v, mid = f0_hat.values, 0 if f0_hat.hermitian else half
+    wf2 = v.real ** 2 if v.dtype == np.float64 else v.real ** 2 + v.imag ** 2
+    fold = 2.0 if f0_hat.hermitian else 1.0  # times f0_hat.weights, in place
+    ends = wf2[[0, -1]] * (0.5 * h * fold)
+    wf2 *= h * fold
+    wf2[[0, -1]] = ends
+    below = np.abs(phi0_hat.values) < plan.eps ** plan.beta
+    inside = below.copy()
+    inside[:max(mid - k_in + 1, 0)] = inside[mid + k_in:] = False
+    below[max(mid - k_out + 1, 0):mid + k_out] = False
+    outer, inner = float(np.sum(wf2[below])), float(np.sum(wf2[inside]))
     data = 2.0 * math.sqrt(plan.c1 * plan.c2) * plan.eps ** (1.0 - 3.0 * plan.beta)
 
     return ErrorDecomposition(outer, inner, data, achieved_sq, math.nan,

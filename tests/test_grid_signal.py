@@ -76,7 +76,8 @@ def test_fourier_grid_mirrors_real_signal(indicator_kernel):
     full = _symmetric_grid(0.01, 500)
     direct = fourier_at(indicator_kernel, full)
     assert np.max(np.abs(_mirror(tf.values, tf.size) - direct)) <= 1e-12
-    assert np.array_equal(tf.frequencies, full[500:])
+    assert np.array_equal(_symmetric_grid(tf.spacing, tf.half_count, True),
+                          full[500:])
     assert np.max(np.abs(direct[:500] - np.conj(direct[:500:-1]))) <= 1e-14
 
 
@@ -481,6 +482,84 @@ def test_a_chirp_setup_serves_its_adjoint(n_half, n_odd, m_half, m_odd, sign,
             np.conj(_chirp_apply(held[(x0, dx, m, sign, t_min, h, n)][::-1],
                                  np.conj(w))))
         assert len(held) == 1
+
+
+@pytest.mark.parametrize("dx, m, bound", [
+    (40.0 / 40000, 20001, 1.5e-15),  # the small-set scan's half at r = 20
+    (0.004, 30284, 1e-14),  # the indicator sweep's last row, eps 1e-14
+])
+def test_blocked_sums_meet_the_direct_sums_at_the_indicator_sizes(
+        indicator_kernel, dx, m, bound):
+    # one chirp over all m points left 1.6e-14 and 2.2e-13 of sum |w|
+    # against the direct sums here; the blocks' short chirp leaves 1.1e-15
+    # and 1.2e-15
+    k = indicator_kernel
+    assert k.size == 201
+    lead = _chirp_setup(0.0, dx, m, -1.0, k.t_min, k.spacing, k.size)[0]
+    assert lead.ndim == 2 and lead.shape[0] >= 10
+    w = trapezoid_weights(k.size, k.spacing) * k.values
+    got = _chirp_sums(0.0, dx, m, -1.0, k.t_min, k.spacing, w)
+    want = direct_sums(dx * np.arange(m), -1.0, k.t_min, k.spacing, w)
+    assert np.max(np.abs(got - want)) <= bound * np.sum(np.abs(w))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 80), blocks=st.integers(2, 6), odd=st.booleans(),
+       short=st.integers(1, 5), sign=st.sampled_from([-1.0, 1.0]),
+       x0=st.one_of(st.floats(-50.0, -0.1), st.floats(0.1, 50.0)),
+       dx=st.floats(1e-3, 0.05), t_min=st.floats(-5.0, 5.0),
+       h=st.floats(1e-3, 0.01), real=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_sums_match_the_direct_sums(n, blocks, odd, short, sign, x0,
+                                            dx, t_min, h, real, seed):
+    # for n <= 80 a row is 1024 points long and holds up to 1024 - n
+    # points; m = J b - s, 0 < s < J, runs in J blocks of b points, the
+    # last one s short
+    b = 1024 - n - ((1024 - n) % 2 != odd)
+    m = blocks * b - 1 - short % (blocks - 1)
+    assert _chirp_setup(x0, dx, m, sign, t_min, h, n)[0].shape == (blocks, n)
+    assert -(-m // blocks) == b and b % 2 == odd
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n) + (0.0 if real else
+                                  1j * rng.standard_normal(n))
+    got = _chirp_sums(x0, dx, m, sign, t_min, h, w)
+    want = direct_sums(x0 + dx * np.arange(m), sign, t_min, h, w)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(w))
+
+
+@pytest.mark.parametrize("half", [500, 30283])  # one block; 17 or 33
+def test_a_record_keeps_the_sums_array_itself(indicator_kernel, half,
+                                              monkeypatch):
+    made, real_sums = [], grid_signal._chirp_sums
+
+    def keeping(*args, **kwargs):
+        made.append(real_sums(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(grid_signal, "_chirp_sums", keeping)
+    k = indicator_kernel
+    for signal in (k, SampledSignal(k.t_min, k.spacing, 1j * k.values)):
+        tf = fourier_grid(signal, 0.004, half)
+        assert tf.values is made[-1] and tf.values.flags.owndata
+        assert tf.values.size == (half + 1 if tf.hermitian else 2 * half + 1)
+
+
+def test_a_blocked_setup_serves_no_adjoint(monkeypatch):
+    # 5000 points over 16 samples run in 5 blocks; the swapped grids build
+    # their own setup, of one block, inside the scope
+    n, m, dx, t_min, h = 16, 5000, 0.01, -0.3, 0.02
+    built = _counting_setups(monkeypatch)
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    with grid_signal._row_scope():
+        _chirp_sums(0.5, dx, m, -1.0, t_min, h, np.ones(n))
+        held = grid_signal._ROW_SETUPS.get()
+        assert held[(0.5, dx, m, -1.0, t_min, h, n)][0].shape == (5, n)
+        got = _chirp_sums(t_min, h, n, +1.0, 0.5, dx, w)
+        assert built == [m, n] and len(held) == 2
+        assert held[(t_min, h, n, +1.0, 0.5, dx, m)][0].ndim == 1
+    want = direct_sums(t_min + h * np.arange(n), +1.0, 0.5, dx, w)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(w))
 
 
 def test_chirp_rejects_sizes_past_exact_squares():

@@ -222,7 +222,8 @@ def test_run_single_noise_free_reconstructs(small_instance):
     assert res.decomposition.holds
     assert res.decomposition.inner_term == 0.0
     assert res.f_eps.size == res.f0.size
-    assert res.f0_hat.frequencies[-1] >= 60.0 * res.plan.r_eps
+    assert (res.f0_hat.spacing * res.f0_hat.half_count
+            >= 60.0 * res.plan.r_eps)
 
 
 def test_a_complex_kernel_row_keeps_the_full_layout(small_instance):
@@ -742,6 +743,34 @@ def test_decomposition_splits_a_decaying_tail(indicator_plan):
     assert dec.outer_term > dec.inner_term > 0.0
 
 
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("complex_values", [True, False])
+def test_decomposition_sums_what_the_masked_formula_sums(
+        indicator_plan, hermitian, complex_values):
+    # bit for bit, the outer and inner terms are the sums of the weighted
+    # |f0_hat|^2 over the sub-threshold points with |lambda| > and < r_eps,
+    # with grid points on r_eps (h k == r_eps) and beside it
+    plan, rng = indicator_plan, np.random.default_rng(3)
+    on_radius = []
+    for k in range(30, 42):
+        h, half = plan.r_eps / k, 3 * k
+        on_radius.append(h * k == plan.r_eps)
+        size = half + 1 if hermitian else 2 * half + 1
+        v = rng.standard_normal(size)
+        if complex_values:
+            v = v + 1j * rng.standard_normal(size)
+        phi = 0.06 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        f0_hat = TransformSamples(h, v, hermitian)
+        lam = np.abs(_symmetric_grid(h, half, hermitian))
+        wf2 = f0_hat.weights * (v.real ** 2 + v.imag ** 2)
+        below = np.abs(phi) < plan.eps ** plan.beta
+        dec = error_decomposition(f0_hat, TransformSamples(h, phi, hermitian),
+                                  plan, 0.0)
+        assert dec.outer_term == float(np.sum(wf2[below & (lam > plan.r_eps)]))
+        assert dec.inner_term == float(np.sum(wf2[below & (lam < plan.r_eps)]))
+    assert any(on_radius) and not all(on_radius)
+
+
 def test_decomposition_grid_preconditions(indicator_plan):
     plan = indicator_plan
     ones = np.ones(21, dtype=np.complex128)
@@ -826,7 +855,7 @@ def test_each_sum_stays_within_its_share_of_the_rounding_bound(
     # the hermitian halves, summed with the trapezoid weights folded onto
     # x >= 0; n still counts the whole grid, whose share the folded sums
     # of half + 1 terms stay inside
-    lam = f0_hat.frequencies
+    lam = _symmetric_grid(step, half, True)
     assert f0_hat.hermitian and lam.size == half + 1
     wf2 = f0_hat.weights * (f0_hat.values.real ** 2 + f0_hat.values.imag ** 2)
     below = np.abs(phi0_hat.values) < plan.eps ** plan.beta
