@@ -244,9 +244,9 @@ def cmd_deconvolve(config: ExperimentConfig, out_dir: str, eps: float = None,
         result = run_single(instance, eps, noise_free=noise_free)
         manifest.stage("compute")
 
-        plan = _plan_dict(result.plan)
+        plan = _plan_dict(result.decomposition.plan)
         plan["noise_free"] = noise_free
-        plan["achieved_error"] = result.achieved_error
+        plan["achieved_error"] = result.decomposition.achieved_error
         _write_json(manifest.path("plan_json", "plan.json"), plan)
         write_signal_csv(manifest.path("reconstruction_csv",
                                        "reconstruction.csv"), result.f_eps)
@@ -288,7 +288,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str) -> dict:
 
         rows = [(r.plan.eps, r.plan.s_eps, r.plan.delta, r.plan.r_eps,
                  r.achieved_error, r.bound, r.plan.rate_ref, r.c3_row,
-                 r.decomposition.data_error)
+                 r.data_error)
                 for r in sweep.records]
         write_csv(manifest.path("sweep_csv", "sweep.csv"), SWEEP_HEADER,
                   np.array(rows, dtype=np.float64).reshape(len(rows), 9).T)

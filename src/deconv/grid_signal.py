@@ -287,14 +287,13 @@ def _row_scope():
 
 
 def _chirp_sums(x0: float, dx: float, m: int, sign: float, t_min: float,
-                spacing: float, weighted: np.ndarray,
-                hold: bool = True) -> np.ndarray:
+                spacing: float, weighted: np.ndarray) -> np.ndarray:
     """Bluestein chirp-z sums at x0 + dx*(0 .. m-1).  Inside a _row_scope
     a held setup serves again, and an unblocked one held for the adjoint
-    (points and samples swapped, sign flipped) gives conj(K^T conj(w)); a
-    setup its row uses once is built with hold=False and not kept."""
+    (points and samples swapped, sign flipped) gives conj(K^T conj(w));
+    outside one the setup is built, used and dropped."""
     key = (x0, dx, m, sign, t_min, spacing, weighted.size)
-    held = _ROW_SETUPS.get() if hold else None
+    held = _ROW_SETUPS.get()
     if held is None:
         return _chirp_apply(_chirp_setup(*key), weighted)
     if key not in held:

@@ -78,9 +78,8 @@ def noise_components(phi0: SampledSignal, g0: SampledSignal, eps: float,
     amplitudes = 2.0 * u[0::2] - 1.0
     phases = 2.0 * np.pi * u[1::2]
     step = WAVE_MAX_FREQ / WAVE_COUNT
-    # a row sums its wave once: holding the setup would only raise its peak
     wave = _chirp_sums(g0.t_min, g0.spacing, g0.size, +1.0, step, step,
-                       amplitudes * np.exp(1j * phases), hold=False).real
+                       amplitudes * np.exp(1j * phases)).real
     raw_l2 = l2_norm(SampledSignal(g0.t_min, g0.spacing, wave))
     if raw_l2 < 1e-12:
         raise ComputationError("degenerate noise draw (all amplitudes cancel)",

@@ -14,11 +14,12 @@ solve_dual_radius solves the radius equation of the small-set estimate
 written with the Young dual p* instead.
 
 The plan stores the measured norms |g0|_2, |phi0|_1 and the solved
-(s_eps, R_eps); C1, C2 and delta are properties derived from them.
+(s_eps, R_eps); C1, C2, delta and the data term are derived from them.
 
 The squared reconstruction error is then certified against three terms: the
 spectral mass of the unknown where the kernel transform is small, split at
-|lambda| = R_eps, plus a data term 2 sqrt(C1 C2) eps^{1-3 beta}.
+|lambda| = R_eps, plus a data term 2 sqrt(C1 C2) eps^{1-3 beta}.  A row's
+one record, ErrorDecomposition, keeps its plan and derives the data term.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def plan_radius(eps: float, beta: float, q: float,
 @dataclass(frozen=True)
 class RegularizationPlan:
     """The measured norms and the solved (s_eps, R_eps) of one reconstruction;
-    C1, C2 and delta are derived from them."""
+    C1, C2, delta and the data term are derived from them."""
 
     eps: float
     beta: float
@@ -234,6 +235,11 @@ class RegularizationPlan:
                 * self.eps ** ((1.0 + 3.0 * self.beta) / 2.0))
 
     @property
+    def data_term(self) -> float:
+        return (2.0 * math.sqrt(self.c1 * self.c2)
+                * self.eps ** (1.0 - 3.0 * self.beta))
+
+    @property
     def rate_ref(self) -> float:
         """Reference decay R_eps^{-q+1/2}, the Cartan ceiling, for the rate fit."""
         return cartan_bound(self.q, self.r_eps)
@@ -264,25 +270,41 @@ def tikhonov_filter(g_hat: TransformSamples, phi_hat: TransformSamples,
 
 @dataclass(frozen=True)
 class ErrorDecomposition:
-    """The three-term certificate for the squared L2 reconstruction error;
+    """One row: its plan, achieved L2 error and its square's certificate;
     n is the length of the longest grid behind either side (see holds).
     data_error is |g_eps - g0|_2, which the certificate assumes <= eps."""
 
+    plan: RegularizationPlan
     outer_term: float
     inner_term: float
-    data_term: float
-    achieved_sq_error: float
+    achieved_error: float
     data_error: float
     n: int
 
     def __post_init__(self):
-        if min(self.outer_term, self.inner_term, self.data_term) < 0.0:
+        if min(self.outer_term, self.inner_term) < 0.0:
             raise ValidationError("decomposition terms must be nonnegative",
                                   module="regularization", operation="ErrorDecomposition")
 
     @property
+    def data_term(self) -> float:
+        return self.plan.data_term
+
+    @property
+    def achieved_sq_error(self) -> float:
+        return self.achieved_error ** 2
+
+    @property
     def total_bound(self) -> float:
         return 3.0 * (self.outer_term + self.inner_term + self.data_term)
+
+    @property
+    def bound(self) -> float:
+        return math.sqrt(self.total_bound)
+
+    @property
+    def c3_row(self) -> float:
+        return self.achieved_error / self.plan.rate_ref
 
     @property
     def holds(self) -> bool:
@@ -312,13 +334,11 @@ class ErrorDecomposition:
 
 
 def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
-                        plan: RegularizationPlan,
-                        achieved_sq: float) -> ErrorDecomposition:
-    """Evaluate the three terms on the sampled grid.
-
-    outer / inner: trapezoid of |f0_hat|^2 over the sub-threshold set
-    {|phi0_hat| < eps^beta}, outside / inside |lambda| = r_eps.  The data
-    are not at hand here, so data_error is NaN; run_single measures it.
+                        plan: RegularizationPlan) -> tuple[float, float]:
+    """The certificate's two spectral sums (outer, inner) on the sampled
+    grid: trapezoid of |f0_hat|^2 over the sub-threshold set
+    {|phi0_hat| < eps^beta}, outside / inside |lambda| = r_eps.  The plan
+    derives the data term.
     """
     if ((f0_hat.spacing, f0_hat.size, f0_hat.hermitian)
             != (phi0_hat.spacing, phi0_hat.size, phi0_hat.hermitian)):
@@ -340,11 +360,7 @@ def error_decomposition(f0_hat: TransformSamples, phi0_hat: TransformSamples,
     inside = below.copy()
     inside[:max(mid - k_in + 1, 0)] = inside[mid + k_in:] = False
     below[max(mid - k_out + 1, 0):mid + k_out] = False
-    outer, inner = float(np.sum(wf2[below])), float(np.sum(wf2[inside]))
-    data = 2.0 * math.sqrt(plan.c1 * plan.c2) * plan.eps ** (1.0 - 3.0 * plan.beta)
-
-    return ErrorDecomposition(outer, inner, data, achieved_sq, math.nan,
-                              f0_hat.size)
+    return float(np.sum(wf2[below])), float(np.sum(wf2[inside]))
 
 
 def smooth_spectrum(lambdas, q: float) -> np.ndarray:
@@ -360,14 +376,12 @@ def smooth_spectrum(lambdas, q: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunResult:
-    plan: RegularizationPlan
     f0_hat: TransformSamples
     f0: SampledSignal
     g0: SampledSignal
     phi_eps: SampledSignal
     g_eps: SampledSignal
     f_eps: SampledSignal
-    achieved_error: float
     decomposition: ErrorDecomposition
 
 
@@ -427,7 +441,7 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
                              t_min, t_step, t_count)
         plan = RegularizationPlan(eps, instance.beta, instance.q, l2_norm(g0),
                                   instance.profile.l1_total, s_eps, r_eps)
-        terms = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
+        outer, inner = error_decomposition(f0_hat, phi0_hat, plan)
         del phi0_hat  # before f0's inverse
         f0 = inverse_fourier(f0_own, t_min, t_step, t_count)  # real truth: float64
         g_eps = SampledSignal(t_min, t_step, _Fresh(g0.values + wave.values))
@@ -445,27 +459,9 @@ def run_single(instance: SweepInstance, eps: float, seed: int = None,
     achieved = l2_norm(SampledSignal(t_min, t_step,
                                      _Fresh(f0.values - f_eps.values)))
     decomposition = ErrorDecomposition(
-        terms.outer_term, terms.inner_term, terms.data_term, achieved ** 2,
-        data_error / math.sqrt(2.0 * math.pi), max(terms.n, t_count))
-    return RunResult(plan, f0_hat, f0, g0, phi_eps, g_eps, f_eps, achieved,
-                     decomposition)
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One sweep row: the run's plan, achieved error and certificate."""
-
-    plan: RegularizationPlan
-    achieved_error: float
-    decomposition: ErrorDecomposition
-
-    @property
-    def bound(self) -> float:
-        return math.sqrt(self.decomposition.total_bound)
-
-    @property
-    def c3_row(self) -> float:
-        return self.achieved_error / self.plan.rate_ref
+        plan, outer, inner, achieved, data_error / math.sqrt(2.0 * math.pi),
+        max(f0_hat.size, t_count))
+    return RunResult(f0_hat, f0, g0, phi_eps, g_eps, f_eps, decomposition)
 
 
 @dataclass(frozen=True)
@@ -511,16 +507,17 @@ class SweepResult:
 
     @property
     def bound_violations(self) -> int:
-        return sum(1 for r in self.records if not r.decomposition.holds)
+        return sum(1 for r in self.records if not r.holds)
 
 
 def _sweep_row(instance: SweepInstance, eps: float, seed: int):
-    """One row's SweepRecord, or (eps, reason); its RunResult dies here."""
+    """One row's ErrorDecomposition, or (eps, reason); the rest of its
+    RunResult dies here."""
     try:
         res = run_single(instance, eps, seed)
     except (ComputationError, ValidationError) as exc:
         return eps, str(exc)
-    return SweepRecord(res.plan, res.achieved_error, res.decomposition)
+    return res.decomposition
 
 
 def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
@@ -563,5 +560,6 @@ def run_sweep(instance: SweepInstance, eps_list) -> SweepResult:
             helper.join()
     if raised:
         raise raised[0]
-    return SweepResult(tuple(r for r in rows if isinstance(r, SweepRecord)),
-                       tuple(r for r in rows if not isinstance(r, SweepRecord)))
+    return SweepResult(
+        tuple(r for r in rows if isinstance(r, ErrorDecomposition)),
+        tuple(r for r in rows if not isinstance(r, ErrorDecomposition)))

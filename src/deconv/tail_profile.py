@@ -41,7 +41,7 @@ class TailProfile:
 
     s_grid: np.ndarray
     p_values: np.ndarray
-    l1_total: float = None
+    l1_total: float
     truncation_tail: float = 0.0
 
     def __post_init__(self):
@@ -67,8 +67,6 @@ class TailProfile:
             raise ValidationError("p must be nondecreasing (tails shrink)",
                                   module="tail_profile", operation="TailProfile")
         l1 = self.l1_total
-        if l1 is None:
-            l1 = float(np.exp(-p[0]))
         if not (l1 > 0.0 and np.isfinite(l1)):
             raise ValidationError("l1_total must be positive and finite",
                                   module="tail_profile", operation="TailProfile")

@@ -63,22 +63,21 @@ def test_criterion_01_error_bound_with_finer_grid_oracle(gaussian_runs,
                                 .astype(np.complex128))
     phi0_hat_4 = TransformSamples(step / 4.0,
                                   fourier_at(gaussian_instance.kernel, lam4))
-    dec4 = error_decomposition(f0_hat_4, phi0_hat_4, res.plan,
-                               res.achieved_error ** 2)
     base = res.decomposition
-    assert math.isclose(dec4.outer_term, base.outer_term, rel_tol=1e-3)
-    assert dec4.inner_term == base.inner_term == 0.0
+    outer4, inner4 = error_decomposition(f0_hat_4, phi0_hat_4, base.plan)
+    assert math.isclose(outer4, base.outer_term, rel_tol=1e-3)
+    assert inner4 == base.inner_term == 0.0
 
     t_min, t_step, t_count = gaussian_instance.time_grid()
     g_hat = fourier_grid(res.g_eps, step, half)
     phi_hat = fourier_grid(res.phi_eps, step, half)
-    f_hat = tikhonov_filter(g_hat, phi_hat, res.plan.delta)
+    f_hat = tikhonov_filter(g_hat, phi_hat, base.plan.delta)
     step4, count4 = t_step / 4.0, 4 * (t_count - 1) + 1
     f0_fine = inverse_fourier(res.f0_hat, t_min, step4, count4)
     f_eps_fine = inverse_fourier(f_hat, t_min, step4, count4)
     ach4 = l2_norm(SampledSignal(t_min, step4,
                                  f0_fine.values - f_eps_fine.values))
-    assert math.isclose(ach4 ** 2, res.achieved_error ** 2, rel_tol=1e-3)
+    assert math.isclose(ach4 ** 2, base.achieved_sq_error, rel_tol=1e-3)
 
 
 def test_criterion_02_convergence_rate(indicator_sweep):
@@ -235,8 +234,8 @@ def test_criterion_10_fenchel_young_and_convexity(gaussian_profile,
     s64 = 0.01 * np.arange(6401)
     s32 = 0.01 * np.arange(3201)
     profiles = [gaussian_profile, indicator_profile, exp_profile,
-                TailProfile(s64, s64 * s64),
-                TailProfile(s32, s32 - math.log(2.0))]
+                TailProfile(s64, s64 * s64, 1.0),
+                TailProfile(s32, s32 - math.log(2.0), 2.0)]
     rng = np.random.default_rng(20240817)
     sigma_grid = np.arange(0.0, 40.0001, 0.02)
     for profile in profiles:

@@ -1,6 +1,5 @@
 """Command bodies and the CLI wrapper: files, exit codes, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -253,27 +252,30 @@ def test_shipped_sweeps_fail_only_the_asymptotic_radius_gate(tmp_path,
     assert len(lines) == 1 + len(sweep.records)
     for r, line in zip(sweep.records, lines[1:]):
         want = (r.plan.eps, r.plan.s_eps, r.plan.delta, r.plan.r_eps,
-                r.achieved_error, math.sqrt(r.decomposition.total_bound),
+                r.achieved_error, math.sqrt(r.total_bound),
                 r.plan.rate_ref, r.achieved_error / r.plan.rate_ref,
-                r.decomposition.data_error)
+                r.data_error)
         assert ([float(x).hex() for x in line.split(",")]
                 == [w.hex() for w in want]), r.plan.eps
 
 
 def _shrink_terms(monkeypatch, factor, eps=None):
     """Scale the certificate's three terms by factor, on every row or on the
-    row at eps only."""
+    row at eps only: the two spectral sums and the plan's data term."""
     original = regularization.error_decomposition
+    data_term = regularization.RegularizationPlan.data_term
 
-    def shrunk(f0_hat, phi0_hat, plan, achieved_sq):
-        dec = original(f0_hat, phi0_hat, plan, achieved_sq)
-        if eps is not None and plan.eps != eps:
-            return dec
-        return dataclasses.replace(dec, outer_term=factor * dec.outer_term,
-                                   inner_term=factor * dec.inner_term,
-                                   data_term=factor * dec.data_term)
+    def scaled(plan):
+        return factor if eps is None or plan.eps == eps else 1.0
+
+    def shrunk(f0_hat, phi0_hat, plan):
+        return tuple(scaled(plan) * term
+                     for term in original(f0_hat, phi0_hat, plan))
 
     monkeypatch.setattr(regularization, "error_decomposition", shrunk)
+    monkeypatch.setattr(regularization.RegularizationPlan, "data_term",
+                        property(lambda plan: scaled(plan)
+                                 * data_term.fget(plan)))
 
 
 def test_sweep_counts_a_failed_certificate_as_a_bound_violation(

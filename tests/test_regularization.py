@@ -22,8 +22,8 @@ from deconv.kernels import default_profile_grid, make_indicator
 import deconv.commands as commands
 import deconv.regularization as regularization
 from deconv.regularization import (LOG_15E3, TWO_E, ErrorDecomposition,
-                                   RegularizationPlan, SweepRecord,
-                                   SweepResult, error_decomposition,
+                                   RegularizationPlan, SweepResult,
+                                   error_decomposition,
                                    plan_radius, run_single, run_sweep,
                                    smooth_spectrum, solve_frequency_radius,
                                    tikhonov_filter)
@@ -148,6 +148,9 @@ def test_plan_recovers_its_norms(indicator_plan):
     assert math.isclose(plan.c1, 12.0, rel_tol=1e-12)
     assert math.isclose(plan.c2, 2.0, rel_tol=1e-12)
     assert math.isclose(plan.rate_ref, plan.r_eps ** -0.5, rel_tol=1e-12)
+    # the certificate's data term, 2 sqrt(C1 C2) eps^(1 - 3 beta), bit for bit
+    assert plan.data_term == (2.0 * math.sqrt(12.0 * 2.0)
+                              * 1e-6 ** (1.0 - 3.0 * 0.2))
 
 
 def test_make_plan_saturates_below_the_tail_floor(indicator_profile):
@@ -217,13 +220,16 @@ def small_instance(indicator_kernel, indicator_profile):
 def test_run_single_noise_free_reconstructs(small_instance):
     res = run_single(small_instance, 1e-6, noise_free=True)
     assert res.phi_eps is small_instance.kernel
-    assert res.achieved_error < 0.06
-    assert res.decomposition.achieved_sq_error == res.achieved_error ** 2
-    assert res.decomposition.holds
-    assert res.decomposition.inner_term == 0.0
+    dec = res.decomposition
+    assert dec.achieved_error < 0.06
+    assert dec.achieved_sq_error == dec.achieved_error ** 2
+    assert dec.holds
+    assert dec.inner_term == 0.0
     assert res.f_eps.size == res.f0.size
+    # n counts the longer of the whole frequency grid and the time grid
+    assert dec.n == max(res.f0_hat.size, res.f0.size)
     assert (res.f0_hat.spacing * res.f0_hat.half_count
-            >= 60.0 * res.plan.r_eps)
+            >= 60.0 * dec.plan.r_eps)
 
 
 def test_a_complex_kernel_row_keeps_the_full_layout(small_instance):
@@ -286,7 +292,7 @@ def test_run_single_solves_the_radius_once(small_instance, monkeypatch):
     monkeypatch.setattr(regularization, "solve_frequency_radius", counting)
     res = run_single(small_instance, 1e-6, noise_free=True)
     assert len(calls) == 1
-    assert res.plan.r_eps == original(*calls[0])
+    assert res.decomposition.plan.r_eps == original(*calls[0])
 
 
 def test_a_noise_free_row_transforms_the_kernel_once(small_instance,
@@ -323,7 +329,7 @@ def test_the_largest_indicator_row_peaks_below_eleven_half_grids(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    unit = 16 * (instance.grids.half_count(res.plan.r_eps) + 1)
+    unit = 16 * (instance.grids.half_count(res.decomposition.plan.r_eps) + 1)
     assert peak < 11 * unit, peak / unit
 
 
@@ -478,10 +484,8 @@ def test_sweep_rows_equal_single_runs(request, monkeypatch, name, eps_list):
                                          strict=True)):
         f_eps = solutions[eps]
         single = run_single(instance, eps, seed=instance.base_seed + idx)
-        want = SweepRecord(single.plan, single.achieved_error,
-                           single.decomposition)
-        # bit for bit, field by field
-        assert hexed(row) == hexed(want)
+        # bit for bit, field by field, the plan's fields too
+        assert hexed(row) == hexed(single.decomposition)
         assert f_eps.values.tobytes() == single.f_eps.values.tobytes()
 
 
@@ -623,7 +627,7 @@ def test_delta_and_data_term_fall_with_eps(name):
     config, instance = shipped(name)
     rows = [run_single(instance, eps, noise_free=True)
             for eps in config.eps_list]
-    deltas = [row.plan.delta for row in rows]
+    deltas = [row.decomposition.plan.delta for row in rows]
     data = [row.decomposition.data_term for row in rows]
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
     assert all(b < a for a, b in zip(data, data[1:]))
@@ -716,7 +720,8 @@ def test_decomposition_splits_at_the_radius(indicator_plan):
     ones = np.ones(401, dtype=np.complex128)  # on [-1, 1]
     f0_hat = TransformSamples(0.005, ones)
     phi0_hat = TransformSamples(0.005, 0.01 * ones)  # below eps^beta everywhere
-    dec = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
+    dec = ErrorDecomposition(plan, *error_decomposition(f0_hat, phi0_hat, plan),
+                             0.0, 0.0, f0_hat.size)
     assert math.isclose(dec.inner_term, 2.0 * plan.r_eps, rel_tol=0.05)
     assert math.isclose(dec.outer_term, 2.0 * (1.0 - plan.r_eps), rel_tol=0.05)
     assert math.isclose(dec.total_bound,
@@ -728,10 +733,11 @@ def test_decomposition_ignores_exact_threshold_points(indicator_plan):
     plan = indicator_plan
     ones = np.ones(401, dtype=np.complex128)  # on [-1, 1]
     at_threshold = (plan.eps ** plan.beta) * ones  # not strictly below
-    dec = error_decomposition(TransformSamples(0.005, ones),
-                              TransformSamples(0.005, at_threshold), plan, 0.0)
-    assert dec.outer_term == 0.0
-    assert dec.inner_term == 0.0
+    outer, inner = error_decomposition(TransformSamples(0.005, ones),
+                                       TransformSamples(0.005, at_threshold),
+                                       plan)
+    assert outer == 0.0
+    assert inner == 0.0
 
 
 def test_decomposition_splits_a_decaying_tail(indicator_plan):
@@ -739,8 +745,8 @@ def test_decomposition_splits_a_decaying_tail(indicator_plan):
     lam = _symmetric_grid(0.025, 2000)  # 4001 points on [-50, 50]
     f0_hat = TransformSamples(0.025, (1.0 + lam * lam) ** -1.5 + 0j)
     phi0_hat = TransformSamples(0.025, 0.01 * np.ones(lam.size, np.complex128))
-    dec = error_decomposition(f0_hat, phi0_hat, plan, 0.0)
-    assert dec.outer_term > dec.inner_term > 0.0
+    outer, inner = error_decomposition(f0_hat, phi0_hat, plan)
+    assert outer > inner > 0.0
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
@@ -764,10 +770,10 @@ def test_decomposition_sums_what_the_masked_formula_sums(
         lam = np.abs(_symmetric_grid(h, half, hermitian))
         wf2 = f0_hat.weights * (v.real ** 2 + v.imag ** 2)
         below = np.abs(phi) < plan.eps ** plan.beta
-        dec = error_decomposition(f0_hat, TransformSamples(h, phi, hermitian),
-                                  plan, 0.0)
-        assert dec.outer_term == float(np.sum(wf2[below & (lam > plan.r_eps)]))
-        assert dec.inner_term == float(np.sum(wf2[below & (lam < plan.r_eps)]))
+        outer, inner = error_decomposition(
+            f0_hat, TransformSamples(h, phi, hermitian), plan)
+        assert outer == float(np.sum(wf2[below & (lam > plan.r_eps)]))
+        assert inner == float(np.sum(wf2[below & (lam < plan.r_eps)]))
     assert any(on_radius) and not all(on_radius)
 
 
@@ -776,23 +782,22 @@ def test_decomposition_grid_preconditions(indicator_plan):
     ones = np.ones(21, dtype=np.complex128)
     short = TransformSamples(0.01, ones)  # [-0.1, 0.1] misses r_eps
     with pytest.raises(ValidationError):
-        error_decomposition(short, short, plan, 0.0)
+        error_decomposition(short, short, plan)
     with pytest.raises(ValidationError):
         error_decomposition(TransformSamples(0.1, ones),
-                            TransformSamples(0.2, ones), plan, 0.0)
+                            TransformSamples(0.2, ones), plan)
     # the hermitian half of the same grid is another layout
     wide = np.ones(401, dtype=np.complex128)
     with pytest.raises(ValidationError):
         error_decomposition(TransformSamples(0.005, wide),
-                            TransformSamples(0.005, wide[200:], True), plan,
-                            0.0)
+                            TransformSamples(0.005, wide[200:], True), plan)
 
 
 @pytest.mark.parametrize("name", ["gaussian_kernel", "indicator_kernel"])
 def test_the_folded_sums_agree_with_the_full_layout(request, name,
                                                     indicator_plan):
     # the same values on both layouts: the norm and the certificate's
-    # terms move only by the order of their sums, and n counts the grid
+    # terms move only by the order of their sums
     kernel = request.getfixturevalue(name)
     tf = grid_signal.fourier_grid(kernel, 0.01, 3000)
     full = TransformSamples(0.01, grid_signal._mirror(tf.values, tf.size))
@@ -801,20 +806,23 @@ def test_the_folded_sums_agree_with_the_full_layout(request, name,
                         rel_tol=1e-13)
     # 0.02 phi0_hat is below eps^beta everywhere, so no term is empty
     halves = error_decomposition(
-        tf, TransformSamples(0.01, 0.02 * tf.values, True), indicator_plan,
-        0.0)
+        tf, TransformSamples(0.01, 0.02 * tf.values, True), indicator_plan)
     wholes = error_decomposition(
-        full, TransformSamples(0.01, 0.02 * full.values), indicator_plan, 0.0)
-    assert halves.n == wholes.n == tf.size
-    assert halves.outer_term > 0.0 and halves.inner_term > 0.0
-    assert math.isclose(halves.outer_term, wholes.outer_term, rel_tol=1e-13)
-    assert math.isclose(halves.inner_term, wholes.inner_term, rel_tol=1e-13)
+        full, TransformSamples(0.01, 0.02 * full.values), indicator_plan)
+    assert halves[0] > 0.0 and halves[1] > 0.0
+    assert math.isclose(halves[0], wholes[0], rel_tol=1e-13)
+    assert math.isclose(halves[1], wholes[1], rel_tol=1e-13)
 
 
-def test_decomposition_record_validation():
+def test_decomposition_record_validation(indicator_plan):
+    plan = indicator_plan
     with pytest.raises(ValidationError):
-        ErrorDecomposition(-1.0, 0.0, 0.0, 0.0, 0.0, 1)
-    assert not ErrorDecomposition(0.0, 0.0, 0.0, 1.0, 0.0, 1).holds
+        ErrorDecomposition(plan, -1.0, 0.0, 0.0, 0.0, 1)
+    with pytest.raises(ValidationError):
+        ErrorDecomposition(plan, 0.0, -1.0, 0.0, 0.0, 1)
+    # the bound is the plan's data term alone, 3 data_term < 1
+    assert 3.0 * plan.data_term < 1.0
+    assert not ErrorDecomposition(plan, 0.0, 0.0, 1.0, 0.0, 1).holds
 
 
 def test_the_check_is_not_looser_than_a_tiny_bound(gaussian_kernel,
@@ -831,7 +839,9 @@ def test_the_check_is_not_looser_than_a_tiny_bound(gaussian_kernel,
     dec = run_single(instance, 1e-12).decomposition
     assert dec.holds
     assert 1e-9 < dec.total_bound < 1e-8
-    violated = dataclasses.replace(dec, achieved_sq_error=2.0 * dec.total_bound)
+    violated = dataclasses.replace(
+        dec, achieved_error=math.sqrt(2.0 * dec.total_bound))
+    assert violated.achieved_sq_error > 1.99 * dec.total_bound
     assert not violated.holds
 
 
@@ -849,7 +859,8 @@ def test_each_sum_stays_within_its_share_of_the_rounding_bound(
     # of the same lengths: np.sum against the exactly rounded math.fsum
     inst = gaussian_instance
     res = run_single(inst, 1e-10)
-    plan, f0_hat, dec = res.plan, res.f0_hat, res.decomposition
+    f0_hat, dec = res.f0_hat, res.decomposition
+    plan = dec.plan
     step, half = inst.grids.freq_step, f0_hat.half_count
     phi0_hat = grid_signal.fourier_grid(inst.kernel, step, half)
     # the hermitian halves, summed with the trapezoid weights folded onto

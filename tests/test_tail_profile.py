@@ -16,7 +16,7 @@ from deconv.tail_profile import (DualProfile, TailProfile, _log_trapz,
 
 def quadratic_profile(s_max=64.0, step=0.01):
     s = step * np.arange(int(round(s_max / step)) + 1)
-    return TailProfile(s, s * s)
+    return TailProfile(s, s * s, 1.0)
 
 
 def test_indicator_profile_values_are_exact(indicator_profile):
@@ -111,7 +111,7 @@ def test_young_dual_matches_brute_force(kind, n, step, s0, seed):
     p = rng.uniform(-3.0, 3.0) + np.concatenate(
         [[0.0], np.cumsum(_increments(kind, n - 1, step, rng))])
     p[1 if kind == "single" else int(rng.integers(1, n + 1)):] = np.inf
-    profile = TailProfile(s, p)
+    profile = TailProfile(s, p, float(np.exp(-p[0])))
     sigma = np.unique(rng.uniform(0.0, 10.0, int(rng.integers(2, 60))))
     assume(sigma.size >= 2)
     got = young_dual(profile, sigma).dual_values
@@ -130,7 +130,7 @@ def gap_profile(m, n, step=0.01, curvature=1.0, flat=1e-9):
     t = s[m:] - s[m - 1]
     p = curvature * s * s
     p[m:] = p[m - 1] + flat * t * t + 1e-12 * t
-    return TailProfile(s, p)
+    return TailProfile(s, p, 1.0)
 
 
 def pruning_rounds(profile):
@@ -315,11 +315,11 @@ def test_detector_stable_under_grid_halving():
 def test_profile_validation():
     s = np.array([0.0, 1.0, 2.0])
     with pytest.raises(ValidationError):
-        TailProfile(s, np.array([0.0, np.inf, 1.0]))  # inf not a suffix
+        TailProfile(s, np.array([0.0, np.inf, 1.0]), 1.0)  # inf not a suffix
     with pytest.raises(ValidationError):
-        TailProfile(s, np.array([0.0, 1.0, 0.5]))  # decreasing p
+        TailProfile(s, np.array([0.0, 1.0, 0.5]), 1.0)  # decreasing p
     with pytest.raises(ValidationError):
-        # p(0) must match the declared total mass when one is given
+        # p(0) must match the declared total mass
         TailProfile(s, np.array([1.0, 2.0, 3.0]), l1_total=1.0)
     with pytest.raises(ValidationError):
         DualProfile(s, np.array([0.0, 2.0, 1.0]))  # not nondecreasing
@@ -334,7 +334,7 @@ def test_dual_profile_allows_slope_rounding_at_close_points():
     # each slope there is good to about 2 ulp / 3e-8, beyond 1e-9
     sigma = np.array([0.0, 6.1, 6.1 + 3e-8, 10.0])
     dual = young_dual(TailProfile(np.array([0.0, 0.1]),
-                                  np.array([0.0, 0.1])), sigma)
+                                  np.array([0.0, 0.1]), 1.0), sigma)
     assert np.allclose(dual.dual_values, np.maximum(0.0, 0.1 * sigma - 0.1),
                        rtol=0.0, atol=1e-15)
 
